@@ -30,10 +30,6 @@ def load_reference(workload: str) -> dict[str, str]:
         return json.load(handle)["workloads"][workload]
 
 
-def _rule(request: Request) -> str:
-    return request.kind.rsplit(":", 1)[-1]
-
-
 class Replayer:
     """Replays witness probes and verdicts through `cmd_evaluate`.
 
@@ -63,7 +59,7 @@ class Replayer:
 
 def _sweep(request: Request, report: dict, replay: Replayer) -> Iterable[str]:
     operator = report["problem"]["operator"]
-    if _rule(request) in ANCHORED_FAMILY and report["summary"]["violations"]:
+    if operator["kind"] in ANCHORED_FAMILY and report["summary"]["violations"]:
         yield f"{request.kind}: {report['summary']['violations']} folding failures"
     for verdict in report["failures"]:
         if replay.verdict(verdict, operator) != (verdict["direct"], verdict["folded"]):
@@ -79,10 +75,10 @@ def _laws(request: Request, report: dict, replay: Replayer) -> Iterable[str]:
             yield "enumerate: the lawful tables on k/4 are not the five anchored ones"
         return
     suite = report["problem"]["suite"]
-    if (suite in ("gamma-laws", "ev-properties") and _rule(request) in ANCHORED_FAMILY
+    operator = report["problem"]["operator"]
+    if (suite in ("gamma-laws", "ev-properties") and operator["kind"] in ANCHORED_FAMILY
             and report["summary"]["violations"]):
         yield f"{request.kind}: {report['summary']['violations']} law violations"
-    operator = report["problem"]["operator"]
     for law in report["reports"]:
         for witness in law["witnesses"]:
             if (replay.probe(witness["probe-left"], operator) != witness["left"]

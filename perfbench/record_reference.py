@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Record reference.json: the report digest of every request any seed can produce.
 
-    python3 perfbench/record_reference.py [--workload sweep]
+    python3 perfbench/record_reference.py
 
 Run it only on a commit whose reports are known to be right: it sends
-each workload's whole request universe through the engine, refuses to
-write anything if a request raises or an invariant of `checks.py`
-breaks, and otherwise replaces that workload's digests in the file.
+every workload's whole request universe through the engine, and
+refuses to write anything if a request raises or an invariant of
+`checks.py` breaks.
 """
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -33,14 +32,8 @@ def record(workload: str) -> dict[str, str]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=workloads.WORKLOADS, action="append")
-    args = parser.parse_args()
-    try:
-        data = json.loads(checks.REFERENCE.read_text())
-    except FileNotFoundError:
-        data = {"workloads": {}}
-    for workload in args.workload or workloads.WORKLOADS:
+    data = {"workloads": {}}
+    for workload in workloads.WORKLOADS:
         data["workloads"][workload] = record(workload)
         print(f"{workload}: {len(data['workloads'][workload])} digests")
     data["source_sha256"] = source_digest()

@@ -3,22 +3,26 @@
 
     python3 perfbench/run.py --workload sweep --seed 1 --seconds 50 --trace 0
 
-One client on one thread sends the workload's fixed batch of requests,
-each only after the previous report has been emitted, and repeats the
-batch while another fits in `--seconds`. With `--trace 0` the last
-line of standard output is a JSON object with the end-to-end metrics;
-with `--trace 1` the run first times untraced batches for half the
-budget, then traces batches and reports the per-layer metrics of the
-first traced batch. Every report is checked against `reference.json`
-and the invariants in `checks.py`; the exit code is 0 only when all of
-them hold. Run it from anywhere: it finds the engine under `src/`
-beside this directory.
+One client on one thread sends the workload's batch of requests, each
+only after the previous report has been emitted, and repeats the batch
+while another repetition fits in `--seconds`. Each repetition runs in a
+fresh interpreter (`worker.py`), so it meets a cold engine: no state
+the engine keeps between requests carries over from one repetition to
+the next, and each repetition pays its own first-occurrence costs.
+With `--trace 0` the last line of standard output is a JSON object with
+the end-to-end metrics; with `--trace 1` the run first traces
+repetitions for half the budget, then times untraced ones, and reports
+the per-layer metrics of the first traced repetition. Every report is
+checked against `reference.json`, and the first repetition's also
+against the invariants in `checks.py`; the exit code is 0 only when
+all of them hold. Run it from anywhere: it finds the engine under
+`src/` beside this directory.
 
 Timings are per-request best times. On a shared 2-vCPU virtual machine
-the speed swung by up to 1.75x between five-second windows, so each
-request's latency is its minimum over the run's repetitions of the
-batch, and `wall_s`, `req_per_s` and the percentiles are taken over
-those minima. The raw figures over every sample are in the `meta` line.
+a request's latency varied by up to 2x from one repetition to the next,
+so each request's latency is its minimum over the run's repetitions,
+and `wall_s`, `req_per_s` and the percentiles are taken over those
+minima. The `meta` line also gives the median repetition's figures.
 """
 
 from __future__ import annotations
@@ -28,166 +32,100 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
 import time
-import zlib
-from array import array
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_REPEATS = 11
 MAX_MESSAGES = 20
 
 import checks  # noqa: E402  (benchmark modules live beside this file)
 import workloads  # noqa: E402
-from tracing import Tracer  # noqa: E402
 
 
-@dataclass
-class Tally:
-    """Requests attempted and failed, with the first failure messages."""
-
-    expected: list[Optional[str]]
-    attempted: int = 0
-    failed: int = 0
-    messages: list[str] = field(default_factory=list)
-
-    def note(self, message: str) -> None:
-        if len(self.messages) < MAX_MESSAGES:
-            self.messages.append(message)
+class WorkerError(RuntimeError):
+    pass
 
 
-@dataclass
-class Batch:
-    """One pass over the batch: the latency of every request.
+def spawn(workload: str, requests: list[workloads.Request], *, keep: bool = False,
+          trace: bool = False, spans: Optional[Path] = None) -> dict:
+    """Run one repetition in a fresh worker and return what it reports.
 
-    The first batch of a phase also keeps each report's digest and its
-    compressed text, for the checks; compression keeps that from adding
-    much to the peak memory the run reports.
-    """
-
-    latencies: array = field(default_factory=lambda: array("d"))
-    digests: list[Optional[str]] = field(default_factory=list)
-    reports: list[bytes] = field(default_factory=list)
-
-    def texts(self) -> list[str]:
-        return [zlib.decompress(report).decode("utf-8") for report in self.reports]
-
-
-def run_batch(requests: list[workloads.Request], tally: Tally, *, keep: bool = False,
-              tracer: Optional[Tracer] = None,
-              between: Callable[[], None] = lambda: None) -> Batch:
-    """Send every request once, in order, and judge each report.
-
-    A request fails if it raises or if its report digest differs from
-    the reference."""
-    batch = Batch()
-    for number, request in enumerate(requests):
-        text = None
-        if tracer is not None:
-            tracer.begin_request(number)
-        start = time.perf_counter()
-        try:
-            text = workloads.execute(request)
-        except Exception as exc:  # a failed request is counted, not fatal
-            tally.note(f"{request.kind}: {type(exc).__name__}: {exc}")
-        finally:
-            batch.latencies.append(time.perf_counter() - start)
-            if tracer is not None:
-                tracer.end_request()
-        digest = None if text is None else checks.digest(text)
-        tally.attempted += 1
-        if digest is None or digest != tally.expected[number]:
-            tally.failed += 1
-            if digest is not None:
-                tally.note(f"{request.kind}: report digest {digest} differs from "
-                           f"reference {tally.expected[number]} (request {request.key})")
-        if keep:
-            batch.digests.append(digest)
-            if text is not None:
-                batch.reports.append(zlib.compress(text.encode("utf-8"), 1))
-        between()
-    return batch
+    With `keep`, the result also holds the report texts, in order."""
+    job = {"workload": workload, "keep": keep, "trace": trace,
+           "spans": str(spans) if spans else None,
+           "requests": [[r.verb, r.text, r.kind, r.cells] for r in requests]}
+    done = subprocess.run([sys.executable, str(HERE / "worker.py")], cwd=ROOT,
+                          input=json.dumps(job), capture_output=True, text=True,
+                          timeout=150)
+    if done.returncode != 0:
+        raise WorkerError(done.stderr.strip()[-2000:] or f"exit {done.returncode}")
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    result["reports"] = [json.loads(line) for line in lines[:-1]]
+    return result
 
 
-class SetupSampler:
-    """Times fresh interpreters importing foldback and warming up.
+def repeat(workload: str, requests: list[workloads.Request], budget: float, *,
+           trace: bool = False,
+           spans: Optional[Path] = None) -> tuple[list[dict], list[float]]:
+    """Run repetitions while one more is expected to fit in the budget.
 
-    The samples are spread over the timed phase, one child at a request
-    boundary whenever a period has passed, so that their median does not
-    hang on the host's speed in one short window. The first child is
-    discarded, since it may compile bytecode.
-    """
-
-    def __init__(self, workload: str, budget: float) -> None:
-        self.workload = workload
-        self.period = budget / (SETUP_REPEATS + 1)
-        self.times: list[float] = []
-        self.spent = 0.0
-        self.due = time.perf_counter()
-
-    def _child(self) -> None:
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, str(HERE / "setup_probe.py"), self.workload],
-            cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-        self.times.append(float(done.stdout.strip().splitlines()[-1]))
-        self.spent += time.perf_counter() - start
-
-    def tick(self) -> None:
-        if len(self.times) <= SETUP_REPEATS and time.perf_counter() >= self.due:
-            self._child()
-            self.due = time.perf_counter() + self.period
-
-    def median(self) -> float:
-        while len(self.times) <= SETUP_REPEATS:
-            self._child()
-        return statistics.median(self.times[1:])
-
-
-def run_for(requests: list[workloads.Request], tally: Tally, budget: float, *,
-            traced: bool = False,
-            setup: Optional[SetupSampler] = None) -> tuple[list[Batch], Optional[Tracer]]:
-    """Repeat the batch while one more is expected to fit in the budget.
-
-    At least one batch always runs. When traced, the first batch's
-    tracer (its counts and spans) is returned; later batches get fresh
-    tracers so their figures only feed the overhead ratio.
-    """
-    batches: list[Batch] = []
-    first_tracer: Optional[Tracer] = None
-    between = setup.tick if setup is not None else (lambda: None)
+    At least one runs. The first keeps its reports and, when traced,
+    writes its spans. Returns the repetitions' results and the set-up
+    samples: each untraced repetition gives its own and is followed by
+    a worker that sends no request and gives one more, so that a workload
+    with few long repetitions still has a spread of samples."""
+    results: list[dict] = []
+    setups: list[float] = []
+    costs: list[float] = []
     start = time.perf_counter()
     while True:
-        keep = not batches
-        if traced:
-            with Tracer() as tracer:
-                batch = run_batch(requests, tally, keep=keep, tracer=tracer)
-            first_tracer = first_tracer or tracer
-        else:
-            batch = run_batch(requests, tally, keep=keep, between=between)
-        batches.append(batch)
-        elapsed = time.perf_counter() - start - (setup.spent if setup else 0.0)
-        typical = statistics.median(sum(b.latencies) for b in batches)
-        if elapsed + typical > budget:
-            return batches, first_tracer
+        began = time.perf_counter()
+        first = not results
+        results.append(spawn(workload, requests, keep=first, trace=trace,
+                             spans=spans if first else None))
+        if not trace:
+            setups += [results[-1]["setup_s"], spawn(workload, [])["setup_s"]]
+        costs.append(time.perf_counter() - began)
+        if time.perf_counter() - start + statistics.median(costs) > budget:
+            return results, setups
 
 
-def best_latencies(batches: list[Batch]) -> list[float]:
-    """Each request's minimum latency over the batches."""
-    return [min(column) for column in zip(*(b.latencies for b in batches))]
+def best_latencies(results: list[dict]) -> list[float]:
+    """Each request's minimum latency over the repetitions."""
+    return [min(column) for column in zip(*(r["latencies"] for r in results))]
 
 
 def p99(values: list[float]) -> float:
     # interpolated, so a small sample does not reduce p99 to its maximum
     return statistics.quantiles(values, n=100, method="inclusive")[98]
+
+
+def judge(results: list[dict], requests: list[workloads.Request],
+          reference: dict[str, str]) -> tuple[int, int, list[str]]:
+    """Requests attempted and failed, and the first failure messages.
+
+    A request fails if it raised or if its report digest differs from
+    the reference."""
+    attempted = failed = 0
+    messages: list[str] = []
+    for result in results:
+        messages.extend(result["errors"])
+        for request, digest in zip(requests, result["digests"]):
+            attempted += 1
+            expected = reference.get(request.key)
+            if digest != expected:
+                failed += 1
+                if digest is not None:
+                    messages.append(f"{request.kind}: report digest {digest} differs "
+                                    f"from reference {expected} (request {request.key})")
+    return attempted, failed, messages[:MAX_MESSAGES]
 
 
 def git_commit() -> Optional[str]:
@@ -227,57 +165,52 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not (SRC / "foldback" / "__init__.py").is_file():
         print(f"perfbench: no foldback sources at {SRC}", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(SRC))
     load_start = os.getloadavg()
-    import foldback
-    if Path(foldback.__file__).resolve().parent != SRC / "foldback":
-        print(f"perfbench: imported foldback from {foldback.__file__}, not {SRC}",
-              file=sys.stderr)
-        return 2
-
     requests = workloads.batch(args.workload, args.seed)
     reference = checks.load_reference(args.workload)
-    tally = Tally([reference.get(request.key) for request in requests])
-    for request in workloads.warmup(args.workload):
-        workloads.execute(request)
 
-    tracer = None
-    traced: list[Batch] = []
-    if args.trace:
-        plain, _ = run_for(requests, tally, args.seconds / 2)
-        used = sum(sum(b.latencies) for b in plain)
-        traced, tracer = run_for(requests, tally, args.seconds - used, traced=True)
-    else:
-        setup = SetupSampler(args.workload, args.seconds)
-        plain, _ = run_for(requests, tally, args.seconds, setup=setup)
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    traced: list[dict] = []
+    try:
+        if args.trace:
+            began = time.perf_counter()
+            traced, _ = repeat(args.workload, requests, args.seconds / 2, trace=True,
+                               spans=HERE / "out" / f"trace-{args.workload}")
+            plain, setups = repeat(args.workload, requests,
+                                   args.seconds - (time.perf_counter() - began))
+        else:
+            plain, setups = repeat(args.workload, requests, args.seconds)
+    except (WorkerError, subprocess.TimeoutExpired) as exc:
+        print(f"perfbench: a worker failed: {exc}", file=sys.stderr)
+        return 2
 
-    messages = list(tally.messages)
-    if len(plain[0].reports) == len(requests):
-        messages.extend(checks.invariants(args.workload, requests, plain[0].texts()))
-    if traced and traced[0].digests != plain[0].digests:
+    attempted, failed, messages = judge(plain + traced, requests, reference)
+    sys.path.insert(0, str(SRC))
+    if len(plain[0]["reports"]) == len(requests) and None not in plain[0]["reports"]:
+        messages.extend(checks.invariants(args.workload, requests, plain[0]["reports"]))
+    if traced and traced[0]["digests"] != plain[0]["digests"]:
         messages.append("traced and untraced reports differ")
-    correct = tally.failed == 0 and not messages
+    correct = failed == 0 and not messages
 
     best = best_latencies(plain)
     wall_s = sum(best)
-    samples = [value for batch in plain for value in batch.latencies]
-    if tracer is not None:
-        layer = tracer.metrics()
+    if traced:
+        layer = {name: tuple(value) for name, value in traced[0]["layer"].items()}
         layer["trace.overhead_ratio"] = (sum(best_latencies(traced)) / wall_s, "ratio")
-        tracer.write(HERE / "out" / f"trace-{args.workload}")
         metrics = {name: {"value": value, "unit": unit}
                    for name, (value, unit) in layer.items()}
     else:
         metrics = {
-            "setup_s": {"value": setup.median(), "unit": "s"},
+            # the first worker may compile bytecode, so its sample is dropped
+            "setup_s": {"value": statistics.median(setups[1:]), "unit": "s"},
             "wall_s": {"value": wall_s, "unit": "s"},
             "req_per_s": {"value": len(best) / wall_s, "unit": "1/s"},
             "req_p50_ms": {"value": statistics.median(best) * 1e3, "unit": "ms"},
             "req_p99_ms": {"value": p99(best) * 1e3, "unit": "ms"},
-            "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+            "peak_rss_mb": {"value": max(r["maxrss_kb"] for r in plain) / 1024,
+                            "unit": "MB"},
         }
 
+    typical = sorted(plain, key=lambda r: sum(r["latencies"]))[len(plain) // 2]
     meta = {
         "workload": args.workload,
         "seed": args.seed,
@@ -291,32 +224,32 @@ def main(argv: Optional[list[str]] = None) -> int:
         "loadavg_end": os.getloadavg(),
         "requests_per_batch": len(requests),
         "request_mix": workloads.describe(requests),
-        "untraced_batches": len(plain),
-        "traced_batches": len(traced),
-        "requests_attempted": tally.attempted,
-        "fail_ratio": tally.failed / tally.attempted,
-        "latency_samples": len(samples),
-        "raw_batch_s_median": statistics.median(sum(b.latencies) for b in plain),
-        "raw_req_p50_ms": statistics.median(samples) * 1e3,
-        "raw_req_p99_ms": p99(samples) * 1e3,
+        "untraced_repetitions": len(plain),
+        "traced_repetitions": len(traced),
+        "requests_attempted": attempted,
+        "fail_ratio": failed / attempted,
+        "setup_samples": len(setups) - 1,
+        "median_repetition_s": sum(typical["latencies"]),
+        "median_repetition_p50_ms": statistics.median(typical["latencies"]) * 1e3,
+        "median_repetition_p99_ms": p99(typical["latencies"]) * 1e3,
         "report_digest": hashlib.sha256(
-            "".join(d or "-" for d in plain[0].digests).encode()).hexdigest()[:16],
+            "".join(d or "-" for d in plain[0]["digests"]).encode()).hexdigest()[:16],
     }
     cells = workloads.total_cells(requests)
     if cells:
         meta["cells_per_batch"] = cells
         meta["cells_per_s"] = cells / wall_s
-    if tracer is not None:
-        meta["spans"] = tracer.spans()
+    if traced:
+        meta["spans"] = traced[0]["spans"]
     for message in messages[:MAX_MESSAGES]:
         print(f"FAIL {message}")
-    if tally.failed > len(tally.messages):
-        print(f"FAIL {tally.failed} of {tally.attempted} requests failed")
+    if failed > len(messages):
+        print(f"FAIL {failed} of {attempted} requests failed")
     for name, metric in metrics.items():
         print(f"{name} {metric['value']:.6g} {metric['unit']}")
     print("meta " + json.dumps(meta, sort_keys=True))
-    print(json.dumps({"correct": correct, "attempted": tally.attempted,
-                      "failed": tally.failed, "metrics": metrics}))
+    print(json.dumps({"correct": correct, "attempted": attempted,
+                      "failed": failed, "metrics": metrics}))
     return 0 if correct else 1
 
 

@@ -16,6 +16,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import checks  # noqa: E402
 import run  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
@@ -39,6 +40,12 @@ def test_batch_composition_does_not_depend_on_the_seed(workload):
     assert len(cells) == 1
 
 
+def test_replay_sends_each_kind_equally():
+    counts = workloads.describe(workloads.batch("replay", 1))
+    assert len(counts) == len(workloads.REPLAY_KINDS)
+    assert set(counts.values()) == {workloads.REPLAY_PER_KIND}
+
+
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_every_request_any_seed_sends_has_a_reference(workload):
     reference = checks.load_reference(workload)
@@ -52,15 +59,14 @@ def _sample(workload):
     """A cheap slice of each workload that still reaches its main layers."""
     batch = workloads.batch(workload, 5)
     if workload == "sweep":
-        return [r for r in batch if r.kind in ("partition-heavy:hurwicz",
-                                               "partition-heavy:tabulated")
+        return [r for r in batch if r.kind in ("partition-heavy:median",
+                                               "partition-heavy:anchored-family")
                 or r.kind.startswith(("ev-properties", "gamma-laws", "enumerate"))]
     return batch[:150]
 
 
 def _run(requests, tracer=None):
-    tally = run.Tally([None] * len(requests))
-    return run.run_batch(requests, tally, keep=True, tracer=tracer)
+    return worker.run_batch(requests, tracer=tracer)
 
 
 def _traced_counts(requests):
@@ -68,7 +74,7 @@ def _traced_counts(requests):
         batch = _run(requests, tracer)
     counts = {name: value for name, (value, unit) in tracer.metrics().items()
               if unit != "s"}
-    return batch.digests, counts, tracer
+    return batch["digests"], counts, tracer
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -77,10 +83,10 @@ def test_tracing_changes_no_report_and_counts_repeat(workload):
     plain = _run(requests)
     digests_a, counts_a, tracer = _traced_counts(requests)
     digests_b, counts_b, _ = _traced_counts(requests)
-    assert plain.digests == digests_a == digests_b
+    assert plain["digests"] == digests_a == digests_b
     assert counts_a == counts_b
     reference = checks.load_reference(workload)
-    assert plain.digests == [reference[r.key] for r in requests]
+    assert plain["digests"] == [reference[r.key] for r in requests]
     assert tracer.spans() > len(requests)
     assert counts_a["cli.emit_report.calls"] == len(requests)
 
@@ -102,15 +108,24 @@ def test_self_times_add_up_to_the_request_time():
         batch = _run(requests, tracer)
     self_total = sum(value for name, (value, unit) in tracer.metrics().items()
                      if name.endswith(".self_s"))
-    assert 0 < self_total <= sum(batch.latencies)
+    assert 0 < self_total <= sum(batch["latencies"])
+
+
+def test_a_worker_repetition_matches_an_in_process_run():
+    requests = workloads.batch("replay", 4)[:40]
+    result = run.spawn("replay", requests, keep=True)
+    assert result["digests"] == _run(requests)["digests"]
+    assert [checks.digest(text) for text in result["reports"]] == result["digests"]
+    assert len(result["latencies"]) == len(requests) and not result["errors"]
+    assert result["setup_s"] > 0 and result["layer"] is None
 
 
 def test_invariants_catch_a_tampered_report():
     request = next(r for r in workloads.batch("sweep", 3)
-                   if r.kind == "partition-heavy:hurwicz")
+                   if r.kind == "act-heavy:median")
     report = json.loads(workloads.execute(request))
     assert not checks.invariants("sweep", [request], [json.dumps(report)])
-    report["failures"][0]["folded"] = "0"
+    report["failures"][0]["folded"] = "1/7"
     assert checks.invariants("sweep", [request], [json.dumps(report)])
 
 

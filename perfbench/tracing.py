@@ -11,7 +11,9 @@ in flat arrays that stay in memory until `write` saves them. The
 hottest leaves (LEAVES) record no span; they add their call count and
 duration to per-function totals instead. Self time is a call's
 duration minus the time its traced callees cover, kept as each call
-returns, for span functions and leaves alike.
+returns, for span functions and leaves alike. A wrapper's own
+bookkeeping counts as covered by a callee, so it falls in no
+function's self time: only `trace.overhead_ratio` shows it.
 """
 
 from __future__ import annotations
@@ -124,9 +126,13 @@ class Tracer:
 
     def _counted(self, original, key: str):
         constructed = self.constructed
+        frames = self._frames
 
         def __post_init__(obj):
+            entry = perf_counter()
             constructed[key] += 1
+            # the counting is the tracer's; the original hook is the caller's
+            frames[-1][0] += perf_counter() - entry
             return original(obj)
         return __post_init__
 
@@ -142,6 +148,7 @@ class Tracer:
         tracer = self
 
         def traced(*args, **kwargs):
+            entry = perf_counter()
             if seen is not None:
                 try:
                     seen.add(args)
@@ -159,21 +166,23 @@ class Tracer:
             else:
                 frame = [0.0, parent]
             frames.append(frame)
+            returned = False
             start = perf_counter()
             try:
                 result = fn(*args, **kwargs)
+                returned = True
             finally:
                 end = perf_counter()
                 frames.pop()
-                duration = end - start
                 calls[index] += 1
-                self_s[index] += duration - frame[0]
-                frames[-1][0] += duration
+                self_s[index] += end - start - frame[0]
                 if record:
                     starts[span] = start
                     ends[span] = end
-            if after is not None:
-                after(args, result)
+                if returned and after is not None:
+                    after(args, result)
+                # the call and all of this wrapper's bookkeeping, for the caller
+                frames[-1][0] += perf_counter() - entry
             return result
 
         return functools.update_wrapper(traced, fn)

@@ -27,10 +27,10 @@ VACUOUS_FRAMEWORKS = ("credal-set", "belief-function", "possibility")
 ALPHAS = ("1/4", "1/3", "3/8", "1/2", "5/8", "2/3", "3/4")
 EPSILONS = ("1", "3/4", "1/2", "1/3", "1/4", "1/8")
 
-# sweep shapes: act-heavy (n <= 4, 256 acts at n = 4) and partition-heavy
-# (n = 5, Bell(5) = 52). The act-heavy grid is k/3, not k/4, so that a
+# sweep shapes: act-heavy (n <= 4, 81 acts at n = 4) and partition-heavy
+# (n = 5, Bell(5) = 52). The act-heavy grid is k/2, not k/4, so that a
 # 50-second run repeats the batch several times (see run.py on timing).
-ACT_HEAVY = {"suite": "sequential", "grid-denominator": 3, "sizes": [2, 3, 4]}
+ACT_HEAVY = {"suite": "sequential", "grid-denominator": 2, "sizes": [2, 3, 4]}
 PARTITION_HEAVY = {"suite": "sequential", "grid-denominator": 1, "sizes": [5]}
 SWEEP_FRAMEWORKS = 3
 
@@ -120,42 +120,43 @@ def _check(operator: dict, settings: dict, kind: str) -> Request:
     return Request("check", _text(problem), kind, cells)
 
 
-def _sweep_rules(choice: Callable) -> tuple[list[dict], list[dict]]:
-    # three anchored rules beside min and max put the median request of a
-    # batch inside one cost class, so req_p50_ms does not hop between classes
-    act_heavy = [hurwicz(choice(ALPHAS)), MEDIAN]
-    partition_heavy = [anchored(choice(grid(8))), MIN, anchored(choice(grid(8))), MAX,
-                       anchored(choice(grid(8))), tabulated_anchored(choice(grid(4)), 4),
-                       hurwicz(choice(ALPHAS)), MEDIAN]
-    return act_heavy, partition_heavy
+def _anchored_family(choice: Callable) -> dict:
+    """One rule that folds everywhere: anchored, min, max or an anchored table."""
+    return choice([anchored(choice(grid(8))), MIN, MAX,
+                   tabulated_anchored(choice(grid(4)), 4)])
 
 
-def _folding_batch(seed: int) -> list[Request]:
-    """The same ten shapes in the same order for every seed; the seed picks
-    anchors and alphas. A fixed order keeps the memory history, and so
-    peak_rss_mb, the same from seed to seed; the two long act-heavy
-    requests sit apart so the short ones sample the whole batch."""
-    act_heavy, partition_heavy = _sweep_rules(random.Random(f"sweep:{seed}").choice)
-    act = [_check(op, ACT_HEAVY, "act-heavy:" + op["kind"]) for op in act_heavy]
-    part = [_check(op, PARTITION_HEAVY, "partition-heavy:" + op["kind"])
-            for op in partition_heavy]
-    return act[:1] + part[:4] + act[1:] + part[4:]
+def _folding_batch(rng: random.Random) -> list[Request]:
+    """Four sweeps, the same shapes in the same order for every seed.
+
+    Act-heavy sweeps the two rules that fail to fold, Hurwicz and the
+    median, without stop-at-first, so encoding their full failure lists
+    is part of the load. Partition-heavy sweeps the median (which folds
+    on 0/1 acts) and a rule of the anchored family, which folds
+    everywhere, picked by `rng` with its anchor. Four sweeps, not one per
+    rule and shape, keep a repetition short enough for a run to repeat
+    it often (see run.py on timing).
+    """
+    return [_check(hurwicz(rng.choice(ALPHAS)), ACT_HEAVY, "act-heavy:hurwicz"),
+            _check(_anchored_family(rng.choice), PARTITION_HEAVY,
+                   "partition-heavy:anchored-family"),
+            _check(MEDIAN, ACT_HEAVY, "act-heavy:median"),
+            _check(MEDIAN, PARTITION_HEAVY, "partition-heavy:median")]
 
 
 def _folding_universe() -> list[Request]:
-    anchors, anchors4 = grid(8), grid(4)
-    act_heavy = [hurwicz(a) for a in ALPHAS] + [MEDIAN]
-    partition_heavy = ([anchored(a) for a in anchors] + [MIN, MAX]
-                       + [hurwicz(a) for a in ALPHAS] + [MEDIAN]
-                       + [tabulated_anchored(a, 4) for a in anchors4])
-    return ([_check(op, ACT_HEAVY, "act-heavy:" + op["kind"]) for op in act_heavy]
-            + [_check(op, PARTITION_HEAVY, "partition-heavy:" + op["kind"])
-               for op in partition_heavy])
+    family = ([anchored(a) for a in grid(8)] + [MIN, MAX]
+              + [tabulated_anchored(a, 4) for a in grid(4)])
+    return ([_check(hurwicz(a), ACT_HEAVY, "act-heavy:hurwicz") for a in ALPHAS]
+            + [_check(op, PARTITION_HEAVY, "partition-heavy:anchored-family")
+               for op in family]
+            + [_check(MEDIAN, ACT_HEAVY, "act-heavy:median"),
+               _check(MEDIAN, PARTITION_HEAVY, "partition-heavy:median")])
 
 
 # -- laws ------------------------------------------------------------------
 
-SET_ORDER = {"suite": "set-order", "grid-denominator": 5, "family-max-size": 3}
+SET_ORDER = {"suite": "set-order", "grid-denominator": 4, "family-max-size": 3}
 EV_PROPERTIES = {"suite": "ev-properties", "grid-denominator": 8}
 GAMMA_LAWS = {"suite": "gamma-laws", "grid-denominator": 16}
 ENUMERATE_DENOMINATOR = 4
@@ -183,10 +184,9 @@ def _law_requests(rules_for: Callable) -> list[Request]:
     return requests
 
 
-def _laws_batch(seed: int) -> list[Request]:
-    """The same 18 shapes in the same order for every seed; the seed picks
+def _laws_batch(rng: random.Random) -> list[Request]:
+    """The same 18 shapes in the same order for every seed; `rng` picks
     anchors, alphas and table anchors."""
-    rng = random.Random(f"laws:{seed}")
     batch = _law_requests(lambda d, median: _law_rules(rng.choice, d, median=median))
     return batch + [_enumerate_request()]
 
@@ -203,9 +203,9 @@ def _laws_universe() -> list[Request]:
     return _law_requests(every_rule) + [_enumerate_request()]
 
 
-def sweep_batch(seed: int) -> list[Request]:
-    """The exhaustive checkers: ten folding sweeps, then 18 law checks."""
-    return _folding_batch(seed) + _laws_batch(seed)
+def sweep_batch(rng: random.Random) -> list[Request]:
+    """The exhaustive checkers: four folding sweeps, then 18 law checks."""
+    return _folding_batch(rng) + _laws_batch(rng)
 
 
 def sweep_universe() -> list[Request]:
@@ -360,34 +360,37 @@ def _consensus(mode: str) -> Callable[[random.Random], Request]:
     return make
 
 
-# (generator, problems in the pool, problems per batch). Limit requests are
-# the slowest kind and set req_p99_ms, so every batch sends all of them:
-# a seeded sample of them would move the tail from seed to seed.
-REPLAY_STRATA: tuple[tuple[Callable[[random.Random], Request], int, int], ...] = (
-    (_probe_vacuous, 480, 160),
-    (_probe_constant, 120, 40),
-    (_verdict, 600, 200),
-    (_concrete("probability"), 180, 60),
-    (_concrete("credal-set"), 180, 60),
-    (_concrete("belief-function"), 180, 60),
-    (_concrete("possibility"), 180, 60),
-    (_consensus("consensus"), 150, 50),
-    (_consensus("certainty"), 150, 50),
-    (_consensus("limit"), 50, 50),
+# One generator per kind of problem, with the size of its fixed pool. No
+# log of real traffic exists to weight the kinds by, so a batch samples
+# the same number of each. Contamination-limit problems are the slowest
+# kind and vary most (2 to 12 ms each); a sample of them would move
+# req_p99_ms and wall_s from seed to seed, so their pool is exactly the
+# problems every batch sends.
+REPLAY_PER_KIND = 100
+REPLAY_KINDS: tuple[tuple[Callable[[random.Random], Request], int], ...] = (
+    (_probe_vacuous, 400),
+    (_probe_constant, 400),
+    (_verdict, 400),
+    (_concrete("probability"), 400),
+    (_concrete("credal-set"), 400),
+    (_concrete("belief-function"), 400),
+    (_concrete("possibility"), 400),
+    (_consensus("consensus"), 400),
+    (_consensus("certainty"), 400),
+    (_consensus("limit"), REPLAY_PER_KIND),
 )
 
 
 def replay_pools() -> list[list[Request]]:
-    """The fixed problem pools, one per stratum, independent of the seed."""
+    """The fixed problem pools, one per kind, independent of the seed."""
     rng = random.Random("replay-pool")
-    return [[make(rng) for _ in range(size)] for make, size, _ in REPLAY_STRATA]
+    return [[make(rng) for _ in range(size)] for make, size in REPLAY_KINDS]
 
 
-def replay_batch(seed: int) -> list[Request]:
-    rng = random.Random(f"replay:{seed}")
+def replay_batch(rng: random.Random) -> list[Request]:
     batch = []
-    for pool, (_, _, count) in zip(replay_pools(), REPLAY_STRATA):
-        batch.extend(rng.sample(pool, count))
+    for pool in replay_pools():
+        batch.extend(rng.sample(pool, REPLAY_PER_KIND))
     rng.shuffle(batch)
     return batch
 
@@ -403,7 +406,7 @@ UNIVERSES = {"sweep": sweep_universe, "replay": replay_universe}
 
 
 def batch(workload: str, seed: int) -> list[Request]:
-    return BATCHES[workload](seed)
+    return BATCHES[workload](random.Random(f"{workload}:{seed}"))
 
 
 def universe(workload: str) -> list[Request]:
@@ -421,7 +424,7 @@ def warmup(workload: str) -> list[Request]:
                 _check(hurwicz("1/2"), dict(GAMMA_LAWS, **{"grid-denominator": 2}), "warmup"),
                 Request("enumerate", _text({"denominator": 2}), "warmup")]
     rng = random.Random("replay-warmup")
-    return [make(rng) for make, _, _ in REPLAY_STRATA]
+    return [make(rng) for make, _ in REPLAY_KINDS]
 
 
 def execute(request: Request) -> str:
