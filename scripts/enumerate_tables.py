@@ -13,8 +13,9 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from foldback import Anchored, ZPair, enumerate_lawful_gamma_tables, gamma_apply, tabulate
 from foldback.rationals import format_rational, unit_grid

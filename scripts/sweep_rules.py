@@ -13,8 +13,9 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from foldback import (
     Anchored,

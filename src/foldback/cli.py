@@ -517,6 +517,9 @@ def cmd_check(problem: ProblemFile, which: Optional[str] = None) -> ReportFile:
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of {SUITES}")
     op = problem.operator
+    if problem.stop_at_first and suite != "sequential":
+        raise ValidationError(
+            f"stop-at-first applies only to the sequential suite, not {suite!r}")
 
     if suite == "gamma-laws":
         denominator = problem.grid_denominator or 16
@@ -527,9 +530,7 @@ def cmd_check(problem: ProblemFile, which: Optional[str] = None) -> ReportFile:
         echo["grid-denominator"] = denominator
     elif suite == "ev-properties":
         denominator = problem.grid_denominator or 4
-        cfg = SearchConfig(denominator=denominator,
-                           stop_at_first=problem.stop_at_first)
-        reports = check_ev_properties(op, cfg)
+        reports = check_ev_properties(op, SearchConfig(denominator=denominator))
         echo = _problem_echo(problem, suite=suite)
         echo["grid-denominator"] = denominator
     elif suite == "set-order":
@@ -699,8 +700,12 @@ def _merge_flags(raw: dict, args: argparse.Namespace) -> dict:
     if args.stop_at_first:
         merged["stop-at-first"] = True
     if getattr(args, "epsilon_list", None):
+        mode = merged.get("mode", "limit")
+        if mode in ("consensus", "certainty"):
+            raise ValidationError(
+                f"--epsilon-list needs mode 'limit', but the problem sets mode {mode!r}")
         merged["epsilons"] = args.epsilon_list.split(",")
-        merged["mode"] = merged.get("mode", "limit")
+        merged["mode"] = mode
     return merged
 
 

@@ -15,17 +15,14 @@ from .acts import Act, StateSpace, outcome_set
 from .ce_ops import CeOperator, GammaFunction, ce, ce_vacuous
 from .errors import SpaceMismatch, ValidationError
 from .plausibility import (
+    VACUOUS_FRAMEWORKS,
     BeliefFunctionMeasure,
     CredalSetMeasure,
-    Framework,
     PossibilityMeasure,
     expectation_bounds,
     vacuous,
 )
 from .rationals import ONE, ZERO
-
-VACUOUS_FRAMEWORKS = (
-    Framework.CREDAL_SET, Framework.BELIEF_FUNCTION, Framework.POSSIBILITY)
 
 
 @dataclass(frozen=True)

@@ -19,23 +19,21 @@ from .acts import Act, Partition, StateSpace, condition_act, enumerate_partition
 from .ce_ops import (
     CeOperator,
     GammaFunction,
-    Preference,
     Tabulated,
     VacuousRule,
     ce,
     ce_vacuous,
     gamma_apply,
-    np_prefer,
 )
 from .errors import CapExceeded, ValidationError
 from .plausibility import (
+    VACUOUS_FRAMEWORKS,
     Framework,
     PlausibilityMeasure,
     ZPair,
     condition,
     framework_of,
     restrict,
-    vacuous,
 )
 from .rationals import ONE, format_rational, unit_grid
 
@@ -111,8 +109,7 @@ class SearchConfig:
 
     sizes: tuple[int, ...] = (2, 3, 4)
     denominator: int = 4
-    frameworks: tuple[Framework, ...] = (
-        Framework.CREDAL_SET, Framework.BELIEF_FUNCTION, Framework.POSSIBILITY)
+    frameworks: tuple[Framework, ...] = VACUOUS_FRAMEWORKS
     partition_cap: int = 8
     stop_at_first: bool = False
 
@@ -145,46 +142,94 @@ def check_sequential(op: CeOperator, measure: PlausibilityMeasure, act: Act,
                               framework_of(measure))
 
 
+class _Memo(dict):
+    """Values computed on first lookup and kept for one checker call.
+
+    A miss calls `compute`, so each distinct key is evaluated (and
+    validated) exactly once, in the order keys are first asked for;
+    an evaluation that raises does so at its first use, as it would
+    without the memo.
+    """
+
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _members(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, in increasing order."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
 def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[ConsistencyVerdict]:
     """Sweep all grid acts, partitions, and vacuous measures; return failures.
 
     Order is canonical: sizes as configured, acts lexicographically by
     outcome vector, partitions in enumeration order, frameworks as
     configured, so the first element is the first counterexample.
+
+    A vacuous measure stays vacuous under restriction and conditioning,
+    so every certainty equivalent of a cell is the vacuous rule on an
+    outcome set, whatever the framework: each cell's verdict is computed
+    once and reported for every configured framework. Outcome sets are
+    bitmasks over grid indices, values are interned as bits of another
+    mask, and evaluation order (direct, then blocks in order, then
+    folded) is that of `check_sequential`, so a rule that raises does so
+    on the same input.
     """
     if max(cfg.sizes) > cfg.partition_cap:
         raise CapExceeded(
             f"sweep capped at n <= {cfg.partition_cap}, asked for {max(cfg.sizes)}")
+    rule = op.vacuous_rule
     grid = unit_grid(cfg.denominator)
+    interned: list[Fraction] = []
+
+    def intern(value: Fraction) -> int:
+        interned.append(value)
+        return 1 << (len(interned) - 1)
+
+    bit_of = _Memo(intern)
+    on_grid = _Memo(lambda mask: bit_of[
+        ce_vacuous(rule, frozenset(grid[k] for k in _members(mask)))])
+    on_values = _Memo(lambda mask: bit_of[
+        ce_vacuous(rule, frozenset(interned[k] for k in _members(mask)))])
+
+    def value(bit: int) -> Fraction:
+        return interned[bit.bit_length() - 1]
+
     failures: list[ConsistencyVerdict] = []
     for n in cfg.sizes:
-        space = StateSpace(n)
-        ignorant = {fw: vacuous(space, fw) for fw in cfg.frameworks}
-        prepared = []
-        for H in enumerate_partitions(space, cap=cfg.partition_cap):
-            per_fw = tuple(
-                (fw,
-                 restrict(ignorant[fw], H),
-                 tuple(condition(ignorant[fw], block) for block in H.blocks))
-                for fw in cfg.frameworks)
-            prepared.append((H, per_fw))
-        for outcomes in itertools.product(grid, repeat=n):
-            act = Act(outcomes)
-            direct: dict[Framework, Fraction] = {}
-            for H, per_fw in prepared:
-                pieces = tuple(
-                    condition_act(act, block).as_act() for block in H.blocks)
-                for fw, restricted, conditioned in per_fw:
-                    if fw not in direct:
-                        direct[fw] = ce(op, ignorant[fw], act)
-                    block_values = tuple(
-                        ce(op, cm, piece) for cm, piece in zip(conditioned, pieces))
-                    folded = ce(op, restricted, Act(block_values))
-                    if direct[fw] != folded:
-                        failures.append(ConsistencyVerdict(
-                            False, direct[fw], folded, H, act, fw))
-                        if cfg.stop_at_first:
-                            return failures
+        # each block as the bitmask of its states
+        shapes = [(H, [sum(1 << s for s in block) for block in H.blocks])
+                  for H in enumerate_partitions(StateSpace(n), cap=cfg.partition_cap)]
+        subsets = range(1, 1 << n)
+        for act_index in itertools.product(range(len(grid)), repeat=n):
+            # outcome set of every non-empty set of states, built by
+            # adding its lowest state to the set without it
+            sets = [0]
+            for states in subsets:
+                low = states & -states
+                sets.append(sets[states ^ low] | 1 << act_index[low.bit_length() - 1])
+            direct = on_grid[sets[-1]]
+            act = None
+            for H, blocks in shapes:
+                block_values = 0
+                for block in blocks:
+                    block_values |= on_grid[sets[block]]
+                folded = on_values[block_values]
+                if folded == direct:
+                    continue
+                if act is None:
+                    act = Act(tuple(grid[k] for k in act_index))
+                for fw in cfg.frameworks:
+                    failures.append(ConsistencyVerdict(
+                        False, value(direct), value(folded), H, act, fw))
+                    if cfg.stop_at_first:
+                        return failures
     return failures
 
 
@@ -205,6 +250,76 @@ def _fmt_set(values) -> str:
     return "{" + ", ".join(_fmt(v) for v in sorted(values)) + "}"
 
 
+def _pair_witness(grid, label, value, a, b) -> Witness:
+    """Witness that the grid pairs at index pairs a and b compare badly."""
+    (i, j), (i2, j2) = a, b
+    return Witness((label[i], label[j], label[i2], label[j2]), value[a], value[b],
+                   _pair_probe(grid[i], grid[j]), _pair_probe(grid[i2], grid[j2]))
+
+
+def _gamma_laws(denominator: int, lipschitz):
+    """The pair-rule laws on the grid {k/denominator}, as a checker of tables.
+
+    The returned function takes `value`, with `value[i, j]` the rule on
+    the grid points i <= j (by index), and `apply(lower, upper)`, which
+    evaluates the rule on the pairs the iteration law forms from table
+    values, and returns the four law reports.
+    """
+    grid = unit_grid(denominator)
+    label = [_fmt(x) for x in grid]
+    pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
+    # one-step moves generate the whole argwise order on the grid,
+    # so neighbor checks decide monotonicity and the modulus exactly
+    neighbors = [((i, j), (i2, j2)) for i, j in pairs
+                 for i2, j2 in ((i - 1, j), (i, j - 1)) if 0 <= i2 <= j2]
+
+    def reports(value: dict, apply) -> list[LawReport]:
+        idem = [Witness((label[k],), value[k, k], c, _pair_probe(c, c), _constant_probe(c))
+                for k, c in enumerate(grid) if value[k, k] != c]
+
+        mono = [_pair_witness(grid, label, value, a, b)
+                for a, b in neighbors if value[a] < value[b]]
+
+        iteration: list[Witness] = []
+        for i, j in pairs:
+            x, y = grid[i], grid[j]
+            g, gxx, gyy = value[i, j], value[i, i], value[j, j]
+            if gxx <= g:
+                via_lower = apply(gxx, g)
+                if via_lower != g:
+                    iteration.append(Witness(
+                        (label[i], label[j], "via-lower"),
+                        via_lower, g, _pair_probe(gxx, g), _pair_probe(x, y)))
+            else:
+                # the inner pair is out of order, so the law cannot even be formed
+                iteration.append(Witness(
+                    (label[i], label[j], "via-lower", "inner-pair-out-of-order"),
+                    gxx, g, _pair_probe(x, x), _pair_probe(x, y)))
+            if g <= gyy:
+                via_upper = apply(g, gyy)
+                if via_upper != g:
+                    iteration.append(Witness(
+                        (label[i], label[j], "via-upper"),
+                        via_upper, g, _pair_probe(g, gyy), _pair_probe(x, y)))
+            else:
+                iteration.append(Witness(
+                    (label[i], label[j], "via-upper", "inner-pair-out-of-order"),
+                    g, gyy, _pair_probe(x, y), _pair_probe(y, y)))
+
+        bound = lipschitz * Fraction(1, denominator)
+        lipped = [_pair_witness(grid, label, value, a, b)
+                  for a, b in neighbors if abs(value[a] - value[b]) > bound]
+
+        return [
+            LawReport(LawId.GAMMA_IDEMPOTENCE, not idem, tuple(idem)),
+            LawReport(LawId.GAMMA_MONOTONE, not mono, tuple(mono)),
+            LawReport(LawId.GAMMA_ITERATION, not iteration, tuple(iteration)),
+            LawReport(LawId.LIPSCHITZ_CONTINUITY, not lipped, tuple(lipped)),
+        ]
+
+    return reports
+
+
 def check_gamma_laws(rule: GammaFunction, denominator: int, *,
                      lipschitz: Fraction = DEFAULT_LIPSCHITZ) -> list[LawReport]:
     """Check the pair-rule laws on the grid {k/denominator}.
@@ -214,75 +329,11 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     equivalent, and the Lipschitz modulus standing in for continuity.
     """
     grid = unit_grid(denominator)
-    step = Fraction(1, denominator)
-    pairs = [(x, y) for x in grid for y in grid if x <= y]
-    value = {pair: gamma_apply(rule, ZPair(*pair)) for pair in pairs}
-
-    def lower_neighbors(x: Fraction, y: Fraction):
-        # one-step moves generate the whole argwise order on the grid,
-        # so neighbor checks decide monotonicity and the modulus exactly
-        if x - step >= 0:
-            yield x - step, y
-        if y - step >= x:
-            yield x, y - step
-
-    idem: list[Witness] = []
-    for c in grid:
-        got = value[(c, c)]
-        if got != c:
-            idem.append(Witness((_fmt(c),), got, c, _pair_probe(c, c), _constant_probe(c)))
-
-    mono: list[Witness] = []
-    for x, y in pairs:
-        for x2, y2 in lower_neighbors(x, y):
-            if value[(x, y)] < value[(x2, y2)]:
-                mono.append(Witness(
-                    (_fmt(x), _fmt(y), _fmt(x2), _fmt(y2)),
-                    value[(x, y)], value[(x2, y2)],
-                    _pair_probe(x, y), _pair_probe(x2, y2)))
-
-    iteration: list[Witness] = []
-    for x, y in pairs:
-        g = value[(x, y)]
-        gxx, gyy = value[(x, x)], value[(y, y)]
-        if gxx <= g:
-            via_lower = gamma_apply(rule, ZPair(gxx, g))
-            if via_lower != g:
-                iteration.append(Witness(
-                    (_fmt(x), _fmt(y), "via-lower"),
-                    via_lower, g, _pair_probe(gxx, g), _pair_probe(x, y)))
-        else:
-            # the inner pair is out of order, so the law cannot even be formed
-            iteration.append(Witness(
-                (_fmt(x), _fmt(y), "via-lower", "inner-pair-out-of-order"),
-                gxx, g, _pair_probe(x, x), _pair_probe(x, y)))
-        if g <= gyy:
-            via_upper = gamma_apply(rule, ZPair(g, gyy))
-            if via_upper != g:
-                iteration.append(Witness(
-                    (_fmt(x), _fmt(y), "via-upper"),
-                    via_upper, g, _pair_probe(g, gyy), _pair_probe(x, y)))
-        else:
-            iteration.append(Witness(
-                (_fmt(x), _fmt(y), "via-upper", "inner-pair-out-of-order"),
-                g, gyy, _pair_probe(x, y), _pair_probe(y, y)))
-
-    lipped: list[Witness] = []
-    for x, y in pairs:
-        for x2, y2 in lower_neighbors(x, y):
-            gap = abs(value[(x, y)] - value[(x2, y2)])
-            if gap > lipschitz * step:
-                lipped.append(Witness(
-                    (_fmt(x), _fmt(y), _fmt(x2), _fmt(y2)),
-                    value[(x, y)], value[(x2, y2)],
-                    _pair_probe(x, y), _pair_probe(x2, y2)))
-
-    return [
-        LawReport(LawId.GAMMA_IDEMPOTENCE, not idem, tuple(idem)),
-        LawReport(LawId.GAMMA_MONOTONE, not mono, tuple(mono)),
-        LawReport(LawId.GAMMA_ITERATION, not iteration, tuple(iteration)),
-        LawReport(LawId.LIPSCHITZ_CONTINUITY, not lipped, tuple(lipped)),
-    ]
+    applied = _Memo(lambda pair: gamma_apply(rule, ZPair(*pair)))
+    value = {(i, j): applied[x, y]
+             for i, x in enumerate(grid) for j, y in enumerate(grid) if i <= j}
+    return _gamma_laws(denominator, lipschitz)(
+        value, lambda lower, upper: applied[lower, upper])
 
 
 def check_ev_properties(op: CeOperator, cfg: SearchConfig, *,
@@ -295,43 +346,43 @@ def check_ev_properties(op: CeOperator, cfg: SearchConfig, *,
     """
     rule = op.vacuous_rule
     grid = unit_grid(cfg.denominator)
-    pairs = [(x, y) for x in grid for y in grid if x <= y]
+    label = [_fmt(x) for x in grid]
+    # outcome sets as bitmasks over grid indices
+    value = _Memo(lambda mask: ce_vacuous(rule, frozenset(grid[k] for k in _members(mask))))
 
     unanimity: list[Witness] = []
-    for c in grid:
-        got = ce_vacuous(rule, frozenset((c,)))
+    for k, c in enumerate(grid):
+        got = value[1 << k]
         if got != c:
             unanimity.append(Witness(
-                (_fmt(c),), got, c, Probe((c,)), _constant_probe(c)))
+                (label[k],), got, c, Probe((c,)), _constant_probe(c)))
 
     range_law: list[Witness] = []
     for size in range(1, 5):
-        for combo in itertools.combinations(grid, size):
-            outcomes = frozenset(combo)
-            full = ce_vacuous(rule, outcomes)
-            extremes = ce_vacuous(rule, frozenset((min(combo), max(combo))))
+        for combo in itertools.combinations(range(len(grid)), size):
+            lo, hi = combo[0], combo[-1]
+            full = value[sum(1 << k for k in combo)]
+            extremes = value[1 << lo | 1 << hi]
             if full != extremes:
                 range_law.append(Witness(
-                    (_fmt_set(outcomes),), full, extremes,
-                    Probe(tuple(sorted(outcomes))),
-                    _pair_probe(min(combo), max(combo))))
+                    ("{" + ", ".join(label[k] for k in combo) + "}",), full, extremes,
+                    Probe(tuple(grid[k] for k in combo)),
+                    _pair_probe(grid[lo], grid[hi])))
 
+    pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
+    pair_value = {(i, j): value[1 << i | 1 << j] for i, j in pairs}
+    # the modulus times each index distance |i - i2| + |j - j2|, in grid steps
+    bound = [lipschitz * Fraction(d, cfg.denominator) for d in range(2 * len(grid) - 1)]
     mono: list[Witness] = []
     lipped: list[Witness] = []
-    values = {pair: ce_vacuous(rule, frozenset(pair)) for pair in pairs}
-    for x, y in pairs:
-        for x2, y2 in pairs:
-            if x >= x2 and y >= y2 and values[(x, y)] < values[(x2, y2)]:
-                mono.append(Witness(
-                    (_fmt(x), _fmt(y), _fmt(x2), _fmt(y2)),
-                    values[(x, y)], values[(x2, y2)],
-                    _pair_probe(x, y), _pair_probe(x2, y2)))
-            gap = abs(values[(x, y)] - values[(x2, y2)])
-            if gap > lipschitz * (abs(x - x2) + abs(y - y2)):
-                lipped.append(Witness(
-                    (_fmt(x), _fmt(y), _fmt(x2), _fmt(y2)),
-                    values[(x, y)], values[(x2, y2)],
-                    _pair_probe(x, y), _pair_probe(x2, y2)))
+    for a in pairs:
+        i, j = a
+        for b in pairs:
+            i2, j2 = b
+            if i >= i2 and j >= j2 and pair_value[a] < pair_value[b]:
+                mono.append(_pair_witness(grid, label, pair_value, a, b))
+            if abs(pair_value[a] - pair_value[b]) > bound[abs(i - i2) + abs(j - j2)]:
+                lipped.append(_pair_witness(grid, label, pair_value, a, b))
 
     return [
         LawReport(LawId.UNANIMITY, not unanimity, tuple(unanimity)),
@@ -349,50 +400,48 @@ def check_set_order_conditions(rule: VacuousRule,
     independence: adjoining a larger point never hurts. Strong
     independence: adjoining the same point preserves weak preference.
     Set monotonicity: a superset is never strictly worse.
+
+    One set strictly disprefers another (`np_prefer`) when its value is
+    lower; each distinct set is valued once, on first use.
     """
     sets = [frozenset(member) for member in family]
     pool = sorted(set().union(*sets)) if sets else []
+    # every family set with each pool point adjoined, pool points ascending
+    grown = [[base | {x} for x in pool] for base in sets]
+    value = _Memo(lambda outcomes: ce_vacuous(rule, outcomes))
+    set_text = _Memo(_fmt_set)
 
-    def value(outcomes: frozenset) -> Fraction:
-        return ce_vacuous(rule, outcomes)
+    def probe(outcomes: frozenset) -> Probe:
+        return Probe(tuple(sorted(outcomes)))
 
     cond_i: list[Witness] = []
-    for base in sets:
-        for x in pool:
-            for y in pool:
-                if x <= y:
-                    continue
-                if np_prefer(rule, base | {x}, base | {y}) is Preference.STRICTLY_DISPREFERS:
+    for base, row in zip(sets, grown):
+        for p, with_x in enumerate(row):
+            for q in range(p):
+                with_y = row[q]
+                if value[with_x] < value[with_y]:
                     cond_i.append(Witness(
-                        (_fmt_set(base), _fmt(x), _fmt(y)),
-                        value(base | {x}), value(base | {y}),
-                        Probe(tuple(sorted(base | {x}))),
-                        Probe(tuple(sorted(base | {y})))))
+                        (set_text[base], _fmt(pool[p]), _fmt(pool[q])),
+                        value[with_x], value[with_y], probe(with_x), probe(with_y)))
 
     cond_si: list[Witness] = []
-    for left in sets:
-        for right in sets:
-            if np_prefer(rule, left, right) is Preference.STRICTLY_DISPREFERS:
+    for left, left_row in zip(sets, grown):
+        for right, right_row in zip(sets, grown):
+            if value[left] < value[right]:
                 continue
-            for x in pool:
-                if np_prefer(rule, left | {x}, right | {x}) is Preference.STRICTLY_DISPREFERS:
+            for x, left_x, right_x in zip(pool, left_row, right_row):
+                if value[left_x] < value[right_x]:
                     cond_si.append(Witness(
-                        (_fmt_set(left), _fmt_set(right), _fmt(x)),
-                        value(left | {x}), value(right | {x}),
-                        Probe(tuple(sorted(left | {x}))),
-                        Probe(tuple(sorted(right | {x})))))
+                        (set_text[left], set_text[right], _fmt(x)),
+                        value[left_x], value[right_x], probe(left_x), probe(right_x)))
 
     cond_m: list[Witness] = []
     for small in sets:
         for big in sets:
-            if not small < big:
-                continue
-            if np_prefer(rule, big, small) is Preference.STRICTLY_DISPREFERS:
+            if small < big and value[big] < value[small]:
                 cond_m.append(Witness(
-                    (_fmt_set(small), _fmt_set(big)),
-                    value(big), value(small),
-                    Probe(tuple(sorted(big))),
-                    Probe(tuple(sorted(small)))))
+                    (set_text[small], set_text[big]),
+                    value[big], value[small], probe(big), probe(small)))
 
     return [
         LawReport(LawId.CONDITION_I, not cond_i, tuple(cond_i)),
@@ -427,41 +476,43 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     Backtracks over off-diagonal cells with the diagonal pinned by the
     identity law; candidate values are boxed by monotonicity and the
     Lipschitz modulus against already-filled neighbors, then each
-    complete table is confirmed against the full law checker.
+    complete table is confirmed against the full set of laws.
     """
     grid = unit_grid(denominator)
-    step = Fraction(1, denominator)
-    cells = [(x, y) for x in grid for y in grid if x < y]
-    table: dict[ZPair, Fraction] = {ZPair(c, c): c for c in grid}
-
-    def grid_range(lo: Fraction, hi: Fraction):
-        k = lo
-        while k <= hi:
-            yield k
-            k += step
-
+    laws = _gamma_laws(denominator, lipschitz)
+    reach = lipschitz * Fraction(1, denominator)
+    cells = [(i, j) for i in range(len(grid)) for j in range(i + 1, len(grid))]
+    # the grid index of each filled cell's value
+    table = {(k, k): k for k in range(len(grid))}
     found: list[Tabulated] = []
 
     def fill(index: int) -> None:
         if index == len(cells):
-            candidate = Tabulated(tuple(table.items()))
-            if all(report.passed
-                   for report in check_gamma_laws(candidate, denominator,
-                                                  lipschitz=lipschitz)):
-                found.append(candidate)
+            value = {cell: grid[k] for cell, k in table.items()}
+
+            def on_table(lower: Fraction, upper: Fraction) -> Fraction:
+                # table values are grid points, so every pair the
+                # iteration law forms is a cell of the table
+                return value[lower.numerator * denominator // lower.denominator,
+                             upper.numerator * denominator // upper.denominator]
+
+            if all(report.passed for report in laws(value, on_table)):
+                found.append(Tabulated(tuple(
+                    (ZPair(grid[i], grid[j]), v) for (i, j), v in value.items())))
             return
-        x, y = cells[index]
-        below = table[ZPair(x, y - step)] if y - step >= x else x
-        left = table[ZPair(x - step, y)] if x - step >= 0 else None
-        lo = max(x, below, left if left is not None else x)
-        hi = min(y, below + lipschitz * step)
+        i, j = cells[index]
+        below = table[i, j - 1]
+        left = table[i - 1, j] if i else None
+        lo = max(i, below, left if left is not None else i)
+        hi = min(grid[j], grid[below] + reach)
         if left is not None:
-            hi = min(hi, left + lipschitz * step)
-        for candidate_value in grid_range(lo, hi):
-            key = ZPair(x, y)
-            table[key] = candidate_value
+            hi = min(hi, grid[left] + reach)
+        for k in range(lo, j + 1):
+            if not grid[k] <= hi:
+                break
+            table[i, j] = k
             fill(index + 1)
-            del table[key]
+            del table[i, j]
 
     fill(0)
     return found

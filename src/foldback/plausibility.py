@@ -66,6 +66,11 @@ class Framework(enum.Enum):
     POSSIBILITY = "possibility"
 
 
+# the frameworks that can express total ignorance (see `vacuous`)
+VACUOUS_FRAMEWORKS = (
+    Framework.CREDAL_SET, Framework.BELIEF_FUNCTION, Framework.POSSIBILITY)
+
+
 def _validate_weights(weights: tuple[Fraction, ...], label: str) -> tuple[Fraction, ...]:
     values = tuple(Fraction(w) for w in weights)
     if not values:
@@ -282,13 +287,13 @@ def is_vacuous(measure: PlausibilityMeasure, *, cap: int = IS_VACUOUS_CAP) -> Va
     """Decide total ignorance; on failure, report the first bad event.
 
     The witness is the lexicographically least proper non-empty event
-    whose value differs from the unit interval.
+    whose value differs from the unit interval. The cap bounds that
+    search, so it does not apply where the shape alone shows vacuity.
     """
+    if _vacuous_structurally(measure):
+        return VacuityVerdict(True)
     if measure.space.n > cap:
         raise CapExceeded(f"vacuity check capped at n <= {cap}, got {measure.space.n}")
-    structural = _vacuous_structurally(measure)
-    if structural:
-        return VacuityVerdict(True)
     for event in enumerate_events(measure.space, include_full=False):
         if evaluate(measure, event) != Z_VACUOUS:
             return VacuityVerdict(False, event)

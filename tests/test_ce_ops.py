@@ -187,6 +187,15 @@ class TestCeDispatch:
         measure = vacuous(space, framework)
         assert ce(op, measure, Act((F(0), F(1, 2), F(1)))) == F(3, 10)
 
+    @pytest.mark.parametrize("n", [13, 20])
+    @pytest.mark.parametrize("framework", [
+        Framework.CREDAL_SET, Framework.BELIEF_FUNCTION, Framework.POSSIBILITY])
+    def test_ignorance_route_needs_no_event_search(self, framework, n):
+        # the canonical vacuous measures are recognised by shape at any size
+        op = CeOperator(Anchored(F(1, 2)))
+        act = Act((F(0),) * (n - 1) + (F(1),))
+        assert ce(op, vacuous(StateSpace(n), framework), act) == F(1, 2)
+
     def test_ignorance_route_accepts_the_median(self):
         op = CeOperator(MedianRule())
         measure = vacuous(StateSpace(3), Framework.CREDAL_SET)

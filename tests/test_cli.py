@@ -415,6 +415,17 @@ class TestMain:
         assert payload["mode"] == "limit"
         assert [row["epsilon"] for row in payload["rows"]] == ["1", "1/2", "1/4"]
 
+    @pytest.mark.parametrize("mode", ["consensus", "certainty"])
+    def test_epsilon_list_refused_outside_limit_mode(self, tmp_path, capsys, mode):
+        path = self.write_problem(
+            tmp_path, {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF),
+                       "mode": mode, "state": 0})
+        code = main(["consensus", "--problem", path, "--epsilon-list", "1,1/2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--epsilon-list" in captured.err
+
     def test_table_format(self, tmp_path, capsys):
         path = self.write_problem(tmp_path, evaluate_problem())
         assert main(["evaluate", "--problem", path, "--format", "table"]) == 0
@@ -429,3 +440,13 @@ class TestMain:
         assert main(["check", "--problem", path, "--stop-at-first"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["failures"]) == 1
+
+    @pytest.mark.parametrize("suite", ["gamma-laws", "ev-properties", "set-order"])
+    def test_stop_at_first_refused_for_law_suites(self, tmp_path, capsys, suite):
+        path = self.write_problem(
+            tmp_path, {"operator": dict(HURWICZ_HALF), "suite": suite,
+                       "grid-denominator": 4})
+        assert main(["check", "--problem", path, "--stop-at-first"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stop-at-first" in captured.err

@@ -1,0 +1,486 @@
+"""The exhaustive checkers against their per-cell reference versions.
+
+The functions named `reference_*` are the straightforward checkers the
+grid-index kernels replaced: every cell goes through `ce` on real
+measures, every law through `ce_vacuous`, `np_prefer` and
+`gamma_apply`, with nothing memoised. The kernels must report the same
+failures and witnesses, element by element and in the same order, and
+raise the same errors.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from foldback import (
+    Act,
+    Anchored,
+    CeOperator,
+    ConsistencyVerdict,
+    Framework,
+    Hurwicz,
+    LawId,
+    LawReport,
+    MaxRule,
+    MedianRule,
+    MinRule,
+    NotTabulated,
+    Preference,
+    SearchConfig,
+    StateSpace,
+    Tabulated,
+    ZPair,
+    ce,
+    ce_vacuous,
+    check_ev_properties,
+    check_gamma_laws,
+    check_sequential_exhaustive,
+    check_set_order_conditions,
+    condition,
+    condition_act,
+    default_set_family,
+    enumerate_lawful_gamma_tables,
+    enumerate_partitions,
+    gamma_apply,
+    np_prefer,
+    restrict,
+    tabulate,
+    vacuous,
+)
+from foldback.consistency import DEFAULT_LIPSCHITZ, Probe, Witness
+from foldback.rationals import ONE, format_rational, unit_grid
+
+F = Fraction
+
+
+# -- reference checkers ----------------------------------------------------
+
+
+def reference_sequential_exhaustive(op, cfg):
+    grid = unit_grid(cfg.denominator)
+    failures = []
+    for n in cfg.sizes:
+        space = StateSpace(n)
+        ignorant = {fw: vacuous(space, fw) for fw in cfg.frameworks}
+        prepared = []
+        for H in enumerate_partitions(space, cap=cfg.partition_cap):
+            per_fw = tuple(
+                (fw,
+                 restrict(ignorant[fw], H),
+                 tuple(condition(ignorant[fw], block) for block in H.blocks))
+                for fw in cfg.frameworks)
+            prepared.append((H, per_fw))
+        for outcomes in itertools.product(grid, repeat=n):
+            act = Act(outcomes)
+            direct = {}
+            for H, per_fw in prepared:
+                pieces = tuple(
+                    condition_act(act, block).as_act() for block in H.blocks)
+                for fw, restricted, conditioned in per_fw:
+                    if fw not in direct:
+                        direct[fw] = ce(op, ignorant[fw], act)
+                    block_values = tuple(
+                        ce(op, cm, piece) for cm, piece in zip(conditioned, pieces))
+                    folded = ce(op, restricted, Act(block_values))
+                    if direct[fw] != folded:
+                        failures.append(ConsistencyVerdict(
+                            False, direct[fw], folded, H, act, fw))
+                        if cfg.stop_at_first:
+                            return failures
+    return failures
+
+
+def _fmt(value):
+    return format_rational(value)
+
+
+def _fmt_set(values):
+    return "{" + ", ".join(_fmt(v) for v in sorted(values)) + "}"
+
+
+def _pair_probe(x, y):
+    return Probe((x, y))
+
+
+def _constant_probe(c):
+    return Probe((c,), Framework.PROBABILITY, (ONE,))
+
+
+def reference_gamma_laws(rule, denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
+    grid = unit_grid(denominator)
+    step = F(1, denominator)
+    pairs = [(x, y) for x in grid for y in grid if x <= y]
+    value = {pair: gamma_apply(rule, ZPair(*pair)) for pair in pairs}
+
+    def lower_neighbors(x, y):
+        if x - step >= 0:
+            yield x - step, y
+        if y - step >= x:
+            yield x, y - step
+
+    idem = []
+    for c in grid:
+        got = value[(c, c)]
+        if got != c:
+            idem.append(Witness((_fmt(c),), got, c, _pair_probe(c, c), _constant_probe(c)))
+
+    mono = []
+    for x, y in pairs:
+        for x2, y2 in lower_neighbors(x, y):
+            if value[(x, y)] < value[(x2, y2)]:
+                mono.append(Witness(
+                    (_fmt(x), _fmt(y), _fmt(x2), _fmt(y2)),
+                    value[(x, y)], value[(x2, y2)],
+                    _pair_probe(x, y), _pair_probe(x2, y2)))
+
+    iteration = []
+    for x, y in pairs:
+        g = value[(x, y)]
+        gxx, gyy = value[(x, x)], value[(y, y)]
+        if gxx <= g:
+            via_lower = gamma_apply(rule, ZPair(gxx, g))
+            if via_lower != g:
+                iteration.append(Witness(
+                    (_fmt(x), _fmt(y), "via-lower"),
+                    via_lower, g, _pair_probe(gxx, g), _pair_probe(x, y)))
+        else:
+            iteration.append(Witness(
+                (_fmt(x), _fmt(y), "via-lower", "inner-pair-out-of-order"),
+                gxx, g, _pair_probe(x, x), _pair_probe(x, y)))
+        if g <= gyy:
+            via_upper = gamma_apply(rule, ZPair(g, gyy))
+            if via_upper != g:
+                iteration.append(Witness(
+                    (_fmt(x), _fmt(y), "via-upper"),
+                    via_upper, g, _pair_probe(g, gyy), _pair_probe(x, y)))
+        else:
+            iteration.append(Witness(
+                (_fmt(x), _fmt(y), "via-upper", "inner-pair-out-of-order"),
+                g, gyy, _pair_probe(x, y), _pair_probe(y, y)))
+
+    lipped = []
+    for x, y in pairs:
+        for x2, y2 in lower_neighbors(x, y):
+            gap = abs(value[(x, y)] - value[(x2, y2)])
+            if gap > lipschitz * step:
+                lipped.append(Witness(
+                    (_fmt(x), _fmt(y), _fmt(x2), _fmt(y2)),
+                    value[(x, y)], value[(x2, y2)],
+                    _pair_probe(x, y), _pair_probe(x2, y2)))
+
+    return [
+        LawReport(LawId.GAMMA_IDEMPOTENCE, not idem, tuple(idem)),
+        LawReport(LawId.GAMMA_MONOTONE, not mono, tuple(mono)),
+        LawReport(LawId.GAMMA_ITERATION, not iteration, tuple(iteration)),
+        LawReport(LawId.LIPSCHITZ_CONTINUITY, not lipped, tuple(lipped)),
+    ]
+
+
+def reference_ev_properties(op, cfg, *, lipschitz=DEFAULT_LIPSCHITZ):
+    rule = op.vacuous_rule
+    grid = unit_grid(cfg.denominator)
+    pairs = [(x, y) for x in grid for y in grid if x <= y]
+
+    unanimity = []
+    for c in grid:
+        got = ce_vacuous(rule, frozenset((c,)))
+        if got != c:
+            unanimity.append(Witness(
+                (_fmt(c),), got, c, Probe((c,)), _constant_probe(c)))
+
+    range_law = []
+    for size in range(1, 5):
+        for combo in itertools.combinations(grid, size):
+            outcomes = frozenset(combo)
+            full = ce_vacuous(rule, outcomes)
+            extremes = ce_vacuous(rule, frozenset((min(combo), max(combo))))
+            if full != extremes:
+                range_law.append(Witness(
+                    (_fmt_set(outcomes),), full, extremes,
+                    Probe(tuple(sorted(outcomes))),
+                    _pair_probe(min(combo), max(combo))))
+
+    mono = []
+    lipped = []
+    values = {pair: ce_vacuous(rule, frozenset(pair)) for pair in pairs}
+    for x, y in pairs:
+        for x2, y2 in pairs:
+            if x >= x2 and y >= y2 and values[(x, y)] < values[(x2, y2)]:
+                mono.append(Witness(
+                    (_fmt(x), _fmt(y), _fmt(x2), _fmt(y2)),
+                    values[(x, y)], values[(x2, y2)],
+                    _pair_probe(x, y), _pair_probe(x2, y2)))
+            gap = abs(values[(x, y)] - values[(x2, y2)])
+            if gap > lipschitz * (abs(x - x2) + abs(y - y2)):
+                lipped.append(Witness(
+                    (_fmt(x), _fmt(y), _fmt(x2), _fmt(y2)),
+                    values[(x, y)], values[(x2, y2)],
+                    _pair_probe(x, y), _pair_probe(x2, y2)))
+
+    return [
+        LawReport(LawId.UNANIMITY, not unanimity, tuple(unanimity)),
+        LawReport(LawId.RANGE, not range_law, tuple(range_law)),
+        LawReport(LawId.MONOTONICITY, not mono, tuple(mono)),
+        LawReport(LawId.LIPSCHITZ_CONTINUITY, not lipped, tuple(lipped)),
+    ]
+
+
+def reference_set_order_conditions(rule, family):
+    sets = [frozenset(member) for member in family]
+    pool = sorted(set().union(*sets)) if sets else []
+
+    def value(outcomes):
+        return ce_vacuous(rule, outcomes)
+
+    cond_i = []
+    for base in sets:
+        for x in pool:
+            for y in pool:
+                if x <= y:
+                    continue
+                if np_prefer(rule, base | {x}, base | {y}) is Preference.STRICTLY_DISPREFERS:
+                    cond_i.append(Witness(
+                        (_fmt_set(base), _fmt(x), _fmt(y)),
+                        value(base | {x}), value(base | {y}),
+                        Probe(tuple(sorted(base | {x}))),
+                        Probe(tuple(sorted(base | {y})))))
+
+    cond_si = []
+    for left in sets:
+        for right in sets:
+            if np_prefer(rule, left, right) is Preference.STRICTLY_DISPREFERS:
+                continue
+            for x in pool:
+                if np_prefer(rule, left | {x}, right | {x}) is Preference.STRICTLY_DISPREFERS:
+                    cond_si.append(Witness(
+                        (_fmt_set(left), _fmt_set(right), _fmt(x)),
+                        value(left | {x}), value(right | {x}),
+                        Probe(tuple(sorted(left | {x}))),
+                        Probe(tuple(sorted(right | {x})))))
+
+    cond_m = []
+    for small in sets:
+        for big in sets:
+            if not small < big:
+                continue
+            if np_prefer(rule, big, small) is Preference.STRICTLY_DISPREFERS:
+                cond_m.append(Witness(
+                    (_fmt_set(small), _fmt_set(big)),
+                    value(big), value(small),
+                    Probe(tuple(sorted(big))),
+                    Probe(tuple(sorted(small)))))
+
+    return [
+        LawReport(LawId.CONDITION_I, not cond_i, tuple(cond_i)),
+        LawReport(LawId.CONDITION_SI, not cond_si, tuple(cond_si)),
+        LawReport(LawId.CONDITION_M, not cond_m, tuple(cond_m)),
+    ]
+
+
+def reference_lawful_gamma_tables(denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
+    grid = unit_grid(denominator)
+    step = F(1, denominator)
+    cells = [(x, y) for x in grid for y in grid if x < y]
+    table = {ZPair(c, c): c for c in grid}
+
+    def grid_range(lo, hi):
+        k = lo
+        while k <= hi:
+            yield k
+            k += step
+
+    found = []
+
+    def fill(index):
+        if index == len(cells):
+            candidate = Tabulated(tuple(table.items()))
+            if all(report.passed
+                   for report in reference_gamma_laws(candidate, denominator,
+                                                      lipschitz=lipschitz)):
+                found.append(candidate)
+            return
+        x, y = cells[index]
+        below = table[ZPair(x, y - step)] if y - step >= x else x
+        left = table[ZPair(x - step, y)] if x - step >= 0 else None
+        lo = max(x, below, left if left is not None else x)
+        hi = min(y, below + lipschitz * step)
+        if left is not None:
+            hi = min(hi, left + lipschitz * step)
+        for candidate_value in grid_range(lo, hi):
+            key = ZPair(x, y)
+            table[key] = candidate_value
+            fill(index + 1)
+            del table[key]
+
+    fill(0)
+    return found
+
+
+# -- rules under test ------------------------------------------------------
+
+
+def _steep_table():
+    # a lawful-under-(i)-(iii) table on k/4 that is not anchored: it
+    # covers the grids k/1, k/2 and k/4 but not k/3
+    relaxed = enumerate_lawful_gamma_tables(4, lipschitz=F(10 ** 6))
+    anchored = {tabulate(Anchored(a), 4) for a in unit_grid(4)}
+    return next(t for t in relaxed if t not in anchored)
+
+
+STEEP = _steep_table()
+RULES = {
+    "anchored-0": Anchored(F(0)),
+    "anchored-1/3": Anchored(F(1, 3)),
+    "anchored-1/2": Anchored(F(1, 2)),
+    "anchored-1": Anchored(F(1)),
+    "min": MinRule(),
+    "max": MaxRule(),
+    "hurwicz-1/4": Hurwicz(F(1, 4)),
+    "hurwicz-1/2": Hurwicz(F(1, 2)),
+    "hurwicz-2/3": Hurwicz(F(2, 3)),
+    "hurwicz-1": Hurwicz(F(1)),
+    "median": MedianRule(),
+    "table-anchored-1/4": tabulate(Anchored(F(1, 4)), 12),
+    "table-steep": STEEP,
+}
+PAIR_RULES = {name: rule for name, rule in RULES.items() if name != "median"}
+REVERSED = (Framework.POSSIBILITY, Framework.BELIEF_FUNCTION, Framework.CREDAL_SET)
+
+
+def rules(table):
+    return pytest.mark.parametrize("rule", list(table.values()), ids=list(table))
+
+
+def _run(checker, *args, **kwargs):
+    """A checker's result, or the type and message of what it raised."""
+    try:
+        return checker(*args, **kwargs)
+    except NotTabulated as exc:
+        return ("raised", type(exc), str(exc))
+
+
+# -- folding sweep ---------------------------------------------------------
+
+
+@rules(RULES)
+@pytest.mark.parametrize("denominator", [1, 2])
+def test_sweep_matches_reference(rule, denominator):
+    cfg = SearchConfig(sizes=(1, 2, 3, 4), denominator=denominator,
+                       frameworks=REVERSED[:2])
+    op = CeOperator(rule)
+    assert check_sequential_exhaustive(op, cfg) == reference_sequential_exhaustive(op, cfg)
+
+
+@pytest.mark.parametrize("name,denominator", [
+    ("anchored-1/3", 3), ("hurwicz-2/3", 3), ("median", 3), ("table-steep", 3),
+    ("anchored-1/2", 4), ("hurwicz-1/2", 4), ("median", 4), ("table-steep", 4),
+])
+def test_sweep_matches_reference_on_finer_grids(name, denominator):
+    # the steep table is cut from k/4, so on k/3 both must raise alike
+    cfg = SearchConfig(sizes=(1, 2, 3, 4), denominator=denominator,
+                       frameworks=(Framework.BELIEF_FUNCTION,))
+    op = CeOperator(RULES[name])
+    expected = _run(reference_sequential_exhaustive, op, cfg)
+    assert _run(check_sequential_exhaustive, op, cfg) == expected
+    raised = isinstance(expected, tuple)
+    assert raised == (name == "table-steep" and denominator == 3)
+
+
+@pytest.mark.parametrize("frameworks", [
+    (Framework.CREDAL_SET, Framework.BELIEF_FUNCTION, Framework.POSSIBILITY),
+    REVERSED,
+    (Framework.POSSIBILITY, Framework.CREDAL_SET),
+    (Framework.BELIEF_FUNCTION,),
+], ids=lambda fws: "+".join(fw.value for fw in fws))
+@pytest.mark.parametrize("stop_at_first", [False, True])
+@rules({"hurwicz-1/2": Hurwicz(F(1, 2)), "median": MedianRule(),
+        "anchored-1/4": Anchored(F(1, 4)), "table-hurwicz": tabulate(Hurwicz(F(1, 2)), 2)})
+def test_sweep_framework_order_and_stop_at_first(rule, stop_at_first, frameworks):
+    cfg = SearchConfig(sizes=(3, 2), denominator=2, frameworks=frameworks,
+                       stop_at_first=stop_at_first)
+    op = CeOperator(rule)
+    expected = _run(reference_sequential_exhaustive, op, cfg)
+    assert _run(check_sequential_exhaustive, op, cfg) == expected
+
+
+def test_uncovered_table_raises_at_the_same_first_miss():
+    # Hurwicz values such as 1/4 leave the k/2 grid the table was cut from
+    cfg = SearchConfig(sizes=(3,), denominator=2)
+    op = CeOperator(tabulate(Hurwicz(F(1, 2)), 2))
+    with pytest.raises(NotTabulated) as expected:
+        reference_sequential_exhaustive(op, cfg)
+    with pytest.raises(NotTabulated) as got:
+        check_sequential_exhaustive(op, cfg)
+    assert str(got.value) == str(expected.value)
+
+
+# -- law checkers ----------------------------------------------------------
+
+
+@rules(PAIR_RULES)
+@pytest.mark.parametrize("denominator", [1, 2, 3, 4, 8])
+def test_gamma_laws_match_reference(rule, denominator):
+    expected = _run(reference_gamma_laws, rule, denominator)
+    assert _run(check_gamma_laws, rule, denominator) == expected
+
+
+@pytest.mark.parametrize("lipschitz", [F(0), F(-1), F(1, 2), F(10 ** 6), 2, 0.5])
+@rules({"hurwicz-1/3": Hurwicz(F(1, 3)), "anchored-1/2": Anchored(F(1, 2)),
+        "table-steep": STEEP})
+def test_gamma_laws_match_reference_for_any_modulus(rule, lipschitz):
+    expected = _run(reference_gamma_laws, rule, 4, lipschitz=lipschitz)
+    assert _run(check_gamma_laws, rule, 4, lipschitz=lipschitz) == expected
+
+
+@rules(RULES)
+@pytest.mark.parametrize("denominator", [1, 2, 3, 4, 8])
+def test_ev_properties_match_reference(rule, denominator):
+    cfg = SearchConfig(denominator=denominator)
+    op = CeOperator(rule)
+    expected = _run(reference_ev_properties, op, cfg)
+    assert _run(check_ev_properties, op, cfg) == expected
+
+
+@pytest.mark.parametrize("lipschitz", [F(0), F(-1), F(1, 3), F(10 ** 6), 3, 0.25])
+@rules({"hurwicz-1/4": Hurwicz(F(1, 4)), "median": MedianRule(), "table-steep": STEEP})
+def test_ev_properties_match_reference_for_any_modulus(rule, lipschitz):
+    cfg = SearchConfig(denominator=4)
+    op = CeOperator(rule)
+    expected = _run(reference_ev_properties, op, cfg, lipschitz=lipschitz)
+    assert _run(check_ev_properties, op, cfg, lipschitz=lipschitz) == expected
+
+
+@rules(RULES)
+@pytest.mark.parametrize("denominator,max_size", [(2, 3), (3, 2), (4, 3)])
+def test_set_order_matches_reference(rule, denominator, max_size):
+    family = default_set_family(denominator, max_size)
+    expected = _run(reference_set_order_conditions, rule, family)
+    assert _run(check_set_order_conditions, rule, family) == expected
+
+
+@pytest.mark.parametrize("family", [
+    [],
+    [{F(1, 2)}],
+    [{F(1, 3), F(1)}, {F(0)}, {F(1, 3), F(1)}, {F(2, 7), F(1, 2), F(5, 6)}],
+    [{F(0), F(1)}, set()],
+], ids=["empty", "single", "off-grid", "with-empty-set"])
+@rules({"hurwicz-1/2": Hurwicz(F(1, 2)), "median": MedianRule(),
+        "anchored-1/2": Anchored(F(1, 2)), "table-thirds": tabulate(Anchored(F(1, 2)), 3)})
+def test_set_order_matches_reference_on_odd_families(rule, family):
+    def outcome(checker):
+        try:
+            return checker(rule, family)
+        except Exception as exc:  # the same error must come out of both
+            return ("raised", type(exc), str(exc))
+
+    assert outcome(check_set_order_conditions) == outcome(reference_set_order_conditions)
+
+
+@pytest.mark.parametrize("denominator,lipschitz", [
+    (1, DEFAULT_LIPSCHITZ), (2, DEFAULT_LIPSCHITZ), (3, DEFAULT_LIPSCHITZ),
+    (4, DEFAULT_LIPSCHITZ), (4, F(10 ** 6)), (4, F(1, 2)), (4, F(-1)), (3, 2),
+])
+def test_lawful_tables_match_reference(denominator, lipschitz):
+    assert enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz) == \
+        reference_lawful_gamma_tables(denominator, lipschitz=lipschitz)

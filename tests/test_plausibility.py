@@ -182,10 +182,17 @@ class TestIsVacuous:
         assert is_vacuous(ProbabilityMeasure((F(1),)))
 
     def test_cap_is_enforced_before_enumerating(self):
+        # one grade below 1: the shape does not decide, so the search would run
         space = StateSpace(13)
-        grades = tuple(F(1) for _ in space.states)
+        grades = (F(1, 2),) + tuple(F(1) for _ in range(space.n - 1))
         with pytest.raises(CapExceeded):
             is_vacuous(PossibilityMeasure(grades))
+
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_credal_generators_above_the_cap_still_refused(self, n):
+        uniform = tuple(F(1, n) for _ in range(n))
+        with pytest.raises(CapExceeded):
+            is_vacuous(CredalSetMeasure(StateSpace(n), (uniform,)))
 
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=80)
