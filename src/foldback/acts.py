@@ -47,19 +47,34 @@ def event_key(event: Event) -> tuple[int, ...]:
     return tuple(sorted(event))
 
 
+def iter_events(space: StateSpace, *, include_empty: bool = False,
+                include_full: bool = True) -> Iterator[Event]:
+    """All events of the space in lexicographic member-tuple order, lazily.
+
+    The member tuple steps to its successor in that order: extend it by
+    the next state, or, when its last state is the last of the space,
+    drop that state and advance the one before it.
+    """
+    if include_empty:
+        yield frozenset()
+    last = space.n - 1
+    members = [0]
+    while members:
+        if include_full or len(members) <= last:
+            yield frozenset(members)
+        if members[-1] < last:
+            members.append(members[-1] + 1)
+        else:
+            members.pop()
+            if members:
+                members[-1] += 1
+
+
 def enumerate_events(space: StateSpace, *, include_empty: bool = False,
                      include_full: bool = True) -> list[Event]:
     """All events of the space in lexicographic member-tuple order."""
-    events = []
-    for mask in range(2 ** space.n):
-        members = frozenset(s for s in space.states if mask >> s & 1)
-        if not members and not include_empty:
-            continue
-        if len(members) == space.n and not include_full:
-            continue
-        events.append(members)
-    events.sort(key=event_key)
-    return events
+    return list(iter_events(space, include_empty=include_empty,
+                            include_full=include_full))
 
 
 @dataclass(frozen=True)

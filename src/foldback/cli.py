@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, Optional, Sequence
 
 from . import __version__
@@ -326,6 +327,12 @@ def parse_problem(raw: Mapping) -> ProblemFile:
     if mode not in MODES:
         raise ParseError(f"mode: expected one of {MODES}, got {mode!r}")
 
+    if mode != "limit":
+        for key in ("epsilons", "base"):
+            if key in raw:
+                raise ValidationError(
+                    f"{key} needs mode 'limit', but the problem has mode {mode!r}")
+
     state = _integer(raw["state"], "state") if "state" in raw else None
     epsilons = (_rational_list(raw["epsilons"], "epsilons")
                 if "epsilons" in raw else None)
@@ -488,10 +495,17 @@ def _problem_echo(problem: ProblemFile, **extras: Any) -> dict:
     return echo
 
 
+def _refuse_stop_at_first(problem: ProblemFile, verb: str) -> None:
+    if problem.stop_at_first:
+        raise ValidationError(
+            f"stop-at-first applies only to the sequential suite of check, not {verb}")
+
+
 def cmd_evaluate(problem: ProblemFile) -> ReportFile:
     """Certainty equivalent of one act; with a partition, the fold too."""
     if problem.act is None or problem.measure is None:
         raise ValidationError("evaluate needs an act and a measure")
+    _refuse_stop_at_first(problem, "evaluate")
     payload: dict[str, Any] = {
         "command": "evaluate",
         "engine-version": __version__,
@@ -520,6 +534,9 @@ def cmd_check(problem: ProblemFile, which: Optional[str] = None) -> ReportFile:
     if problem.stop_at_first and suite != "sequential":
         raise ValidationError(
             f"stop-at-first applies only to the sequential suite, not {suite!r}")
+    if problem.sizes is not None and suite != "sequential":
+        raise ValidationError(
+            f"sizes and max-states apply only to the sequential suite, not {suite!r}")
 
     if suite == "gamma-laws":
         denominator = problem.grid_denominator or 16
@@ -598,6 +615,7 @@ def cmd_consensus(problem: ProblemFile) -> ReportFile:
     """Cross-framework agreement in one of three modes."""
     if problem.act is None:
         raise ValidationError("consensus needs an act")
+    _refuse_stop_at_first(problem, "consensus")
     rule = problem.operator.vacuous_rule
     act = problem.act
     payload: dict[str, Any] = {
@@ -633,8 +651,61 @@ def cmd_consensus(problem: ProblemFile) -> ReportFile:
 # -- emission and entry point --------------------------------------------
 
 
+def _write(value: Any, indent: str, out: list) -> None:
+    """Append the pieces of `json.dumps(value, indent=2)`, nested at `indent`.
+
+    Only the types reports are built from are accepted: dicts with
+    string keys, lists, strings, ints, bools and None. A string inside
+    a container is written with its separator as one piece, as the
+    `json` encoder does, so the pieces held before the join stay few.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(separator + _quote(item))
+            else:
+                out.append(separator)
+                _write(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            if type(item) is str:
+                out.append(separator + _quote(key) + ": " + _quote(item))
+            else:
+                out.append(separator + _quote(key) + ": ")
+                _write(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} into a report")
+
+
 def emit_report(report: ReportFile) -> str:
-    return json.dumps(report.payload, indent=2)
+    """The report as indented JSON, byte for byte `json.dumps(payload, indent=2)`."""
+    out: list = []
+    _write(report.payload, "", out)
+    return "".join(out)
 
 
 def parse_report(text: str) -> dict:

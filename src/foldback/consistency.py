@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -250,20 +251,54 @@ def _fmt_set(values) -> str:
     return "{" + ", ".join(_fmt(v) for v in sorted(values)) + "}"
 
 
-def _pair_witness(grid, label, value, a, b) -> Witness:
+def _pair_witness(grid, label, a, b, left: Fraction, right: Fraction) -> Witness:
     """Witness that the grid pairs at index pairs a and b compare badly."""
     (i, j), (i2, j2) = a, b
-    return Witness((label[i], label[j], label[i2], label[j2]), value[a], value[b],
+    return Witness((label[i], label[j], label[i2], label[j2]), left, right,
                    _pair_probe(grid[i], grid[j]), _pair_probe(grid[i2], grid[j2]))
+
+
+def _report(law: LawId, witnesses) -> LawReport:
+    found = tuple(witnesses)
+    return LawReport(law, not found, found)
+
+
+def _levels(values: dict, denominator: int = 1) -> tuple[int, dict]:
+    """Exact integer images of rational values: numerators over one scale.
+
+    The scale is the least common multiple of `denominator` and the
+    values' denominators, so grid point k/denominator is k * (scale //
+    denominator), and order, equality and differences carry over exactly.
+    """
+    scale = math.lcm(denominator, *(v.denominator for v in values.values()))
+    return scale, {key: v.numerator * (scale // v.denominator)
+                   for key, v in values.items()}
+
+
+def _gap_limit(bound, scale: int):
+    """A limit t with |A - B| > t exactly when |A - B| / scale > bound.
+
+    A and B are integers. An integer exceeds a real number exactly when
+    it exceeds its floor, so t is the floor of bound * scale, taken
+    exactly: a float bound counts at its exact binary value, as it does
+    against a Fraction. A NaN or infinite float bound is kept as it is,
+    since integers compare with it as Fractions do.
+    """
+    if isinstance(bound, float) and not math.isfinite(bound):
+        return bound
+    return math.floor(Fraction(bound) * scale)
 
 
 def _gamma_laws(denominator: int, lipschitz):
     """The pair-rule laws on the grid {k/denominator}, as a checker of tables.
 
-    The returned function takes `value`, with `value[i, j]` the rule on
-    the grid points i <= j (by index), and `apply(lower, upper)`, which
-    evaluates the rule on the pairs the iteration law forms from table
-    values, and returns the four law reports.
+    The returned function takes the table as integer levels over
+    `scale`, a multiple of the denominator: `level[i, j]` is the rule on
+    the grid points i <= j (by index). `fraction` maps a level back to
+    its value, and `apply(lower, upper)` evaluates the rule, as a
+    Fraction, on the pairs of levels the iteration law forms. It returns
+    each law with a lazy iterator over its witnesses, so a caller that
+    only asks whether a law holds stops at the first witness.
     """
     grid = unit_grid(denominator)
     label = [_fmt(x) for x in grid]
@@ -272,52 +307,65 @@ def _gamma_laws(denominator: int, lipschitz):
     # so neighbor checks decide monotonicity and the modulus exactly
     neighbors = [((i, j), (i2, j2)) for i, j in pairs
                  for i2, j2 in ((i - 1, j), (i, j - 1)) if 0 <= i2 <= j2]
+    step_limit = _Memo(lambda scale: _gap_limit(lipschitz * Fraction(1, denominator), scale))
 
-    def reports(value: dict, apply) -> list[LawReport]:
-        idem = [Witness((label[k],), value[k, k], c, _pair_probe(c, c), _constant_probe(c))
-                for k, c in enumerate(grid) if value[k, k] != c]
+    def laws(level: dict, scale: int, fraction, apply) -> list:
+        unit = scale // denominator
 
-        mono = [_pair_witness(grid, label, value, a, b)
-                for a, b in neighbors if value[a] < value[b]]
+        def neighbor_witness(a, b) -> Witness:
+            return _pair_witness(grid, label, a, b, fraction(level[a]), fraction(level[b]))
 
-        iteration: list[Witness] = []
-        for i, j in pairs:
-            x, y = grid[i], grid[j]
-            g, gxx, gyy = value[i, j], value[i, i], value[j, j]
-            if gxx <= g:
-                via_lower = apply(gxx, g)
-                if via_lower != g:
-                    iteration.append(Witness(
-                        (label[i], label[j], "via-lower"),
-                        via_lower, g, _pair_probe(gxx, g), _pair_probe(x, y)))
-            else:
-                # the inner pair is out of order, so the law cannot even be formed
-                iteration.append(Witness(
-                    (label[i], label[j], "via-lower", "inner-pair-out-of-order"),
-                    gxx, g, _pair_probe(x, x), _pair_probe(x, y)))
-            if g <= gyy:
-                via_upper = apply(g, gyy)
-                if via_upper != g:
-                    iteration.append(Witness(
-                        (label[i], label[j], "via-upper"),
-                        via_upper, g, _pair_probe(g, gyy), _pair_probe(x, y)))
-            else:
-                iteration.append(Witness(
-                    (label[i], label[j], "via-upper", "inner-pair-out-of-order"),
-                    g, gyy, _pair_probe(x, y), _pair_probe(y, y)))
+        def idempotence():
+            for k, c in enumerate(grid):
+                if level[k, k] != k * unit:
+                    yield Witness((label[k],), fraction(level[k, k]), c,
+                                  _pair_probe(c, c), _constant_probe(c))
 
-        bound = lipschitz * Fraction(1, denominator)
-        lipped = [_pair_witness(grid, label, value, a, b)
-                  for a, b in neighbors if abs(value[a] - value[b]) > bound]
+        def monotone():
+            for a, b in neighbors:
+                if level[a] < level[b]:
+                    yield neighbor_witness(a, b)
+
+        def iteration():
+            for i, j in pairs:
+                x, y = grid[i], grid[j]
+                g, gxx, gyy = level[i, j], level[i, i], level[j, j]
+                if gxx <= g:
+                    via_lower = apply(gxx, g)
+                    if via_lower != fraction(g):
+                        yield Witness(
+                            (label[i], label[j], "via-lower"), via_lower, fraction(g),
+                            _pair_probe(fraction(gxx), fraction(g)), _pair_probe(x, y))
+                else:
+                    # the inner pair is out of order, so the law cannot even be formed
+                    yield Witness(
+                        (label[i], label[j], "via-lower", "inner-pair-out-of-order"),
+                        fraction(gxx), fraction(g), _pair_probe(x, x), _pair_probe(x, y))
+                if g <= gyy:
+                    via_upper = apply(g, gyy)
+                    if via_upper != fraction(g):
+                        yield Witness(
+                            (label[i], label[j], "via-upper"), via_upper, fraction(g),
+                            _pair_probe(fraction(g), fraction(gyy)), _pair_probe(x, y))
+                else:
+                    yield Witness(
+                        (label[i], label[j], "via-upper", "inner-pair-out-of-order"),
+                        fraction(g), fraction(gyy), _pair_probe(x, y), _pair_probe(y, y))
+
+        def lipschitz_continuity():
+            limit = step_limit[scale]
+            for a, b in neighbors:
+                if abs(level[a] - level[b]) > limit:
+                    yield neighbor_witness(a, b)
 
         return [
-            LawReport(LawId.GAMMA_IDEMPOTENCE, not idem, tuple(idem)),
-            LawReport(LawId.GAMMA_MONOTONE, not mono, tuple(mono)),
-            LawReport(LawId.GAMMA_ITERATION, not iteration, tuple(iteration)),
-            LawReport(LawId.LIPSCHITZ_CONTINUITY, not lipped, tuple(lipped)),
+            (LawId.GAMMA_IDEMPOTENCE, idempotence()),
+            (LawId.GAMMA_MONOTONE, monotone()),
+            (LawId.GAMMA_ITERATION, iteration()),
+            (LawId.LIPSCHITZ_CONTINUITY, lipschitz_continuity()),
         ]
 
-    return reports
+    return laws
 
 
 def check_gamma_laws(rule: GammaFunction, denominator: int, *,
@@ -329,11 +377,20 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     equivalent, and the Lipschitz modulus standing in for continuity.
     """
     grid = unit_grid(denominator)
-    applied = _Memo(lambda pair: gamma_apply(rule, ZPair(*pair)))
-    value = {(i, j): applied[x, y]
+    value = {(i, j): gamma_apply(rule, ZPair(x, y))
              for i, x in enumerate(grid) for j, y in enumerate(grid) if i <= j}
-    return _gamma_laws(denominator, lipschitz)(
-        value, lambda lower, upper: applied[lower, upper])
+    scale, level = _levels(value, denominator)
+    unit = scale // denominator
+    fraction = dict(zip(level.values(), value.values()))
+    off_grid = _Memo(lambda pair: gamma_apply(rule, ZPair(fraction[pair[0]], fraction[pair[1]])))
+
+    def apply(lower: int, upper: int) -> Fraction:
+        if lower % unit == 0 and upper % unit == 0:
+            return value[lower // unit, upper // unit]
+        return off_grid[lower, upper]
+
+    laws = _gamma_laws(denominator, lipschitz)(level, scale, fraction.__getitem__, apply)
+    return [_report(law, witnesses) for law, witnesses in laws]
 
 
 def check_ev_properties(op: CeOperator, cfg: SearchConfig, *,
@@ -371,24 +428,28 @@ def check_ev_properties(op: CeOperator, cfg: SearchConfig, *,
 
     pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
     pair_value = {(i, j): value[1 << i | 1 << j] for i, j in pairs}
-    # the modulus times each index distance |i - i2| + |j - j2|, in grid steps
-    bound = [lipschitz * Fraction(d, cfg.denominator) for d in range(2 * len(grid) - 1)]
+    scale, level = _levels(pair_value)
+    # the modulus times each index distance |i - i2| + |j - j2|, in grid
+    # steps, as a limit on the gap between levels
+    limit = [_gap_limit(lipschitz * Fraction(d, cfg.denominator), scale)
+             for d in range(2 * len(grid) - 1)]
+    rows = [(i, j, level[i, j]) for i, j in pairs]
     mono: list[Witness] = []
     lipped: list[Witness] = []
-    for a in pairs:
-        i, j = a
-        for b in pairs:
-            i2, j2 = b
-            if i >= i2 and j >= j2 and pair_value[a] < pair_value[b]:
-                mono.append(_pair_witness(grid, label, pair_value, a, b))
-            if abs(pair_value[a] - pair_value[b]) > bound[abs(i - i2) + abs(j - j2)]:
-                lipped.append(_pair_witness(grid, label, pair_value, a, b))
+    for i, j, va in rows:
+        for i2, j2, vb in rows:
+            if va < vb and i >= i2 and j >= j2:
+                mono.append(_pair_witness(grid, label, (i, j), (i2, j2),
+                                          pair_value[i, j], pair_value[i2, j2]))
+            if abs(va - vb) > limit[abs(i - i2) + abs(j - j2)]:
+                lipped.append(_pair_witness(grid, label, (i, j), (i2, j2),
+                                            pair_value[i, j], pair_value[i2, j2]))
 
     return [
-        LawReport(LawId.UNANIMITY, not unanimity, tuple(unanimity)),
-        LawReport(LawId.RANGE, not range_law, tuple(range_law)),
-        LawReport(LawId.MONOTONICITY, not mono, tuple(mono)),
-        LawReport(LawId.LIPSCHITZ_CONTINUITY, not lipped, tuple(lipped)),
+        _report(LawId.UNANIMITY, unanimity),
+        _report(LawId.RANGE, range_law),
+        _report(LawId.MONOTONICITY, mono),
+        _report(LawId.LIPSCHITZ_CONTINUITY, lipped),
     ]
 
 
@@ -402,51 +463,60 @@ def check_set_order_conditions(rule: VacuousRule,
     Set monotonicity: a superset is never strictly worse.
 
     One set strictly disprefers another (`np_prefer`) when its value is
-    lower; each distinct set is valued once, on first use.
+    lower; each distinct set is valued once, and only the order of the
+    values matters, so the loops compare their dense ranks.
     """
     sets = [frozenset(member) for member in family]
     pool = sorted(set().union(*sets)) if sets else []
     # every family set with each pool point adjoined, pool points ascending
     grown = [[base | {x} for x in pool] for base in sets]
-    value = _Memo(lambda outcomes: ce_vacuous(rule, outcomes))
+    # valued up front in the order the loops below first read the sets
+    # (each row from its second entry on, then the family, each set
+    # before its row), so a rule that raises does so on the same set
+    value: dict = {}
+    for outcomes in itertools.chain(
+            (s for row in grown if len(row) > 1 for s in (row[1], row[0], *row[2:])),
+            (s for base, row in zip(sets, grown) for s in (base, *row))):
+        if outcomes not in value:
+            value[outcomes] = ce_vacuous(rule, outcomes)
+    rank = {v: r for r, v in enumerate(sorted(set(value.values())))}
+    base_rank = [rank[value[base]] for base in sets]
+    row_rank = [[rank[value[s]] for s in row] for row in grown]
     set_text = _Memo(_fmt_set)
 
-    def probe(outcomes: frozenset) -> Probe:
-        return Probe(tuple(sorted(outcomes)))
+    def witness(inputs: tuple, worse: frozenset, better: frozenset) -> Witness:
+        return Witness(inputs, value[worse], value[better],
+                       Probe(tuple(sorted(worse))), Probe(tuple(sorted(better))))
 
     cond_i: list[Witness] = []
-    for base, row in zip(sets, grown):
-        for p, with_x in enumerate(row):
+    for base, row, ranks in zip(sets, grown, row_rank):
+        for p, with_x in enumerate(ranks):
             for q in range(p):
-                with_y = row[q]
-                if value[with_x] < value[with_y]:
-                    cond_i.append(Witness(
-                        (set_text[base], _fmt(pool[p]), _fmt(pool[q])),
-                        value[with_x], value[with_y], probe(with_x), probe(with_y)))
+                if with_x < ranks[q]:
+                    cond_i.append(witness(
+                        (set_text[base], _fmt(pool[p]), _fmt(pool[q])), row[p], row[q]))
 
     cond_si: list[Witness] = []
-    for left, left_row in zip(sets, grown):
-        for right, right_row in zip(sets, grown):
-            if value[left] < value[right]:
+    for left, left_row, left_rank, left_ranks in zip(sets, grown, base_rank, row_rank):
+        for right, right_row, right_rank, right_ranks in zip(sets, grown, base_rank, row_rank):
+            if left_rank < right_rank:
                 continue
-            for x, left_x, right_x in zip(pool, left_row, right_row):
-                if value[left_x] < value[right_x]:
-                    cond_si.append(Witness(
-                        (set_text[left], set_text[right], _fmt(x)),
-                        value[left_x], value[right_x], probe(left_x), probe(right_x)))
+            for p, (left_x, right_x) in enumerate(zip(left_ranks, right_ranks)):
+                if left_x < right_x:
+                    cond_si.append(witness(
+                        (set_text[left], set_text[right], _fmt(pool[p])),
+                        left_row[p], right_row[p]))
 
     cond_m: list[Witness] = []
-    for small in sets:
-        for big in sets:
-            if small < big and value[big] < value[small]:
-                cond_m.append(Witness(
-                    (set_text[small], set_text[big]),
-                    value[big], value[small], probe(big), probe(small)))
+    for small, small_rank in zip(sets, base_rank):
+        for big, big_rank in zip(sets, base_rank):
+            if big_rank < small_rank and small < big:
+                cond_m.append(witness((set_text[small], set_text[big]), big, small))
 
     return [
-        LawReport(LawId.CONDITION_I, not cond_i, tuple(cond_i)),
-        LawReport(LawId.CONDITION_SI, not cond_si, tuple(cond_si)),
-        LawReport(LawId.CONDITION_M, not cond_m, tuple(cond_m)),
+        _report(LawId.CONDITION_I, cond_i),
+        _report(LawId.CONDITION_SI, cond_si),
+        _report(LawId.CONDITION_M, cond_m),
     ]
 
 
@@ -476,40 +546,39 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     Backtracks over off-diagonal cells with the diagonal pinned by the
     identity law; candidate values are boxed by monotonicity and the
     Lipschitz modulus against already-filled neighbors, then each
-    complete table is confirmed against the full set of laws.
+    complete table is confirmed against the full set of laws, which
+    stops at the first witness. Cells hold grid indices, which are the
+    table's levels over the scale `denominator`.
     """
     grid = unit_grid(denominator)
     laws = _gamma_laws(denominator, lipschitz)
     reach = lipschitz * Fraction(1, denominator)
+    # the last grid index within reach above each grid point, found with
+    # the comparison the box is defined by (a float modulus rounds there)
+    cap = [sum(1 for x in grid if x <= min(ONE, v + reach)) - 1 for v in grid]
     cells = [(i, j) for i in range(len(grid)) for j in range(i + 1, len(grid))]
-    # the grid index of each filled cell's value
     table = {(k, k): k for k in range(len(grid))}
     found: list[Tabulated] = []
 
+    def on_table(lower: int, upper: int) -> Fraction:
+        # table values are grid points, so every pair the iteration law
+        # forms is a cell of the table
+        return grid[table[lower, upper]]
+
     def fill(index: int) -> None:
         if index == len(cells):
-            value = {cell: grid[k] for cell, k in table.items()}
-
-            def on_table(lower: Fraction, upper: Fraction) -> Fraction:
-                # table values are grid points, so every pair the
-                # iteration law forms is a cell of the table
-                return value[lower.numerator * denominator // lower.denominator,
-                             upper.numerator * denominator // upper.denominator]
-
-            if all(report.passed for report in laws(value, on_table)):
+            if all(next(witnesses, None) is None
+                   for _, witnesses in laws(table, denominator, grid.__getitem__, on_table)):
                 found.append(Tabulated(tuple(
-                    (ZPair(grid[i], grid[j]), v) for (i, j), v in value.items())))
+                    (ZPair(grid[i], grid[j]), grid[k]) for (i, j), k in table.items())))
             return
         i, j = cells[index]
         below = table[i, j - 1]
-        left = table[i - 1, j] if i else None
-        lo = max(i, below, left if left is not None else i)
-        hi = min(grid[j], grid[below] + reach)
-        if left is not None:
-            hi = min(hi, grid[left] + reach)
-        for k in range(lo, j + 1):
-            if not grid[k] <= hi:
-                break
+        lo, hi = max(i, below), min(j, cap[below])
+        if i:
+            left = table[i - 1, j]
+            lo, hi = max(lo, left), min(hi, cap[left])
+        for k in range(lo, hi + 1):
             table[i, j] = k
             fill(index + 1)
             del table[i, j]

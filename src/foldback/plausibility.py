@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .acts import Act, Event, Partition, StateSpace, enumerate_events, event_key
+from .acts import Act, Event, Partition, StateSpace, event_key, iter_events
 from .errors import (
     CapExceeded,
     EmptyEvent,
@@ -294,7 +294,7 @@ def is_vacuous(measure: PlausibilityMeasure, *, cap: int = IS_VACUOUS_CAP) -> Va
         return VacuityVerdict(True)
     if measure.space.n > cap:
         raise CapExceeded(f"vacuity check capped at n <= {cap}, got {measure.space.n}")
-    for event in enumerate_events(measure.space, include_full=False):
+    for event in iter_events(measure.space, include_full=False):
         if evaluate(measure, event) != Z_VACUOUS:
             return VacuityVerdict(False, event)
     return VacuityVerdict(True)

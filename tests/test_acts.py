@@ -216,6 +216,19 @@ class TestEventEnumeration:
         got = enumerate_events(space)
         assert got == sorted(got, key=event_key)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    @pytest.mark.parametrize("include_empty,include_full",
+                             [(False, True), (True, True), (False, False)])
+    def test_events_match_the_sorted_list_of_every_subset(self, n, include_empty,
+                                                          include_full):
+        subsets = [frozenset(s for s in range(n) if mask >> s & 1)
+                   for mask in range(2 ** n)]
+        expected = sorted((e for e in subsets
+                           if (e or include_empty) and (len(e) < n or include_full)),
+                          key=event_key)
+        assert enumerate_events(StateSpace(n), include_empty=include_empty,
+                                include_full=include_full) == expected
+
     def test_empty_event_excluded_by_default(self):
         space = StateSpace(2)
         assert frozenset() not in enumerate_events(space)

@@ -4,9 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldback import ParseError, UnknownSuite, ValidationError
 from foldback.cli import (
+    ReportFile,
     cmd_check,
     cmd_consensus,
     cmd_evaluate,
@@ -330,6 +333,24 @@ class TestReportRoundTrip:
         two = emit_report(cmd_evaluate(parse_problem(evaluate_problem())))
         assert one == two
 
+    @settings(max_examples=200)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+        | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f\x7f", "é ✓ 𝄞 \u2028"]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=20))
+    def test_emission_is_json_dumps_with_indent_2(self, tree):
+        payload = {"tree": tree, "empty-list": [], "empty-object": {}}
+        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
+        assert emit_report(ReportFile(tree, 0)) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("value", [F(1, 2), 0.5, (1, 2), {1: "one"}],
+                             ids=["fraction", "float", "tuple", "int-key"])
+    def test_emission_refuses_types_reports_never_hold(self, value):
+        with pytest.raises(TypeError):
+            emit_report(ReportFile({"value": [value]}, 0))
+
     def test_table_rendering_flattens_key_paths(self):
         report = cmd_evaluate(parse_problem(evaluate_problem()))
         text = render_table(report.payload)
@@ -447,6 +468,41 @@ class TestMain:
             tmp_path, {"operator": dict(HURWICZ_HALF), "suite": suite,
                        "grid-denominator": 4})
         assert main(["check", "--problem", path, "--stop-at-first"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stop-at-first" in captured.err
+
+    @pytest.mark.parametrize("suite", ["gamma-laws", "ev-properties", "set-order"])
+    @pytest.mark.parametrize("sizes", [{"sizes": [2, 3]}, {"max-states": 3}, "--max-states"],
+                             ids=["sizes", "max-states", "flag"])
+    def test_sizes_refused_for_law_suites(self, tmp_path, capsys, suite, sizes):
+        raw = {"operator": dict(HURWICZ_HALF), "suite": suite, "grid-denominator": 4}
+        flags = ["--max-states", "3"] if sizes == "--max-states" else []
+        if not flags:
+            raw.update(sizes)
+        path = self.write_problem(tmp_path, raw)
+        assert main(["check", "--problem", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max-states" in captured.err
+
+    @pytest.mark.parametrize("mode", ["consensus", "certainty"])
+    @pytest.mark.parametrize("key,value", [("epsilons", ["1", "1/2"]),
+                                           ("base", ["1/3", "1/3", "1/3"])])
+    def test_limit_options_refused_outside_limit_mode(self, tmp_path, capsys, mode,
+                                                      key, value):
+        path = self.write_problem(
+            tmp_path, {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF),
+                       "mode": mode, "state": 0, key: value})
+        assert main(["consensus", "--problem", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+    @pytest.mark.parametrize("verb", ["evaluate", "consensus"])
+    def test_stop_at_first_refused_for_evaluate_and_consensus(self, tmp_path, capsys, verb):
+        path = self.write_problem(tmp_path, evaluate_problem())
+        assert main([verb, "--problem", path, "--stop-at-first"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "stop-at-first" in captured.err

@@ -1,11 +1,12 @@
 """The exhaustive checkers against their per-cell reference versions.
 
 The functions named `reference_*` are the straightforward checkers the
-grid-index kernels replaced: every cell goes through `ce` on real
-measures, every law through `ce_vacuous`, `np_prefer` and
-`gamma_apply`, with nothing memoised. The kernels must report the same
-failures and witnesses, element by element and in the same order, and
-raise the same errors.
+kernels replaced: every cell goes through `ce` on real measures, every
+law through `ce_vacuous`, `np_prefer` and `gamma_apply` with `Fraction`
+arithmetic, with nothing memoised. The kernels (grid-index sweeps, and
+law checkers that compare integer images of the values) must report the
+same failures and witnesses, element by element and in the same order,
+and raise the same errors.
 """
 
 import itertools
@@ -341,10 +342,16 @@ RULES = {
     "hurwicz-2/3": Hurwicz(F(2, 3)),
     "hurwicz-1": Hurwicz(F(1)),
     "median": MedianRule(),
-    "table-anchored-1/4": tabulate(Anchored(F(1, 4)), 12),
+    # covers the grids k/d for the d dividing 48, and no other grid up to k/16
+    "table-anchored-1/4": tabulate(Anchored(F(1, 4)), 48),
     "table-steep": STEEP,
 }
 PAIR_RULES = {name: rule for name, rule in RULES.items() if name != "median"}
+# negative, zero, fractional, integer, huge and non-finite moduli; 1/2
+# as a float rounds its bound on k/3 below the exact 1/6
+MODULI = [F(-1), -0.5, F(0), F(1, 3), F(1), 2, F(10 ** 6), 0.1, 0.5,
+          float("inf"), float("-inf"), float("nan")]
+GRIDS = list(range(1, 17))
 REVERSED = (Framework.POSSIBILITY, Framework.BELIEF_FUNCTION, Framework.CREDAL_SET)
 
 
@@ -418,23 +425,31 @@ def test_uncovered_table_raises_at_the_same_first_miss():
 # -- law checkers ----------------------------------------------------------
 
 
+def rules_named(*names):
+    return rules({name: RULES[name] for name in names})
+
+
+def moduli():
+    return pytest.mark.parametrize("lipschitz", MODULI, ids=str)
+
+
 @rules(PAIR_RULES)
-@pytest.mark.parametrize("denominator", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("denominator", GRIDS)
 def test_gamma_laws_match_reference(rule, denominator):
     expected = _run(reference_gamma_laws, rule, denominator)
     assert _run(check_gamma_laws, rule, denominator) == expected
 
 
-@pytest.mark.parametrize("lipschitz", [F(0), F(-1), F(1, 2), F(10 ** 6), 2, 0.5])
-@rules({"hurwicz-1/3": Hurwicz(F(1, 3)), "anchored-1/2": Anchored(F(1, 2)),
-        "table-steep": STEEP})
-def test_gamma_laws_match_reference_for_any_modulus(rule, lipschitz):
-    expected = _run(reference_gamma_laws, rule, 4, lipschitz=lipschitz)
-    assert _run(check_gamma_laws, rule, 4, lipschitz=lipschitz) == expected
+@moduli()
+@pytest.mark.parametrize("denominator", [1, 3, 4, 16])
+@rules_named("hurwicz-1/4", "anchored-1/3", "table-anchored-1/4", "table-steep")
+def test_gamma_laws_match_reference_for_any_modulus(rule, denominator, lipschitz):
+    expected = _run(reference_gamma_laws, rule, denominator, lipschitz=lipschitz)
+    assert _run(check_gamma_laws, rule, denominator, lipschitz=lipschitz) == expected
 
 
 @rules(RULES)
-@pytest.mark.parametrize("denominator", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("denominator", GRIDS[:8])
 def test_ev_properties_match_reference(rule, denominator):
     cfg = SearchConfig(denominator=denominator)
     op = CeOperator(rule)
@@ -442,21 +457,46 @@ def test_ev_properties_match_reference(rule, denominator):
     assert _run(check_ev_properties, op, cfg) == expected
 
 
-@pytest.mark.parametrize("lipschitz", [F(0), F(-1), F(1, 3), F(10 ** 6), 3, 0.25])
-@rules({"hurwicz-1/4": Hurwicz(F(1, 4)), "median": MedianRule(), "table-steep": STEEP})
-def test_ev_properties_match_reference_for_any_modulus(rule, lipschitz):
-    cfg = SearchConfig(denominator=4)
+@pytest.mark.parametrize("name,denominator", [
+    ("anchored-1/3", 12), ("median", 12), ("hurwicz-2/3", 16)])
+def test_ev_properties_match_reference_on_fine_grids(name, denominator):
+    cfg = SearchConfig(denominator=denominator)
+    op = CeOperator(RULES[name])
+    assert check_ev_properties(op, cfg) == reference_ev_properties(op, cfg)
+
+
+@moduli()
+@pytest.mark.parametrize("denominator", [3, 4])
+@rules_named("hurwicz-1/4", "anchored-1/3", "median", "table-steep")
+def test_ev_properties_match_reference_for_any_modulus(rule, denominator, lipschitz):
+    cfg = SearchConfig(denominator=denominator)
     op = CeOperator(rule)
     expected = _run(reference_ev_properties, op, cfg, lipschitz=lipschitz)
     assert _run(check_ev_properties, op, cfg, lipschitz=lipschitz) == expected
 
 
+def test_float_modulus_counts_at_its_rounded_bound():
+    # 0.5 times one step of k/3 is a float just below 1/6, so the gaps of
+    # exactly 1/6 that Hurwicz(1/2) makes there exceed it
+    reports = check_gamma_laws(Hurwicz(F(1, 2)), 3, lipschitz=0.5)
+    assert not reports[-1].passed
+    assert check_gamma_laws(Hurwicz(F(1, 2)), 3, lipschitz=F(1, 2))[-1].passed
+
+
 @rules(RULES)
-@pytest.mark.parametrize("denominator,max_size", [(2, 3), (3, 2), (4, 3)])
+@pytest.mark.parametrize("denominator,max_size", [(2, 3), (3, 2), (4, 3), (8, 1)])
 def test_set_order_matches_reference(rule, denominator, max_size):
     family = default_set_family(denominator, max_size)
     expected = _run(reference_set_order_conditions, rule, family)
     assert _run(check_set_order_conditions, rule, family) == expected
+
+
+@pytest.mark.parametrize("denominator,max_size", [(6, 2), (16, 1)])
+@rules_named("hurwicz-1/2", "median", "table-anchored-1/4")
+def test_set_order_matches_reference_on_fine_grids(rule, denominator, max_size):
+    family = default_set_family(denominator, max_size)
+    assert check_set_order_conditions(rule, family) == \
+        reference_set_order_conditions(rule, family)
 
 
 @pytest.mark.parametrize("family", [
@@ -464,7 +504,11 @@ def test_set_order_matches_reference(rule, denominator, max_size):
     [{F(1, 2)}],
     [{F(1, 3), F(1)}, {F(0)}, {F(1, 3), F(1)}, {F(2, 7), F(1, 2), F(5, 6)}],
     [{F(0), F(1)}, set()],
-], ids=["empty", "single", "off-grid", "with-empty-set"])
+    [set(), {F(1, 2)}, {F(1, 2)}],
+    [{F(1, 3)}, {F(2, 7), F(1, 3)}, set()],
+    [{F(1, 3)}, {F(1, 5), F(2, 7)}],
+], ids=["empty", "single", "off-grid", "with-empty-set", "empty-set-first",
+        "off-grid-then-empty", "off-grid-rows"])
 @rules({"hurwicz-1/2": Hurwicz(F(1, 2)), "median": MedianRule(),
         "anchored-1/2": Anchored(F(1, 2)), "table-thirds": tabulate(Anchored(F(1, 2)), 3)})
 def test_set_order_matches_reference_on_odd_families(rule, family):
@@ -478,9 +522,10 @@ def test_set_order_matches_reference_on_odd_families(rule, family):
 
 
 @pytest.mark.parametrize("denominator,lipschitz", [
-    (1, DEFAULT_LIPSCHITZ), (2, DEFAULT_LIPSCHITZ), (3, DEFAULT_LIPSCHITZ),
-    (4, DEFAULT_LIPSCHITZ), (4, F(10 ** 6)), (4, F(1, 2)), (4, F(-1)), (3, 2),
-])
+    (denominator, lipschitz) for denominator in (1, 2, 3, 4) for lipschitz in MODULI
+    # on k/4 a loose box costs the reference about 2 s a modulus, so NaN
+    # (as loose as inf) and 2 run on the coarser grids only
+    if denominator < 4 or not (lipschitz != lipschitz or lipschitz == 2)], ids=str)
 def test_lawful_tables_match_reference(denominator, lipschitz):
     assert enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz) == \
         reference_lawful_gamma_tables(denominator, lipschitz=lipschitz)

@@ -47,11 +47,14 @@ VACUOUS_FRAMEWORKS = (
 
 
 def brute_vacuity_witness(measure):
-    """First proper event, in member-tuple order, not valued ⟨0,1⟩."""
-    space_n = (measure.space.n if hasattr(measure, "space")
-               else len(measure.weights))
-    space = StateSpace(space_n)
-    for event in enumerate_events(space, include_full=False):
+    """First proper event, in member-tuple order, not valued ⟨0,1⟩.
+
+    Every proper non-empty event is built and sorted before the search.
+    """
+    n = measure.space.n
+    proper = sorted((frozenset(s for s in range(n) if mask >> s & 1)
+                     for mask in range(1, 2 ** n - 1)), key=event_key)
+    for event in proper:
         if evaluate(measure, event) != Z_VACUOUS:
             return event
     return None
@@ -198,6 +201,17 @@ class TestIsVacuous:
     @settings(max_examples=80)
     def test_structural_shortcut_agrees_with_enumeration(self, n, data):
         measure = data.draw(cst.measures(n))
+        verdict = is_vacuous(measure)
+        witness = brute_vacuity_witness(measure)
+        assert verdict.vacuous == (witness is None)
+        assert verdict.witness == witness
+
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=120)
+    def test_lazy_search_finds_the_first_event_of_the_sorted_list(self, n, data):
+        measure = data.draw(st.one_of(
+            cst.credal_measures(n), cst.belief_measures(n), cst.possibility_measures(n)))
         verdict = is_vacuous(measure)
         witness = brute_vacuity_witness(measure)
         assert verdict.vacuous == (witness is None)
