@@ -9,13 +9,10 @@ __version__ = "0.1.0"
 
 from .acts import (
     Act,
-    ConditionalAct,
     Event,
     Partition,
     StateSpace,
     Utility,
-    acts_equivalent,
-    compose_partition_act,
     condition_act,
     enumerate_partitions,
     outcome_set,
@@ -62,12 +59,10 @@ from .consistency import (
     check_set_order_conditions,
     default_set_family,
     enumerate_lawful_gamma_tables,
-    sequentially_consistent_on_grid,
     tabulate,
 )
 from .errors import (
     CapExceeded,
-    DomainMismatch,
     EmptyEvent,
     EmptyOutcomeSet,
     EngineError,
@@ -88,7 +83,6 @@ from .plausibility import (
     PlausibilityMeasure,
     PossibilityMeasure,
     ProbabilityMeasure,
-    VacuityVerdict,
     ZPair,
     Z_BOTTOM,
     Z_TOP,
@@ -96,7 +90,6 @@ from .plausibility import (
     condition,
     evaluate,
     expectation_bounds,
-    framework_of,
     is_vacuous,
     restrict,
     vacuous,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import CapExceeded, DomainMismatch, EmptyEvent, SpaceMismatch, ValidationError
+from .errors import CapExceeded, EmptyEvent, SpaceMismatch, ValidationError
 from .rationals import ensure_unit
 
 Utility = Fraction
@@ -70,13 +70,6 @@ def iter_events(space: StateSpace, *, include_empty: bool = False,
                 members[-1] += 1
 
 
-def enumerate_events(space: StateSpace, *, include_empty: bool = False,
-                     include_full: bool = True) -> list[Event]:
-    """All events of the space in lexicographic member-tuple order."""
-    return list(iter_events(space, include_empty=include_empty,
-                            include_full=include_full))
-
-
 @dataclass(frozen=True)
 class Partition:
     """An ordered partition of a state space into non-empty blocks.
@@ -106,20 +99,10 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, state: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if state in block:
-                return i
-        raise ValidationError(f"state {state} not in space of size {self.space.n}")
-
     @property
     def quotient(self) -> StateSpace:
         """The space whose states are this partition's block indices."""
         return StateSpace(len(self.blocks))
-
-    def is_trivial(self) -> bool:
-        """True for the one-block partition or the all-singletons one."""
-        return len(self.blocks) == 1 or len(self.blocks) == self.space.n
 
 
 def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -174,89 +157,20 @@ class Act:
     def space(self) -> StateSpace:
         return StateSpace(len(self.outcomes))
 
-    def at(self, state: int) -> Utility:
-        return self.outcomes[state]
 
-    def rules(self) -> tuple[tuple[Event, Utility], ...]:
-        """The act as outcome rules: (level set, outcome) per distinct outcome.
-
-        The level sets always partition the state space.
-        """
-        levels: dict[Utility, set[int]] = {}
-        for state, value in enumerate(self.outcomes):
-            levels.setdefault(value, set()).add(state)
-        pairs = [(frozenset(states), value) for value, states in levels.items()]
-        pairs.sort(key=lambda pair: event_key(pair[0]))
-        return tuple(pairs)
-
-
-@dataclass(frozen=True)
-class ConditionalAct:
-    """An act observed on an event, remembering original state labels.
-
-    Entries are (original state, outcome) pairs sorted by state. The
-    re-indexed view `as_act` relabels the surviving states 0..k-1 in
-    increasing original order, matching how measures are conditioned.
-    """
-
-    entries: tuple[tuple[int, Utility], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise EmptyEvent("conditional act on the empty event")
-        ordered = sorted(self.entries)
-        states = [s for s, _ in ordered]
-        if len(set(states)) != len(states):
-            raise ValidationError("conditional act entries repeat a state")
-        object.__setattr__(
-            self, "entries",
-            tuple((s, ensure_unit(Fraction(u), "outcome")) for s, u in ordered))
-
-    @property
-    def domain(self) -> Event:
-        return frozenset(s for s, _ in self.entries)
-
-    def as_act(self) -> Act:
-        return Act(tuple(u for _, u in self.entries))
-
-
-def outcome_set(act: Act | ConditionalAct) -> frozenset:
+def outcome_set(act: Act) -> frozenset:
     """The distinct outcomes an act can produce."""
-    if isinstance(act, ConditionalAct):
-        return frozenset(u for _, u in act.entries)
     return frozenset(act.outcomes)
 
 
-def condition_act(act: Act, event: Event) -> ConditionalAct:
-    """Restrict an act to the states inside event."""
+def condition_act(act: Act, event: Event) -> Act:
+    """Restrict an act to the states inside event, relabeled 0..k-1.
+
+    Survivors keep their increasing original order, matching how
+    measures are conditioned.
+    """
     if not event:
         raise EmptyEvent("cannot condition an act on the empty event")
     if not act.space.contains_event(event):
         raise SpaceMismatch(f"event {sorted(event)} leaves the act's space")
-    return ConditionalAct(tuple((s, act.outcomes[s]) for s in sorted(event)))
-
-
-def compose_partition_act(partition: Partition, pieces: tuple[ConditionalAct, ...]) -> Act:
-    """Glue one conditional act per block back into a full act.
-
-    Inverse of conditioning each block: the piece domains must equal the
-    partition blocks, in block order.
-    """
-    if len(pieces) != len(partition.blocks):
-        raise DomainMismatch(
-            f"{len(partition.blocks)} blocks but {len(pieces)} pieces")
-    outcomes: dict[int, Utility] = {}
-    for block, piece in zip(partition.blocks, pieces):
-        if piece.domain != block:
-            raise DomainMismatch(
-                f"piece domain {sorted(piece.domain)} != block {sorted(block)}")
-        for state, value in piece.entries:
-            outcomes[state] = value
-    return Act(tuple(outcomes[s] for s in partition.space.states))
-
-
-def acts_equivalent(left: Act, right: Act) -> bool:
-    """Pointwise equality of two acts over the same space."""
-    if left.space != right.space:
-        raise SpaceMismatch("acts live on different state spaces")
-    return left.outcomes == right.outcomes
+    return Act(tuple(act.outcomes[s] for s in sorted(event)))

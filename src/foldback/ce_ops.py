@@ -30,16 +30,14 @@ from .errors import (
     ValidationError,
 )
 from .plausibility import (
-    BeliefFunctionMeasure,
-    CredalSetMeasure,
+    Framework,
     PlausibilityMeasure,
-    PossibilityMeasure,
     ProbabilityMeasure,
     ZPair,
     expectation_bounds,
     is_vacuous,
 )
-from .rationals import ONE, ZERO, ensure_unit
+from .rationals import ONE, ensure_unit
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,22 @@ class Hurwicz:
 
 @dataclass(frozen=True)
 class MinRule:
-    """Always the lower endpoint. Kept distinct from Anchored(0) on purpose."""
+    """Always the lower endpoint.
+
+    Its values equal Anchored(0)'s, but it keeps its own class for the
+    wire format: it parses from and echoes as {"kind": "min"}, and
+    reports depend on that spelling.
+    """
 
 
 @dataclass(frozen=True)
 class MaxRule:
-    """Always the upper endpoint. Kept distinct from Anchored(1) on purpose."""
+    """Always the upper endpoint.
+
+    Its values equal Anchored(1)'s, but it keeps its own class for the
+    wire format: it parses from and echoes as {"kind": "max"}, and
+    reports depend on that spelling.
+    """
 
 
 @dataclass(frozen=True)
@@ -167,11 +175,9 @@ def ce_vacuous(rule: VacuousRule, outcomes: AbstractSet) -> Fraction:
 
 
 def expected_utility(measure: ProbabilityMeasure, act: Act) -> Fraction:
-    if not isinstance(measure, ProbabilityMeasure):
+    if measure.framework is not Framework.PROBABILITY:
         raise FrameworkMismatch("expected utility needs a single probability")
-    if measure.space != act.space:
-        raise SpaceMismatch("measure and act live on different spaces")
-    return sum((w * u for w, u in zip(measure.weights, act.outcomes)), ZERO)
+    return expectation_bounds(measure, act).lower
 
 
 def ce(op: CeOperator, measure: PlausibilityMeasure, act: Act) -> Fraction:
@@ -185,13 +191,12 @@ def ce(op: CeOperator, measure: PlausibilityMeasure, act: Act) -> Fraction:
     """
     if measure.space != act.space:
         raise SpaceMismatch("measure and act live on different spaces")
-    if isinstance(measure, ProbabilityMeasure) and op.probabilistic_rule:
+    probability = measure.framework is Framework.PROBABILITY
+    if probability and op.probabilistic_rule:
         return expected_utility(measure, act)
     if is_vacuous(measure):
         return ce_vacuous(op.vacuous_rule, outcome_set(act))
-    if (op.credal_extension
-            and isinstance(measure, (CredalSetMeasure, BeliefFunctionMeasure,
-                                     PossibilityMeasure))
+    if (op.credal_extension and not probability
             and not isinstance(op.vacuous_rule, MedianRule)):
         return gamma_apply(op.vacuous_rule, expectation_bounds(measure, act))
     raise UnsupportedCombination(

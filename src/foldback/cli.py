@@ -432,10 +432,22 @@ def encode_law_report(report: LawReport) -> dict:
     }
 
 
-def encode_verdict(verdict: ConsistencyVerdict) -> dict:
+def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
+    """A verdict's report record.
+
+    `encoded`, kept by the caller for one report, maps the id of each act
+    and partition encoded so far to its list, so one that many verdicts
+    share (as a sweep's failures do) is encoded once and its list shared.
+    The verdicts must stay alive while the map is in use.
+    """
+    act, partition = verdict.act, verdict.partition
+    if id(act) not in encoded:
+        encoded[id(act)] = encode_act(act)
+    if id(partition) not in encoded:
+        encoded[id(partition)] = encode_partition(partition)
     record = {
-        "act": encode_act(verdict.act),
-        "partition": encode_partition(verdict.partition),
+        "act": encoded[id(act)],
+        "partition": encoded[id(partition)],
         "direct": _enc(verdict.direct_value),
         "folded": _enc(verdict.folded_value),
         "holds": verdict.holds,
@@ -568,11 +580,12 @@ def cmd_check(problem: ProblemFile, which: Optional[str] = None) -> ReportFile:
         echo["grid-denominator"] = denominator
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first
+        encoded: dict = {}
         payload = {
             "command": "check",
             "engine-version": __version__,
             "problem": echo,
-            "failures": [encode_verdict(v) for v in failures],
+            "failures": [encode_verdict(v, encoded) for v in failures],
             "summary": {"violations": len(failures)},
         }
         return ReportFile(payload, 1 if failures else 0)
@@ -706,13 +719,6 @@ def emit_report(report: ReportFile) -> str:
     out: list = []
     _write(report.payload, "", out)
     return "".join(out)
-
-
-def parse_report(text: str) -> dict:
-    parsed = loads_exact(text)
-    if not isinstance(parsed, dict):
-        raise ParseError("report: expected a JSON object")
-    return parsed
 
 
 def _render_lines(value: Any, label: str, lines: list) -> None:

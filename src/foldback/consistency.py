@@ -33,7 +33,6 @@ from .plausibility import (
     PlausibilityMeasure,
     ZPair,
     condition,
-    framework_of,
     restrict,
 )
 from .rationals import ONE, format_rational, unit_grid
@@ -136,11 +135,11 @@ def check_sequential(op: CeOperator, measure: PlausibilityMeasure, act: Act,
     direct = ce(op, measure, act)
     restricted = restrict(measure, partition)
     block_values = tuple(
-        ce(op, condition(measure, block), condition_act(act, block).as_act())
+        ce(op, condition(measure, block), condition_act(act, block))
         for block in partition.blocks)
     folded = ce(op, restricted, Act(block_values))
     return ConsistencyVerdict(direct == folded, direct, folded, partition, act,
-                              framework_of(measure))
+                              measure.framework)
 
 
 class _Memo(dict):
@@ -585,11 +584,3 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
 
     fill(0)
     return found
-
-
-def sequentially_consistent_on_grid(rule: VacuousRule, cfg: SearchConfig) -> bool:
-    """Convenience: does the rule pass both the sweep and the properties?"""
-    op = CeOperator(rule)
-    if check_sequential_exhaustive(op, cfg):
-        return False
-    return all(report.passed for report in check_ev_properties(op, cfg))

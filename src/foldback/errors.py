@@ -13,10 +13,6 @@ class SpaceMismatch(EngineError):
     """Two objects built over different state spaces were combined."""
 
 
-class DomainMismatch(EngineError):
-    """A conditional act was used with an event other than its domain."""
-
-
 class EmptyEvent(EngineError):
     """Conditioning or restriction on the empty event."""
 

@@ -7,6 +7,10 @@ maps events to a pair of exact bounds in [0, 1]; restriction pushes a
 measure onto a partition's blocks, conditioning focuses it on an event
 with states relabeled 0..k-1 in increasing original order.
 
+Each measure class names its framework and carries its own branch of
+every operation as a private method; the module functions below check
+their arguments once and then call that method.
+
 Total ignorance is the measure valuing every non-trivial event at the
 unit interval. Both restriction and conditioning keep ignorant measures
 ignorant, which is what makes folding through a partition meaningful.
@@ -49,10 +53,6 @@ class ZPair:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
 
 Z_BOTTOM = ZPair(ZERO, ZERO)
 Z_TOP = ZPair(ONE, ONE)
@@ -87,6 +87,7 @@ def _validate_weights(weights: tuple[Fraction, ...], label: str) -> tuple[Fracti
 class ProbabilityMeasure:
     """A single probability vector; evaluates events to point pairs."""
 
+    framework = Framework.PROBABILITY
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -95,6 +96,27 @@ class ProbabilityMeasure:
     @property
     def space(self) -> StateSpace:
         return StateSpace(len(self.weights))
+
+    def _value(self, event: Event) -> ZPair:
+        p = sum((self.weights[s] for s in event), ZERO)
+        return ZPair(p, p)
+
+    def _restrict(self, partition: Partition) -> ProbabilityMeasure:
+        return ProbabilityMeasure(tuple(
+            sum((self.weights[s] for s in block), ZERO) for block in partition.blocks))
+
+    def _condition(self, kept: list[int]) -> ProbabilityMeasure:
+        total = sum((self.weights[s] for s in kept), ZERO)
+        if total == 0:
+            raise ZeroPlausibilityEvent(f"event {kept} has probability zero")
+        return ProbabilityMeasure(tuple(self.weights[s] / total for s in kept))
+
+    def _expectation(self, outcomes: tuple[Fraction, ...]) -> ZPair:
+        value = sum((w * u for w, u in zip(self.weights, outcomes)), ZERO)
+        return ZPair(value, value)
+
+    def _vacuous_by_shape(self) -> bool:
+        return False
 
 
 @dataclass(frozen=True)
@@ -105,6 +127,7 @@ class CredalSetMeasure:
     stays exact at any size instead of materializing all vertices.
     """
 
+    framework = Framework.CREDAL_SET
     space: StateSpace
     generators: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
@@ -127,8 +150,49 @@ class CredalSetMeasure:
         return self.generators is None
 
     @classmethod
-    def full_simplex(cls, space: StateSpace) -> "CredalSetMeasure":
+    def full_simplex(cls, space: StateSpace) -> CredalSetMeasure:
         return cls(space, None)
+
+    def _value(self, event: Event) -> ZPair:
+        if self.is_full_simplex:
+            if not event:
+                return Z_BOTTOM
+            if len(event) == self.space.n:
+                return Z_TOP
+            return Z_VACUOUS
+        sums = [sum((gen[s] for s in event), ZERO) for gen in self.generators]
+        return ZPair(min(sums), max(sums))
+
+    def _restrict(self, partition: Partition) -> CredalSetMeasure:
+        if self.is_full_simplex:
+            return CredalSetMeasure.full_simplex(partition.quotient)
+        pushed = tuple(
+            tuple(sum((gen[s] for s in block), ZERO) for block in partition.blocks)
+            for gen in self.generators)
+        return CredalSetMeasure(partition.quotient, pushed)
+
+    def _condition(self, kept: list[int]) -> CredalSetMeasure:
+        if self.is_full_simplex:
+            return CredalSetMeasure.full_simplex(StateSpace(len(kept)))
+        conditioned = []
+        for gen in self.generators:
+            total = sum((gen[s] for s in kept), ZERO)
+            if total == 0:
+                continue
+            conditioned.append(tuple(gen[s] / total for s in kept))
+        if not conditioned:
+            raise ZeroPlausibilityEvent(f"event {kept} has upper probability zero")
+        return CredalSetMeasure(StateSpace(len(kept)), tuple(conditioned))
+
+    def _expectation(self, outcomes: tuple[Fraction, ...]) -> ZPair:
+        if self.is_full_simplex:
+            return ZPair(min(outcomes), max(outcomes))
+        values = [sum((w * u for w, u in zip(gen, outcomes)), ZERO)
+                  for gen in self.generators]
+        return ZPair(min(values), max(values))
+
+    def _vacuous_by_shape(self) -> bool:
+        return self.is_full_simplex
 
 
 @dataclass(frozen=True)
@@ -139,6 +203,7 @@ class BeliefFunctionMeasure:
     assignments compare and hash equal regardless of input order.
     """
 
+    framework = Framework.BELIEF_FUNCTION
     space: StateSpace
     masses: tuple[tuple[Event, Fraction], ...]
 
@@ -163,17 +228,48 @@ class BeliefFunctionMeasure:
             key=lambda pair: event_key(pair[0])))
         object.__setattr__(self, "masses", cleaned)
 
-    def mass_of(self, event: Event) -> Fraction:
+    def _value(self, event: Event) -> ZPair:
+        belief = sum((m for focal, m in self.masses if focal <= event), ZERO)
+        plaus = sum((m for focal, m in self.masses if focal & event), ZERO)
+        return ZPair(belief, plaus)
+
+    def _restrict(self, partition: Partition) -> BeliefFunctionMeasure:
+        # a focal element coarsens to the set of blocks it meets
+        coarsened: dict[Event, Fraction] = {}
         for focal, mass in self.masses:
-            if focal == event:
-                return mass
-        return ZERO
+            image = frozenset(i for i, block in enumerate(partition.blocks) if block & focal)
+            coarsened[image] = coarsened.get(image, ZERO) + mass
+        return BeliefFunctionMeasure(partition.quotient, tuple(coarsened.items()))
+
+    def _condition(self, kept: list[int]) -> BeliefFunctionMeasure:
+        event = frozenset(kept)
+        relabel = {s: i for i, s in enumerate(kept)}
+        plaus = self._value(event).upper
+        if plaus == 0:
+            raise ZeroPlausibilityEvent(f"event {kept} has plausibility zero")
+        transferred: dict[Event, Fraction] = {}
+        for focal, mass in self.masses:
+            trace = focal & event
+            if not trace:
+                continue
+            image = frozenset(relabel[s] for s in trace)
+            transferred[image] = transferred.get(image, ZERO) + mass / plaus
+        return BeliefFunctionMeasure(StateSpace(len(kept)), tuple(transferred.items()))
+
+    def _expectation(self, outcomes: tuple[Fraction, ...]) -> ZPair:
+        lower = sum((m * min(outcomes[s] for s in focal) for focal, m in self.masses), ZERO)
+        upper = sum((m * max(outcomes[s] for s in focal) for focal, m in self.masses), ZERO)
+        return ZPair(lower, upper)
+
+    def _vacuous_by_shape(self) -> bool:
+        return self.masses == ((self.space.full_event(), ONE),)
 
 
 @dataclass(frozen=True)
 class PossibilityMeasure:
     """A possibility distribution: per-state grades with max 1."""
 
+    framework = Framework.POSSIBILITY
     grades: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -188,21 +284,31 @@ class PossibilityMeasure:
     def space(self) -> StateSpace:
         return StateSpace(len(self.grades))
 
+    def _value(self, event: Event) -> ZPair:
+        possible = max((self.grades[s] for s in event), default=ZERO)
+        complement_possible = max(
+            (self.grades[s] for s in self.space.states if s not in event), default=ZERO)
+        return ZPair(ONE - complement_possible, possible)
+
+    def _restrict(self, partition: Partition) -> PossibilityMeasure:
+        return PossibilityMeasure(
+            tuple(max(self.grades[s] for s in block) for block in partition.blocks))
+
+    def _condition(self, kept: list[int]) -> PossibilityMeasure:
+        peak = max(self.grades[s] for s in kept)
+        if peak == 0:
+            raise ZeroPlausibilityEvent(f"event {kept} has possibility zero")
+        return PossibilityMeasure(tuple(self.grades[s] / peak for s in kept))
+
+    def _expectation(self, outcomes: tuple[Fraction, ...]) -> ZPair:
+        return _consonant_masses(self)._expectation(outcomes)
+
+    def _vacuous_by_shape(self) -> bool:
+        return all(g == ONE for g in self.grades)
+
 
 PlausibilityMeasure = Union[
     ProbabilityMeasure, CredalSetMeasure, BeliefFunctionMeasure, PossibilityMeasure]
-
-
-def framework_of(measure: PlausibilityMeasure) -> Framework:
-    if isinstance(measure, ProbabilityMeasure):
-        return Framework.PROBABILITY
-    if isinstance(measure, CredalSetMeasure):
-        return Framework.CREDAL_SET
-    if isinstance(measure, BeliefFunctionMeasure):
-        return Framework.BELIEF_FUNCTION
-    if isinstance(measure, PossibilityMeasure):
-        return Framework.POSSIBILITY
-    raise FrameworkMismatch(f"not a plausibility measure: {measure!r}")
 
 
 def _check_event(measure: PlausibilityMeasure, event: Event) -> Event:
@@ -214,31 +320,7 @@ def _check_event(measure: PlausibilityMeasure, event: Event) -> Event:
 
 def evaluate(measure: PlausibilityMeasure, event: Event) -> ZPair:
     """Lower and upper value of an event under the measure."""
-    event = _check_event(measure, event)
-    n = measure.space.n
-    if isinstance(measure, ProbabilityMeasure):
-        p = sum((measure.weights[s] for s in event), ZERO)
-        return ZPair(p, p)
-    if isinstance(measure, CredalSetMeasure):
-        if measure.is_full_simplex:
-            if not event:
-                return Z_BOTTOM
-            if len(event) == n:
-                return Z_TOP
-            return Z_VACUOUS
-        sums = [sum((gen[s] for s in event), ZERO) for gen in measure.generators]
-        return ZPair(min(sums), max(sums))
-    if isinstance(measure, BeliefFunctionMeasure):
-        belief = sum((m for focal, m in measure.masses if focal <= event), ZERO)
-        plaus = sum((m for focal, m in measure.masses if focal & event), ZERO)
-        return ZPair(belief, plaus)
-    if isinstance(measure, PossibilityMeasure):
-        possible = max((measure.grades[s] for s in event), default=ZERO)
-        complement_possible = max(
-            (measure.grades[s] for s in measure.space.states if s not in event),
-            default=ZERO)
-        return ZPair(ONE - complement_possible, possible)
-    raise FrameworkMismatch(f"not a plausibility measure: {measure!r}")
+    return measure._value(_check_event(measure, event))
 
 
 def vacuous(space: StateSpace, framework: Framework) -> PlausibilityMeasure:
@@ -258,51 +340,20 @@ def vacuous(space: StateSpace, framework: Framework) -> PlausibilityMeasure:
     raise FrameworkMismatch(f"unknown framework: {framework!r}")
 
 
-@dataclass(frozen=True)
-class VacuityVerdict:
-    vacuous: bool
-    witness: Optional[Event] = None
+def is_vacuous(measure: PlausibilityMeasure, *, cap: int = IS_VACUOUS_CAP) -> bool:
+    """Decide total ignorance: every proper non-empty event valued [0, 1].
 
-    def __bool__(self) -> bool:
-        return self.vacuous
-
-
-def _vacuous_structurally(measure: PlausibilityMeasure) -> Optional[bool]:
-    """Constant-time vacuity verdicts where the shape decides; None otherwise."""
-    n = measure.space.n
-    if n == 1:
-        return True  # no proper non-empty events to fail on
-    if isinstance(measure, ProbabilityMeasure):
-        return False
-    if isinstance(measure, CredalSetMeasure):
-        return True if measure.is_full_simplex else None
-    if isinstance(measure, BeliefFunctionMeasure):
-        return measure.masses == ((measure.space.full_event(), ONE),)
-    if isinstance(measure, PossibilityMeasure):
-        return all(g == ONE for g in measure.grades)
-    raise FrameworkMismatch(f"not a plausibility measure: {measure!r}")
-
-
-def is_vacuous(measure: PlausibilityMeasure, *, cap: int = IS_VACUOUS_CAP) -> VacuityVerdict:
-    """Decide total ignorance; on failure, report the first bad event.
-
-    The witness is the lexicographically least proper non-empty event
-    whose value differs from the unit interval. The cap bounds that
-    search, so it does not apply where the shape alone shows vacuity.
+    A single state, or the canonical ignorant shape of the measure's
+    framework, decides at once; otherwise the proper events are searched
+    in lexicographic member-tuple order up to the first that fails. The
+    cap bounds that search, so it does not apply where the shape decides.
     """
-    if _vacuous_structurally(measure):
-        return VacuityVerdict(True)
+    if measure.space.n == 1 or measure._vacuous_by_shape():
+        return True  # a single state has no proper non-empty event to fail on
     if measure.space.n > cap:
         raise CapExceeded(f"vacuity check capped at n <= {cap}, got {measure.space.n}")
-    for event in iter_events(measure.space, include_full=False):
-        if evaluate(measure, event) != Z_VACUOUS:
-            return VacuityVerdict(False, event)
-    return VacuityVerdict(True)
-
-
-def _check_partition(measure: PlausibilityMeasure, partition: Partition) -> None:
-    if partition.space != measure.space:
-        raise SpaceMismatch("partition and measure live on different spaces")
+    return all(measure._value(event) == Z_VACUOUS
+               for event in iter_events(measure.space, include_full=False))
 
 
 def restrict(measure: PlausibilityMeasure, partition: Partition) -> PlausibilityMeasure:
@@ -310,29 +361,9 @@ def restrict(measure: PlausibilityMeasure, partition: Partition) -> Plausibility
 
     The result lives on the quotient space whose state i is block i.
     """
-    _check_partition(measure, partition)
-    blocks = partition.blocks
-    if isinstance(measure, ProbabilityMeasure):
-        return ProbabilityMeasure(
-            tuple(sum((measure.weights[s] for s in block), ZERO) for block in blocks))
-    if isinstance(measure, CredalSetMeasure):
-        if measure.is_full_simplex:
-            return CredalSetMeasure.full_simplex(partition.quotient)
-        pushed = tuple(
-            tuple(sum((gen[s] for s in block), ZERO) for block in blocks)
-            for gen in measure.generators)
-        return CredalSetMeasure(partition.quotient, pushed)
-    if isinstance(measure, BeliefFunctionMeasure):
-        # a focal element coarsens to the set of blocks it meets
-        coarsened: dict[Event, Fraction] = {}
-        for focal, mass in measure.masses:
-            image = frozenset(i for i, block in enumerate(blocks) if block & focal)
-            coarsened[image] = coarsened.get(image, ZERO) + mass
-        return BeliefFunctionMeasure(partition.quotient, tuple(coarsened.items()))
-    if isinstance(measure, PossibilityMeasure):
-        return PossibilityMeasure(
-            tuple(max(measure.grades[s] for s in block) for block in blocks))
-    raise FrameworkMismatch(f"not a plausibility measure: {measure!r}")
+    if partition.space != measure.space:
+        raise SpaceMismatch("partition and measure live on different spaces")
+    return measure._restrict(partition)
 
 
 def condition(measure: PlausibilityMeasure, event: Event) -> PlausibilityMeasure:
@@ -346,43 +377,7 @@ def condition(measure: PlausibilityMeasure, event: Event) -> PlausibilityMeasure
     event = _check_event(measure, event)
     if not event:
         raise EmptyEvent("cannot condition on the empty event")
-    kept = sorted(event)
-    if isinstance(measure, ProbabilityMeasure):
-        total = sum((measure.weights[s] for s in kept), ZERO)
-        if total == 0:
-            raise ZeroPlausibilityEvent(f"event {kept} has probability zero")
-        return ProbabilityMeasure(tuple(measure.weights[s] / total for s in kept))
-    if isinstance(measure, CredalSetMeasure):
-        if measure.is_full_simplex:
-            return CredalSetMeasure.full_simplex(StateSpace(len(kept)))
-        conditioned = []
-        for gen in measure.generators:
-            total = sum((gen[s] for s in kept), ZERO)
-            if total == 0:
-                continue
-            conditioned.append(tuple(gen[s] / total for s in kept))
-        if not conditioned:
-            raise ZeroPlausibilityEvent(f"event {kept} has upper probability zero")
-        return CredalSetMeasure(StateSpace(len(kept)), tuple(conditioned))
-    if isinstance(measure, BeliefFunctionMeasure):
-        relabel = {s: i for i, s in enumerate(kept)}
-        plaus = evaluate(measure, event).upper
-        if plaus == 0:
-            raise ZeroPlausibilityEvent(f"event {kept} has plausibility zero")
-        transferred: dict[Event, Fraction] = {}
-        for focal, mass in measure.masses:
-            trace = focal & event
-            if not trace:
-                continue
-            image = frozenset(relabel[s] for s in trace)
-            transferred[image] = transferred.get(image, ZERO) + mass / plaus
-        return BeliefFunctionMeasure(StateSpace(len(kept)), tuple(transferred.items()))
-    if isinstance(measure, PossibilityMeasure):
-        peak = max(measure.grades[s] for s in kept)
-        if peak == 0:
-            raise ZeroPlausibilityEvent(f"event {kept} has possibility zero")
-        return PossibilityMeasure(tuple(measure.grades[s] / peak for s in kept))
-    raise FrameworkMismatch(f"not a plausibility measure: {measure!r}")
+    return measure._condition(sorted(event))
 
 
 def _consonant_masses(measure: PossibilityMeasure) -> BeliefFunctionMeasure:
@@ -400,22 +395,4 @@ def expectation_bounds(measure: PlausibilityMeasure, act: Act) -> ZPair:
     """Tight lower and upper expected utility of an act under the measure."""
     if act.space != measure.space:
         raise SpaceMismatch("act and measure live on different spaces")
-    if isinstance(measure, ProbabilityMeasure):
-        value = sum((w * u for w, u in zip(measure.weights, act.outcomes)), ZERO)
-        return ZPair(value, value)
-    if isinstance(measure, CredalSetMeasure):
-        if measure.is_full_simplex:
-            return ZPair(min(act.outcomes), max(act.outcomes))
-        values = [
-            sum((w * u for w, u in zip(gen, act.outcomes)), ZERO)
-            for gen in measure.generators]
-        return ZPair(min(values), max(values))
-    if isinstance(measure, BeliefFunctionMeasure):
-        lower = sum((m * min(act.outcomes[s] for s in focal)
-                     for focal, m in measure.masses), ZERO)
-        upper = sum((m * max(act.outcomes[s] for s in focal)
-                     for focal, m in measure.masses), ZERO)
-        return ZPair(lower, upper)
-    if isinstance(measure, PossibilityMeasure):
-        return expectation_bounds(_consonant_masses(measure), act)
-    raise FrameworkMismatch(f"not a plausibility measure: {measure!r}")
+    return measure._expectation(act.outcomes)

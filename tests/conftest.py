@@ -30,7 +30,7 @@ from foldback import (
     StateSpace,
     enumerate_partitions,
 )
-from foldback.acts import enumerate_events
+from foldback.acts import iter_events
 
 
 def unit_fractions(max_denominator: int = 16):
@@ -68,7 +68,7 @@ def credal_measures(n: int):
 
 def belief_measures(n: int):
     space = StateSpace(n)
-    events = enumerate_events(space)
+    events = list(iter_events(space))
 
     def build(raw: list) -> BeliefFunctionMeasure:
         total = sum(weight for _, weight in raw)
@@ -103,4 +103,4 @@ def partitions(n: int):
 
 def events(n: int, proper: bool = False):
     space = StateSpace(n)
-    return st.sampled_from(enumerate_events(space, include_full=not proper))
+    return st.sampled_from(list(iter_events(space, include_full=not proper)))

@@ -47,7 +47,7 @@ from foldback import (
     tabulate,
     vacuous,
 )
-from foldback.acts import enumerate_events
+from foldback.acts import iter_events
 from foldback.cli import (
     cmd_check,
     cmd_evaluate,
@@ -190,7 +190,7 @@ def test_criterion_06_ignorance_is_closed_under_coarsening_and_updating():
             measure = vacuous(space, framework)
             for partition in enumerate_partitions(space):
                 ok = ok and bool(is_vacuous(restrict(measure, partition)))
-            for event in enumerate_events(space, include_full=False):
+            for event in iter_events(space, include_full=False):
                 ok = ok and bool(is_vacuous(condition(measure, event)))
     announce(6, ok, "ignorance closed under every restriction and conditioning, n <= 5")
     assert ok
@@ -209,7 +209,7 @@ def test_criterion_07_frameworks_agree_under_ignorance_and_certainty():
         for state in range(n):
             for anchor in anchors:
                 report = certainty_check(Anchored(anchor), act, state)
-                ok = ok and report.agree and report.credal_value == act.at(state)
+                ok = ok and report.agree and report.credal_value == act.outcomes[state]
     announce(7, ok, "1000 sampled acts agree across frameworks, ignorant and certain")
     assert ok
 

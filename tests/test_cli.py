@@ -17,7 +17,6 @@ from foldback.cli import (
     loads_exact,
     main,
     parse_problem,
-    parse_report,
     probe_problem,
     render_table,
     verdict_problem,
@@ -325,7 +324,7 @@ class TestReportRoundTrip:
                  "mode": "limit"})),
         ]
         for report in reports:
-            assert parse_report(emit_report(report)) == report.payload
+            assert loads_exact(emit_report(report)) == report.payload
             walk_no_floats(report.payload)
 
     def test_emission_is_deterministic(self):

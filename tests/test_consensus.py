@@ -109,7 +109,7 @@ class TestCertainty:
         state = data.draw(st.integers(0, n - 1))
         report = certainty_check(Anchored(F(1, 2)), act, state)
         assert report.agree
-        assert report.credal_value == act.at(state)
+        assert report.credal_value == act.outcomes[state]
 
 
 class TestContaminationFamily:
@@ -197,7 +197,7 @@ class TestLimit:
         eps = data.draw(st.sampled_from((F(1), F(1, 2), F(1, 4))))
         family = ContaminationFamily(base, (eps,))
         member = family.member(eps)
-        mean = sum(w * act.at(s) for s, w in enumerate(base))
+        mean = sum(w * act.outcomes[s] for s, w in enumerate(base))
         bounds = expectation_bounds(member, act)
         assert bounds.lower == (1 - eps) * mean + eps * min(act.outcomes)
         assert bounds.upper == (1 - eps) * mean + eps * max(act.outcomes)

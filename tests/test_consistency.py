@@ -35,7 +35,6 @@ from foldback import (
     default_set_family,
     enumerate_lawful_gamma_tables,
     gamma_apply,
-    sequentially_consistent_on_grid,
     tabulate,
     vacuous,
 )
@@ -332,7 +331,9 @@ class TestGridScaleCharacterization:
         clamp_restrictions = {
             self.grid_restriction(Anchored(a)) for a in unit_grid(4)}
         for rule in self.RULES:
-            consistent = sequentially_consistent_on_grid(rule, SMALL)
+            op = CeOperator(rule)
+            consistent = not check_sequential_exhaustive(op, SMALL) and all(
+                report.passed for report in check_ev_properties(op, SMALL))
             clamp_shaped = self.grid_restriction(rule) in clamp_restrictions
             assert consistent == clamp_shaped, rule
 

@@ -77,7 +77,7 @@ def reference_sequential_exhaustive(op, cfg):
             direct = {}
             for H, per_fw in prepared:
                 pieces = tuple(
-                    condition_act(act, block).as_act() for block in H.blocks)
+                    condition_act(act, block) for block in H.blocks)
                 for fw, restricted, conditioned in per_fw:
                     if fw not in direct:
                         direct[fw] = ce(op, ignorant[fw], act)

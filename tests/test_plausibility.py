@@ -28,12 +28,11 @@ from foldback import (
     enumerate_partitions,
     evaluate,
     expectation_bounds,
-    framework_of,
     is_vacuous,
     restrict,
     vacuous,
 )
-from foldback.acts import Act, enumerate_events, event_key
+from foldback.acts import Act, event_key, iter_events
 from foldback.plausibility import _consonant_masses
 
 F = Fraction
@@ -46,18 +45,15 @@ VACUOUS_FRAMEWORKS = (
     Framework.CREDAL_SET, Framework.BELIEF_FUNCTION, Framework.POSSIBILITY)
 
 
-def brute_vacuity_witness(measure):
-    """First proper event, in member-tuple order, not valued ⟨0,1⟩.
+def brute_vacuity(measure):
+    """Whether every proper non-empty event is valued ⟨0,1⟩.
 
     Every proper non-empty event is built and sorted before the search.
     """
     n = measure.space.n
     proper = sorted((frozenset(s for s in range(n) if mask >> s & 1)
                      for mask in range(1, 2 ** n - 1)), key=event_key)
-    for event in proper:
-        if evaluate(measure, event) != Z_VACUOUS:
-            return event
-    return None
+    return all(evaluate(measure, event) == Z_VACUOUS for event in proper)
 
 
 class TestZPair:
@@ -69,7 +65,6 @@ class TestZPair:
         assert Z_BOTTOM == ZPair(F(0), F(0))
         assert Z_TOP == ZPair(F(1), F(1))
         assert Z_VACUOUS == ZPair(F(0), F(1))
-        assert Z_VACUOUS.width == F(1)
 
 
 class TestEvaluate:
@@ -118,7 +113,7 @@ class TestEvaluate:
     def test_monotone_in_the_event(self, n, data):
         measure = data.draw(cst.measures(n))
         space = StateSpace(n)
-        events = enumerate_events(space, include_empty=True)
+        events = list(iter_events(space, include_empty=True))
         for small, big in itertools.combinations(events, 2):
             if not small <= big:
                 continue
@@ -142,7 +137,7 @@ class TestVacuous:
         credal = vacuous(space, Framework.CREDAL_SET)
         assert credal.is_full_simplex
         belief = vacuous(space, Framework.BELIEF_FUNCTION)
-        assert belief.mass_of(space.full_event()) == F(1)
+        assert belief.masses == ((space.full_event(), F(1)),)
         possibility = vacuous(space, Framework.POSSIBILITY)
         assert possibility.grades == (F(1), F(1), F(1))
 
@@ -151,7 +146,7 @@ class TestVacuous:
     def test_every_proper_event_is_maximally_uncertain(self, framework, n):
         space = StateSpace(n)
         measure = vacuous(space, framework)
-        for event in enumerate_events(space, include_full=False):
+        for event in iter_events(space, include_full=False):
             assert evaluate(measure, event) == Z_VACUOUS
 
 
@@ -159,9 +154,7 @@ class TestIsVacuous:
     def test_accepts_the_canonical_representations(self):
         space = StateSpace(3)
         for framework in VACUOUS_FRAMEWORKS:
-            verdict = is_vacuous(vacuous(space, framework))
-            assert verdict
-            assert verdict.witness is None
+            assert is_vacuous(vacuous(space, framework)) is True
 
     def test_vertex_generators_span_the_simplex(self):
         space = StateSpace(2)
@@ -169,17 +162,13 @@ class TestIsVacuous:
         assert is_vacuous(vertices)
 
     def test_point_probability_is_not_vacuous(self):
-        verdict = is_vacuous(ProbabilityMeasure((F(1, 2), F(1, 2))))
-        assert not verdict
-        assert verdict.witness == frozenset({0})
+        assert is_vacuous(ProbabilityMeasure((F(1, 2), F(1, 2)))) is False
 
-    def test_witness_is_first_in_member_tuple_order(self):
+    def test_search_goes_past_vacuous_singletons(self):
         space = StateSpace(3)
         # vacuous on singletons {0} and {1} but pinned on {0,2}
         measure = CredalSetMeasure(space, ((F(1), F(0), F(0)), (F(0), F(0), F(1))))
-        verdict = is_vacuous(measure)
-        assert not verdict
-        assert verdict.witness == frozenset({0, 2})
+        assert is_vacuous(measure) is False
 
     def test_single_state_space_is_always_vacuous(self):
         assert is_vacuous(ProbabilityMeasure((F(1),)))
@@ -201,21 +190,15 @@ class TestIsVacuous:
     @settings(max_examples=80)
     def test_structural_shortcut_agrees_with_enumeration(self, n, data):
         measure = data.draw(cst.measures(n))
-        verdict = is_vacuous(measure)
-        witness = brute_vacuity_witness(measure)
-        assert verdict.vacuous == (witness is None)
-        assert verdict.witness == witness
+        assert is_vacuous(measure) is brute_vacuity(measure)
 
 
     @given(st.integers(2, 6), st.data())
     @settings(max_examples=120)
-    def test_lazy_search_finds_the_first_event_of_the_sorted_list(self, n, data):
+    def test_lazy_search_agrees_with_the_sorted_list(self, n, data):
         measure = data.draw(st.one_of(
             cst.credal_measures(n), cst.belief_measures(n), cst.possibility_measures(n)))
-        verdict = is_vacuous(measure)
-        witness = brute_vacuity_witness(measure)
-        assert verdict.vacuous == (witness is None)
-        assert verdict.witness == witness
+        assert is_vacuous(measure) is brute_vacuity(measure)
 
 
 class TestRestriction:
@@ -238,8 +221,7 @@ class TestRestriction:
         partition = Partition(space, (frozenset({0}), frozenset({1, 2})))
         got = restrict(measure, partition)
         # {0,1} meets both blocks, {2} only the second
-        assert got.mass_of(frozenset({0, 1})) == F(1, 2)
-        assert got.mass_of(frozenset({1})) == F(1, 2)
+        assert got.masses == ((frozenset({0, 1}), F(1, 2)), (frozenset({1}), F(1, 2)))
 
     def test_trivial_partition_gives_the_certain_atom(self):
         space = StateSpace(3)
@@ -297,7 +279,7 @@ class TestConditioning:
         measure = vacuous(space, Framework.BELIEF_FUNCTION)
         got = condition(measure, frozenset({1, 2}))
         assert got.space == StateSpace(2)
-        assert got.mass_of(frozenset({0, 1})) == F(1)
+        assert got.masses == ((frozenset({0, 1}), F(1)),)
 
     def test_possibility_conditioning_rescales_grades(self):
         measure = PossibilityMeasure((F(1, 2), F(1), F(1, 4)))
@@ -337,7 +319,7 @@ class TestConditioning:
     def test_ignorance_survives_every_conditioning(self, framework, n):
         space = StateSpace(n)
         measure = vacuous(space, framework)
-        for event in enumerate_events(space):
+        for event in iter_events(space):
             assert is_vacuous(condition(measure, event))
 
     @given(st.integers(2, 4), st.data())
@@ -410,7 +392,7 @@ class TestPossibilityAsNestedBelief:
     def test_consonant_masses_reproduce_the_measure(self, n, data):
         measure = data.draw(cst.possibility_measures(n))
         belief = _consonant_masses(measure)
-        for event in enumerate_events(StateSpace(n), include_empty=True):
+        for event in iter_events(StateSpace(n), include_empty=True):
             assert evaluate(measure, event) == evaluate(belief, event)
 
     def test_focal_elements_are_nested(self):
@@ -421,14 +403,18 @@ class TestPossibilityAsNestedBelief:
             assert smaller < larger
 
 
-class TestFrameworkOf:
-    def test_maps_each_measure_type(self):
+class TestFramework:
+    def test_each_measure_names_its_framework(self):
         space = StateSpace(2)
-        assert framework_of(ProbabilityMeasure((F(1), F(0)))) == Framework.PROBABILITY
-        assert framework_of(CredalSetMeasure.full_simplex(space)) == Framework.CREDAL_SET
-        assert framework_of(vacuous(space, Framework.BELIEF_FUNCTION)) == \
+        assert ProbabilityMeasure((F(1), F(0))).framework is Framework.PROBABILITY
+        assert CredalSetMeasure.full_simplex(space).framework is Framework.CREDAL_SET
+        assert vacuous(space, Framework.BELIEF_FUNCTION).framework is \
             Framework.BELIEF_FUNCTION
-        assert framework_of(PossibilityMeasure((F(1), F(1)))) == Framework.POSSIBILITY
+        assert PossibilityMeasure((F(1), F(1))).framework is Framework.POSSIBILITY
+
+    @pytest.mark.parametrize("framework", VACUOUS_FRAMEWORKS)
+    def test_vacuous_measures_belong_to_their_framework(self, framework):
+        assert vacuous(StateSpace(3), framework).framework is framework
 
 
 class TestMeasureValidation:
@@ -446,8 +432,7 @@ class TestMeasureValidation:
         measure = BeliefFunctionMeasure(space, (
             (frozenset({0}), F(1, 4)), (frozenset({0}), F(1, 4)),
             (frozenset({1}), F(0)), (space.full_event(), F(1, 2))))
-        assert measure.mass_of(frozenset({0})) == F(1, 2)
-        assert len(measure.masses) == 2
+        assert measure.masses == ((frozenset({0}), F(1, 2)), (space.full_event(), F(1, 2)))
 
     def test_possibility_needs_a_fully_possible_state(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,50 @@
+"""The two scripts run end to end on small grids and print what they did.
+
+Each script runs in its own interpreter, as a user would start it; the
+timings it prints are stripped before the lines are compared.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMING = re.compile(r"(\s+\[\d+\.\d+s\]| in \d+\.\d+s)$")
+
+SWEEP = [
+    "sweep: n in [2, 3], grid k/2, 3 frameworks",
+    "anchored(0)       folding failures:      0",
+    "anchored(1/2)     folding failures:      0",
+    "anchored(1)       folding failures:      0",
+    "min               folding failures:      0",
+    "max               folding failures:      0",
+    "hurwicz(1/2)      folding failures:    144  first: f=(0, 0, 1/2)"
+    " H=[[0, 2], [1]] 1/4 vs 1/8",
+    "median            folding failures:     54  first: f=(0, 1/2, 1)"
+    " H=[[0, 1], [2]] 1/2 vs 0  broken properties: Range",
+]
+
+TABLES = [
+    "3 lawful tables on grid k/2 (modulus 1)",
+    "",
+    "table 0: anchored(0)",
+    "",
+    "table 1: anchored(1/2)",
+    "",
+    "table 2: anchored(1)",
+]
+
+
+@pytest.mark.parametrize("script,args,expected", [
+    ("sweep_rules.py",
+     ["--max-states", "3", "--denominator", "2", "--anchor-denominator", "2"], SWEEP),
+    ("enumerate_tables.py", ["--denominator", "2", "--quiet"], TABLES),
+])
+def test_script_prints_its_summary(script, args, expected):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [TIMING.sub("", line) for line in done.stdout.splitlines()] == expected
