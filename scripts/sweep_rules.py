@@ -10,6 +10,7 @@ Example:
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from fractions import Fraction
@@ -41,13 +42,10 @@ def describe(rule) -> str:
 
 def sweep(rule, cfg: SearchConfig, stop_at_first: bool) -> str:
     op = CeOperator(rule)
-    run_cfg = SearchConfig(
-        sizes=cfg.sizes, denominator=cfg.denominator,
-        frameworks=cfg.frameworks, partition_cap=cfg.partition_cap,
-        stop_at_first=stop_at_first)
+    run_cfg = dataclasses.replace(cfg, stop_at_first=stop_at_first)
     started = time.perf_counter()
     failures = check_sequential_exhaustive(op, run_cfg)
-    properties = check_ev_properties(op, run_cfg)
+    properties = check_ev_properties(rule, cfg.denominator)
     elapsed = time.perf_counter() - started
     broken = [r.law.value for r in properties if not r.passed]
     parts = [f"{describe(rule):<16}"]

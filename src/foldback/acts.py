@@ -47,29 +47,6 @@ def event_key(event: Event) -> tuple[int, ...]:
     return tuple(sorted(event))
 
 
-def iter_events(space: StateSpace, *, include_empty: bool = False,
-                include_full: bool = True) -> Iterator[Event]:
-    """All events of the space in lexicographic member-tuple order, lazily.
-
-    The member tuple steps to its successor in that order: extend it by
-    the next state, or, when its last state is the last of the space,
-    drop that state and advance the one before it.
-    """
-    if include_empty:
-        yield frozenset()
-    last = space.n - 1
-    members = [0]
-    while members:
-        if include_full or len(members) <= last:
-            yield frozenset(members)
-        if members[-1] < last:
-            members.append(members[-1] + 1)
-        else:
-            members.pop()
-            if members:
-                members[-1] += 1
-
-
 @dataclass(frozen=True)
 class Partition:
     """An ordered partition of a state space into non-empty blocks.
@@ -130,13 +107,14 @@ def partition_from_rgs(space: StateSpace, rgs: tuple[int, ...]) -> Partition:
     return Partition(space, ordered)
 
 
-def enumerate_partitions(space: StateSpace, *, cap: int = PARTITION_CAP) -> list[Partition]:
+def enumerate_partitions(space: StateSpace) -> list[Partition]:
     """All partitions of the space, in restricted-growth string order.
 
     The count is the Bell number of n, so refuse spaces above the cap.
     """
-    if space.n > cap:
-        raise CapExceeded(f"partition enumeration capped at n <= {cap}, got {space.n}")
+    if space.n > PARTITION_CAP:
+        raise CapExceeded(
+            f"partition enumeration capped at n <= {PARTITION_CAP}, got {space.n}")
     return [partition_from_rgs(space, rgs) for rgs in restricted_growth_strings(space.n)]
 
 

@@ -559,7 +559,7 @@ def cmd_check(problem: ProblemFile, which: Optional[str] = None) -> ReportFile:
         echo["grid-denominator"] = denominator
     elif suite == "ev-properties":
         denominator = problem.grid_denominator or 4
-        reports = check_ev_properties(op, SearchConfig(denominator=denominator))
+        reports = check_ev_properties(op.vacuous_rule, denominator)
         echo = _problem_echo(problem, suite=suite)
         echo["grid-denominator"] = denominator
     elif suite == "set-order":

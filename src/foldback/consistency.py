@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .acts import Act, Partition, StateSpace, condition_act, enumerate_partitions
+from .acts import PARTITION_CAP, Act, Partition, StateSpace, condition_act, enumerate_partitions
 from .ce_ops import (
     CeOperator,
     GammaFunction,
@@ -110,7 +110,6 @@ class SearchConfig:
     sizes: tuple[int, ...] = (2, 3, 4)
     denominator: int = 4
     frameworks: tuple[Framework, ...] = VACUOUS_FRAMEWORKS
-    partition_cap: int = 8
     stop_at_first: bool = False
 
     def __post_init__(self) -> None:
@@ -181,9 +180,9 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     folded) is that of `check_sequential`, so a rule that raises does so
     on the same input.
     """
-    if max(cfg.sizes) > cfg.partition_cap:
+    if max(cfg.sizes) > PARTITION_CAP:
         raise CapExceeded(
-            f"sweep capped at n <= {cfg.partition_cap}, asked for {max(cfg.sizes)}")
+            f"sweep capped at n <= {PARTITION_CAP}, asked for {max(cfg.sizes)}")
     rule = op.vacuous_rule
     grid = unit_grid(cfg.denominator)
     interned: list[Fraction] = []
@@ -205,7 +204,7 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     for n in cfg.sizes:
         # each block as the bitmask of its states
         shapes = [(H, [sum(1 << s for s in block) for block in H.blocks])
-                  for H in enumerate_partitions(StateSpace(n), cap=cfg.partition_cap)]
+                  for H in enumerate_partitions(StateSpace(n))]
         subsets = range(1, 1 << n)
         for act_index in itertools.product(range(len(grid)), repeat=n):
             # outcome set of every non-empty set of states, built by
@@ -274,21 +273,14 @@ def _levels(values: dict, denominator: int = 1) -> tuple[int, dict]:
                    for key, v in values.items()}
 
 
-def _gap_limit(bound, scale: int):
-    """A limit t with |A - B| > t exactly when |A - B| / scale > bound.
-
-    A and B are integers. An integer exceeds a real number exactly when
-    it exceeds its floor, so t is the floor of bound * scale, taken
-    exactly: a float bound counts at its exact binary value, as it does
-    against a Fraction. A NaN or infinite float bound is kept as it is,
-    since integers compare with it as Fractions do.
-    """
-    if isinstance(bound, float) and not math.isfinite(bound):
-        return bound
-    return math.floor(Fraction(bound) * scale)
+def _check_modulus(lipschitz) -> None:
+    """Refuse a Lipschitz modulus that is not exact: a float bound rounds."""
+    if not isinstance(lipschitz, (int, Fraction)):
+        raise ValidationError(
+            f"the Lipschitz modulus must be an int or a Fraction, got {lipschitz!r}")
 
 
-def _gamma_laws(denominator: int, lipschitz):
+def _gamma_laws(denominator: int, lipschitz: Fraction):
     """The pair-rule laws on the grid {k/denominator}, as a checker of tables.
 
     The returned function takes the table as integer levels over
@@ -306,7 +298,6 @@ def _gamma_laws(denominator: int, lipschitz):
     # so neighbor checks decide monotonicity and the modulus exactly
     neighbors = [((i, j), (i2, j2)) for i, j in pairs
                  for i2, j2 in ((i - 1, j), (i, j - 1)) if 0 <= i2 <= j2]
-    step_limit = _Memo(lambda scale: _gap_limit(lipschitz * Fraction(1, denominator), scale))
 
     def laws(level: dict, scale: int, fraction, apply) -> list:
         unit = scale // denominator
@@ -352,7 +343,9 @@ def _gamma_laws(denominator: int, lipschitz):
                         fraction(g), fraction(gyy), _pair_probe(x, y), _pair_probe(y, y))
 
         def lipschitz_continuity():
-            limit = step_limit[scale]
+            # the modulus times one grid step, in levels, floored: an
+            # integer gap exceeds a rational exactly when it exceeds its floor
+            limit = lipschitz * scale // denominator
             for a, b in neighbors:
                 if abs(level[a] - level[b]) > limit:
                     yield neighbor_witness(a, b)
@@ -375,6 +368,7 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     (iii) stability under replacing either argument by its own
     equivalent, and the Lipschitz modulus standing in for continuity.
     """
+    _check_modulus(lipschitz)
     grid = unit_grid(denominator)
     value = {(i, j): gamma_apply(rule, ZPair(x, y))
              for i, x in enumerate(grid) for j, y in enumerate(grid) if i <= j}
@@ -392,7 +386,7 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     return [_report(law, witnesses) for law, witnesses in laws]
 
 
-def check_ev_properties(op: CeOperator, cfg: SearchConfig, *,
+def check_ev_properties(rule: VacuousRule, denominator: int, *,
                         lipschitz: Fraction = DEFAULT_LIPSCHITZ) -> list[LawReport]:
     """The evaluation-model properties on outcome sets over the grid.
 
@@ -400,8 +394,8 @@ def check_ev_properties(op: CeOperator, cfg: SearchConfig, *,
     up to four grid points; Monotonicity and the Lipschitz surrogate on
     dominating pairs.
     """
-    rule = op.vacuous_rule
-    grid = unit_grid(cfg.denominator)
+    _check_modulus(lipschitz)
+    grid = unit_grid(denominator)
     label = [_fmt(x) for x in grid]
     # outcome sets as bitmasks over grid indices
     value = _Memo(lambda mask: ce_vacuous(rule, frozenset(grid[k] for k in _members(mask))))
@@ -429,9 +423,9 @@ def check_ev_properties(op: CeOperator, cfg: SearchConfig, *,
     pair_value = {(i, j): value[1 << i | 1 << j] for i, j in pairs}
     scale, level = _levels(pair_value)
     # the modulus times each index distance |i - i2| + |j - j2|, in grid
-    # steps, as a limit on the gap between levels
-    limit = [_gap_limit(lipschitz * Fraction(d, cfg.denominator), scale)
-             for d in range(2 * len(grid) - 1)]
+    # steps, as a limit on the gap between levels, floored as in the gamma
+    # laws' Lipschitz check
+    limit = [lipschitz * d * scale // denominator for d in range(2 * len(grid) - 1)]
     rows = [(i, j, level[i, j]) for i, j in pairs]
     mono: list[Witness] = []
     lipped: list[Witness] = []
@@ -549,12 +543,12 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     stops at the first witness. Cells hold grid indices, which are the
     table's levels over the scale `denominator`.
     """
+    _check_modulus(lipschitz)
     grid = unit_grid(denominator)
     laws = _gamma_laws(denominator, lipschitz)
-    reach = lipschitz * Fraction(1, denominator)
-    # the last grid index within reach above each grid point, found with
-    # the comparison the box is defined by (a float modulus rounds there)
-    cap = [sum(1 for x in grid if x <= min(ONE, v + reach)) - 1 for v in grid]
+    # a value may exceed its neighbor's by the modulus times one grid
+    # step, so by this many whole grid steps
+    reach = math.floor(lipschitz)
     cells = [(i, j) for i in range(len(grid)) for j in range(i + 1, len(grid))]
     table = {(k, k): k for k in range(len(grid))}
     found: list[Tabulated] = []
@@ -573,10 +567,10 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
             return
         i, j = cells[index]
         below = table[i, j - 1]
-        lo, hi = max(i, below), min(j, cap[below])
+        lo, hi = max(i, below), min(j, below + reach)
         if i:
             left = table[i - 1, j]
-            lo, hi = max(lo, left), min(hi, cap[left])
+            lo, hi = max(lo, left), min(hi, left + reach)
         for k in range(lo, hi + 1):
             table[i, j] = k
             fill(index + 1)

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .acts import Act, Event, Partition, StateSpace, event_key, iter_events
+from .acts import Act, Event, Partition, StateSpace, event_key
 from .errors import (
-    CapExceeded,
     EmptyEvent,
     FrameworkMismatch,
     NoVacuousRepresentation,
@@ -34,8 +33,6 @@ from .errors import (
     ZeroPlausibilityEvent,
 )
 from .rationals import ONE, ZERO, ensure_unit
-
-IS_VACUOUS_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,7 @@ class ProbabilityMeasure:
         return ZPair(value, value)
 
     def _vacuous_by_shape(self) -> bool:
+        # on two or more states a singleton's value is a point, not [0, 1]
         return False
 
 
@@ -192,7 +190,12 @@ class CredalSetMeasure:
         return ZPair(min(values), max(values))
 
     def _vacuous_by_shape(self) -> bool:
-        return self.is_full_simplex
+        # a singleton's upper value is 1 only under its own unit vector
+        if self.is_full_simplex:
+            return True
+        # an entry 1 leaves the others 0, so these are the unit vectors' states
+        units = {gen.index(ONE) for gen in self.generators if ONE in gen}
+        return len(units) == self.space.n
 
 
 @dataclass(frozen=True)
@@ -262,6 +265,7 @@ class BeliefFunctionMeasure:
         return ZPair(lower, upper)
 
     def _vacuous_by_shape(self) -> bool:
+        # any other focal element is a proper event with positive belief
         return self.masses == ((self.space.full_event(), ONE),)
 
 
@@ -304,6 +308,7 @@ class PossibilityMeasure:
         return _consonant_masses(self)._expectation(outcomes)
 
     def _vacuous_by_shape(self) -> bool:
+        # a state graded below 1 is a singleton whose upper value is below 1
         return all(g == ONE for g in self.grades)
 
 
@@ -340,20 +345,13 @@ def vacuous(space: StateSpace, framework: Framework) -> PlausibilityMeasure:
     raise FrameworkMismatch(f"unknown framework: {framework!r}")
 
 
-def is_vacuous(measure: PlausibilityMeasure, *, cap: int = IS_VACUOUS_CAP) -> bool:
+def is_vacuous(measure: PlausibilityMeasure) -> bool:
     """Decide total ignorance: every proper non-empty event valued [0, 1].
 
-    A single state, or the canonical ignorant shape of the measure's
-    framework, decides at once; otherwise the proper events are searched
-    in lexicographic member-tuple order up to the first that fails. The
-    cap bounds that search, so it does not apply where the shape decides.
+    A single state has no proper non-empty event to fail on; on more
+    states the measure's shape decides exactly, so no event is valued.
     """
-    if measure.space.n == 1 or measure._vacuous_by_shape():
-        return True  # a single state has no proper non-empty event to fail on
-    if measure.space.n > cap:
-        raise CapExceeded(f"vacuity check capped at n <= {cap}, got {measure.space.n}")
-    return all(measure._value(event) == Z_VACUOUS
-               for event in iter_events(measure.space, include_full=False))
+    return measure.space.n == 1 or measure._vacuous_by_shape()
 
 
 def restrict(measure: PlausibilityMeasure, partition: Partition) -> PlausibilityMeasure:

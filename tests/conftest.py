@@ -4,6 +4,7 @@ Everything is generated exactly: probability vectors come from integer
 weights normalized by their sum, so they add to 1 with no rounding.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -30,7 +31,16 @@ from foldback import (
     StateSpace,
     enumerate_partitions,
 )
-from foldback.acts import iter_events
+
+
+def all_events(n: int, *, empty: bool = False, full: bool = True) -> list:
+    """The events on range(n) by size, the empty and full ones as asked."""
+    sizes = range(0 if empty else 1, n + 1 if full else n)
+    return [frozenset(c) for k in sizes for c in itertools.combinations(range(n), k)]
+
+
+def unit_vectors(n: int) -> list:
+    return [tuple(Fraction(int(s == t)) for t in range(n)) for s in range(n)]
 
 
 def unit_fractions(max_denominator: int = 16):
@@ -63,12 +73,27 @@ def credal_measures(n: int):
     space = StateSpace(n)
     with_generators = st.lists(probability_vectors(n), min_size=1, max_size=4).map(
         lambda gens: CredalSetMeasure(space, tuple(gens)))
-    return st.one_of(st.just(CredalSetMeasure.full_simplex(space)), with_generators)
+    return st.one_of(st.just(CredalSetMeasure.full_simplex(space)), with_generators,
+                     credal_measures_near_unit_vectors(n))
+
+
+def credal_measures_near_unit_vectors(n: int):
+    """Generators in any order: every unit vector, or all but one
+    (on two or more states), plus up to three other vectors."""
+    space = StateSpace(n)
+    units = unit_vectors(n)
+    kept = st.just(units)
+    if n > 1:
+        kept = st.one_of(kept, st.integers(0, n - 1).map(
+            lambda s: units[:s] + units[s + 1:]))
+    return st.tuples(kept, st.lists(probability_vectors(n), max_size=3)).flatmap(
+        lambda parts: st.permutations(parts[0] + parts[1])).map(
+        lambda gens: CredalSetMeasure(space, tuple(gens)))
 
 
 def belief_measures(n: int):
     space = StateSpace(n)
-    events = list(iter_events(space))
+    events = all_events(n)
 
     def build(raw: list) -> BeliefFunctionMeasure:
         total = sum(weight for _, weight in raw)
@@ -102,5 +127,28 @@ def partitions(n: int):
 
 
 def events(n: int, proper: bool = False):
+    return st.sampled_from(all_events(n, full=not proper))
+
+
+def shape_cases(n: int) -> list:
+    """(label, measure, vacuous) for each framework on n >= 2 states: a
+    vacuous measure, not in canonical form where the framework has one,
+    and a measure one step from vacuous. No probability is vacuous."""
     space = StateSpace(n)
-    return st.sampled_from(list(iter_events(space, include_full=not proper)))
+    full = space.full_event()
+    units = unit_vectors(n)
+    uniform = (Fraction(1, n),) * n
+    half, one = Fraction(1, 2), Fraction(1)
+    return [
+        ("credal-every-unit-vector", CredalSetMeasure(space, (uniform, *units)), True),
+        ("credal-all-but-one-unit-vector",
+         CredalSetMeasure(space, (*units[1:], uniform)), False),
+        ("belief-split-mass-on-full-event",
+         BeliefFunctionMeasure(space, ((full, half), (full, half))), True),
+        ("belief-some-mass-off-full-event",
+         BeliefFunctionMeasure(space, ((full, Fraction(99, 100)),
+                                       (full - {0}, Fraction(1, 100)))), False),
+        ("possibility-every-grade-1", PossibilityMeasure((one,) * n), True),
+        ("possibility-one-grade-1/2", PossibilityMeasure((half,) + (one,) * (n - 1)), False),
+        ("probability-uniform", ProbabilityMeasure(uniform), False),
+    ]

@@ -196,6 +196,19 @@ class TestCeDispatch:
         act = Act((F(0),) * (n - 1) + (F(1),))
         assert ce(op, vacuous(StateSpace(n), framework), act) == F(1, 2)
 
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_shape_decides_the_route_at_any_size(self, n):
+        op = CeOperator(Hurwicz(F(1, 2)))
+        act = Act((F(0), F(1, 2)) + (F(1, 4),) * (n - 2))
+        for label, measure, vacuous_shape in cst.shape_cases(n):
+            if measure.framework is Framework.PROBABILITY:
+                assert ce(op, measure, act) == expected_utility(measure, act), label
+            elif vacuous_shape:
+                assert ce(op, measure, act) == F(1, 4), label
+            else:
+                with pytest.raises(UnsupportedCombination):
+                    ce(op, measure, act)
+
     def test_ignorance_route_accepts_the_median(self):
         op = CeOperator(MedianRule())
         measure = vacuous(StateSpace(3), Framework.CREDAL_SET)

@@ -446,6 +446,17 @@ class TestMain:
         assert captured.out == ""
         assert "--epsilon-list" in captured.err
 
+    def test_certainty_mode_above_twelve_states(self, tmp_path, capsys):
+        act = ["0", "1/2", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1/4"]
+        path = self.write_problem(
+            tmp_path, {"act": act, "operator": dict(HURWICZ_HALF),
+                       "mode": "certainty", "state": 2})
+        assert main(["consensus", "--problem", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["agree"] is True
+        assert payload["values"] == {
+            "credal-set": "1", "belief-function": "1", "possibility": "1"}
+
     def test_table_format(self, tmp_path, capsys):
         path = self.write_problem(tmp_path, evaluate_problem())
         assert main(["evaluate", "--problem", path, "--format", "table"]) == 0

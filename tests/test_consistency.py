@@ -225,15 +225,14 @@ class TestGammaLaws:
 class TestEvProperties:
     def test_clamp_rules_pass(self):
         for anchor in unit_grid(4):
-            op = CeOperator(Anchored(anchor))
-            assert all(r.passed for r in check_ev_properties(op, SMALL))
+            assert all(r.passed for r in check_ev_properties(Anchored(anchor), 4))
 
     def test_extreme_rules_pass(self):
         for rule in (MinRule(), MaxRule()):
-            assert all(r.passed for r in check_ev_properties(CeOperator(rule), SMALL))
+            assert all(r.passed for r in check_ev_properties(rule, 4))
 
     def test_median_fails_range_with_interior_witness(self):
-        reports = {r.law: r for r in check_ev_properties(CeOperator(MedianRule()), SMALL)}
+        reports = {r.law: r for r in check_ev_properties(MedianRule(), 4)}
         assert reports[LawId.UNANIMITY].passed
         range_report = reports[LawId.RANGE]
         assert not range_report.passed
@@ -245,8 +244,7 @@ class TestEvProperties:
 
     def test_interpolating_rule_passes_set_level_properties(self):
         # the failure of folding is not visible at the one-shot level
-        op = CeOperator(Hurwicz(F(1, 2)))
-        assert all(r.passed for r in check_ev_properties(op, SMALL))
+        assert all(r.passed for r in check_ev_properties(Hurwicz(F(1, 2)), 4))
 
 
 class TestSetOrderConditions:
@@ -333,7 +331,7 @@ class TestGridScaleCharacterization:
         for rule in self.RULES:
             op = CeOperator(rule)
             consistent = not check_sequential_exhaustive(op, SMALL) and all(
-                report.passed for report in check_ev_properties(op, SMALL))
+                report.passed for report in check_ev_properties(rule, SMALL.denominator))
             clamp_shaped = self.grid_restriction(rule) in clamp_restrictions
             assert consistent == clamp_shaped, rule
 

@@ -31,6 +31,7 @@ from foldback import (
     SearchConfig,
     StateSpace,
     Tabulated,
+    ValidationError,
     ZPair,
     ce,
     ce_vacuous,
@@ -65,7 +66,7 @@ def reference_sequential_exhaustive(op, cfg):
         space = StateSpace(n)
         ignorant = {fw: vacuous(space, fw) for fw in cfg.frameworks}
         prepared = []
-        for H in enumerate_partitions(space, cap=cfg.partition_cap):
+        for H in enumerate_partitions(space):
             per_fw = tuple(
                 (fw,
                  restrict(ignorant[fw], H),
@@ -178,9 +179,8 @@ def reference_gamma_laws(rule, denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
     ]
 
 
-def reference_ev_properties(op, cfg, *, lipschitz=DEFAULT_LIPSCHITZ):
-    rule = op.vacuous_rule
-    grid = unit_grid(cfg.denominator)
+def reference_ev_properties(rule, denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
+    grid = unit_grid(denominator)
     pairs = [(x, y) for x in grid for y in grid if x <= y]
 
     unanimity = []
@@ -347,10 +347,11 @@ RULES = {
     "table-steep": STEEP,
 }
 PAIR_RULES = {name: rule for name, rule in RULES.items() if name != "median"}
-# negative, zero, fractional, integer, huge and non-finite moduli; 1/2
-# as a float rounds its bound on k/3 below the exact 1/6
-MODULI = [F(-1), -0.5, F(0), F(1, 3), F(1), 2, F(10 ** 6), 0.1, 0.5,
-          float("inf"), float("-inf"), float("nan")]
+# negative, zero, fractional, integer and huge moduli, exact at the
+# points where a float would round: 1/2 bounds Hurwicz(1/2)'s gaps on k/3
+# at exactly 1/6, and 1/10 has no binary expansion
+MODULI = [F(-10 ** 6), F(-1), F(-1, 2), F(0), F(1, 10), F(1, 6), F(1, 3),
+          F(1, 2), F(1), F(3, 2), 2, F(10 ** 6)]
 GRIDS = list(range(1, 17))
 REVERSED = (Framework.POSSIBILITY, Framework.BELIEF_FUNCTION, Framework.CREDAL_SET)
 
@@ -451,36 +452,38 @@ def test_gamma_laws_match_reference_for_any_modulus(rule, denominator, lipschitz
 @rules(RULES)
 @pytest.mark.parametrize("denominator", GRIDS[:8])
 def test_ev_properties_match_reference(rule, denominator):
-    cfg = SearchConfig(denominator=denominator)
-    op = CeOperator(rule)
-    expected = _run(reference_ev_properties, op, cfg)
-    assert _run(check_ev_properties, op, cfg) == expected
+    expected = _run(reference_ev_properties, rule, denominator)
+    assert _run(check_ev_properties, rule, denominator) == expected
 
 
 @pytest.mark.parametrize("name,denominator", [
     ("anchored-1/3", 12), ("median", 12), ("hurwicz-2/3", 16)])
 def test_ev_properties_match_reference_on_fine_grids(name, denominator):
-    cfg = SearchConfig(denominator=denominator)
-    op = CeOperator(RULES[name])
-    assert check_ev_properties(op, cfg) == reference_ev_properties(op, cfg)
+    rule = RULES[name]
+    assert check_ev_properties(rule, denominator) == \
+        reference_ev_properties(rule, denominator)
 
 
 @moduli()
 @pytest.mark.parametrize("denominator", [3, 4])
 @rules_named("hurwicz-1/4", "anchored-1/3", "median", "table-steep")
 def test_ev_properties_match_reference_for_any_modulus(rule, denominator, lipschitz):
-    cfg = SearchConfig(denominator=denominator)
-    op = CeOperator(rule)
-    expected = _run(reference_ev_properties, op, cfg, lipschitz=lipschitz)
-    assert _run(check_ev_properties, op, cfg, lipschitz=lipschitz) == expected
+    expected = _run(reference_ev_properties, rule, denominator, lipschitz=lipschitz)
+    assert _run(check_ev_properties, rule, denominator, lipschitz=lipschitz) == expected
 
 
-def test_float_modulus_counts_at_its_rounded_bound():
-    # 0.5 times one step of k/3 is a float just below 1/6, so the gaps of
-    # exactly 1/6 that Hurwicz(1/2) makes there exceed it
-    reports = check_gamma_laws(Hurwicz(F(1, 2)), 3, lipschitz=0.5)
-    assert not reports[-1].passed
-    assert check_gamma_laws(Hurwicz(F(1, 2)), 3, lipschitz=F(1, 2))[-1].passed
+@pytest.mark.parametrize("check", [
+    lambda lipschitz: check_gamma_laws(Hurwicz(F(1, 2)), 3, lipschitz=lipschitz),
+    lambda lipschitz: check_ev_properties(Hurwicz(F(1, 2)), 3, lipschitz=lipschitz),
+    lambda lipschitz: enumerate_lawful_gamma_tables(3, lipschitz=lipschitz),
+], ids=["gamma-laws", "ev-properties", "lawful-tables"])
+@pytest.mark.parametrize("lipschitz", [0.5, 1.0, float("inf"), float("nan")], ids=str)
+def test_float_modulus_is_refused(check, lipschitz):
+    # 0.5 times one step of k/3 rounds below 1/6, so Hurwicz(1/2)'s
+    # exact gaps of 1/6 would read as breaking the modulus
+    with pytest.raises(ValidationError, match="Lipschitz modulus"):
+        check(lipschitz)
+    check(F(1, 2))  # the same modulus, exact, is accepted
 
 
 @rules(RULES)
@@ -523,9 +526,9 @@ def test_set_order_matches_reference_on_odd_families(rule, family):
 
 @pytest.mark.parametrize("denominator,lipschitz", [
     (denominator, lipschitz) for denominator in (1, 2, 3, 4) for lipschitz in MODULI
-    # on k/4 a loose box costs the reference about 2 s a modulus, so NaN
-    # (as loose as inf) and 2 run on the coarser grids only
-    if denominator < 4 or not (lipschitz != lipschitz or lipschitz == 2)], ids=str)
+    # on k/4 a loose box costs the reference about 2 s a modulus, so 3/2
+    # and 2 run on the coarser grids only
+    if denominator < 4 or lipschitz not in (F(3, 2), 2)], ids=str)
 def test_lawful_tables_match_reference(denominator, lipschitz):
     assert enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz) == \
         reference_lawful_gamma_tables(denominator, lipschitz=lipschitz)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import conftest as cst
 from foldback import (
     BeliefFunctionMeasure,
-    CapExceeded,
     CredalSetMeasure,
     EmptyEvent,
     Framework,
@@ -32,7 +31,7 @@ from foldback import (
     restrict,
     vacuous,
 )
-from foldback.acts import Act, event_key, iter_events
+from foldback.acts import Act, event_key
 from foldback.plausibility import _consonant_masses
 
 F = Fraction
@@ -112,8 +111,7 @@ class TestEvaluate:
     @settings(max_examples=60)
     def test_monotone_in_the_event(self, n, data):
         measure = data.draw(cst.measures(n))
-        space = StateSpace(n)
-        events = list(iter_events(space, include_empty=True))
+        events = cst.all_events(n, empty=True)
         for small, big in itertools.combinations(events, 2):
             if not small <= big:
                 continue
@@ -146,7 +144,7 @@ class TestVacuous:
     def test_every_proper_event_is_maximally_uncertain(self, framework, n):
         space = StateSpace(n)
         measure = vacuous(space, framework)
-        for event in iter_events(space, include_full=False):
+        for event in cst.all_events(n, full=False):
             assert evaluate(measure, event) == Z_VACUOUS
 
 
@@ -164,27 +162,27 @@ class TestIsVacuous:
     def test_point_probability_is_not_vacuous(self):
         assert is_vacuous(ProbabilityMeasure((F(1, 2), F(1, 2)))) is False
 
-    def test_search_goes_past_vacuous_singletons(self):
+    def test_missing_unit_vector_is_not_vacuous(self):
         space = StateSpace(3)
-        # vacuous on singletons {0} and {1} but pinned on {0,2}
+        # vacuous on singletons {0} and {2} but pinned on {1}
         measure = CredalSetMeasure(space, ((F(1), F(0), F(0)), (F(0), F(0), F(1))))
         assert is_vacuous(measure) is False
 
     def test_single_state_space_is_always_vacuous(self):
         assert is_vacuous(ProbabilityMeasure((F(1),)))
 
-    def test_cap_is_enforced_before_enumerating(self):
-        # one grade below 1: the shape does not decide, so the search would run
-        space = StateSpace(13)
-        grades = (F(1, 2),) + tuple(F(1) for _ in range(space.n - 1))
-        with pytest.raises(CapExceeded):
-            is_vacuous(PossibilityMeasure(grades))
+    @pytest.mark.parametrize("n", [2, 3, 6, 13, 20])
+    def test_shape_decides_at_any_size(self, n):
+        # n <= 6 confirms each case's verdict by valuing every event
+        for label, measure, expected in cst.shape_cases(n):
+            assert is_vacuous(measure) is expected, label
+            if n <= 6:
+                assert brute_vacuity(measure) is expected, label
 
     @pytest.mark.parametrize("n", [13, 20])
-    def test_credal_generators_above_the_cap_still_refused(self, n):
+    def test_credal_generators_without_unit_vectors_are_not_vacuous(self, n):
         uniform = tuple(F(1, n) for _ in range(n))
-        with pytest.raises(CapExceeded):
-            is_vacuous(CredalSetMeasure(StateSpace(n), (uniform,)))
+        assert is_vacuous(CredalSetMeasure(StateSpace(n), (uniform,))) is False
 
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=80)
@@ -195,9 +193,15 @@ class TestIsVacuous:
 
     @given(st.integers(2, 6), st.data())
     @settings(max_examples=120)
-    def test_lazy_search_agrees_with_the_sorted_list(self, n, data):
+    def test_shape_agrees_with_enumeration_up_to_six_states(self, n, data):
         measure = data.draw(st.one_of(
             cst.credal_measures(n), cst.belief_measures(n), cst.possibility_measures(n)))
+        assert is_vacuous(measure) is brute_vacuity(measure)
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=120)
+    def test_unit_vector_generators_decide_credal_vacuity(self, n, data):
+        measure = data.draw(cst.credal_measures_near_unit_vectors(n))
         assert is_vacuous(measure) is brute_vacuity(measure)
 
 
@@ -319,7 +323,7 @@ class TestConditioning:
     def test_ignorance_survives_every_conditioning(self, framework, n):
         space = StateSpace(n)
         measure = vacuous(space, framework)
-        for event in iter_events(space):
+        for event in cst.all_events(n):
             assert is_vacuous(condition(measure, event))
 
     @given(st.integers(2, 4), st.data())
@@ -392,7 +396,7 @@ class TestPossibilityAsNestedBelief:
     def test_consonant_masses_reproduce_the_measure(self, n, data):
         measure = data.draw(cst.possibility_measures(n))
         belief = _consonant_masses(measure)
-        for event in iter_events(StateSpace(n), include_empty=True):
+        for event in cst.all_events(n, empty=True):
             assert evaluate(measure, event) == evaluate(belief, event)
 
     def test_focal_elements_are_nested(self):
