@@ -17,7 +17,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from foldback import Anchored, ZPair, enumerate_lawful_gamma_tables, gamma_apply, tabulate
+from foldback import (
+    Anchored,
+    EngineError,
+    ZPair,
+    enumerate_lawful_gamma_tables,
+    gamma_apply,
+    tabulate,
+)
 from foldback.rationals import format_rational, unit_grid
 
 
@@ -69,4 +76,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except EngineError as exc:
+        # the CLI's contract: one line on stderr and exit 2, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from foldback import (
     Anchored,
     CeOperator,
+    EngineError,
     Hurwicz,
     MaxRule,
     MedianRule,
@@ -93,4 +94,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except EngineError as exc:
+        # the CLI's contract: one line on stderr and exit 2, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

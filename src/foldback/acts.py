@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .errors import CapExceeded, EmptyEvent, SpaceMismatch, ValidationError
-from .rationals import ensure_unit
+from .rationals import _integer_image, ensure_unit
 
 Utility = Fraction
 Event = frozenset  # frozenset[int]
@@ -131,9 +132,21 @@ class Act:
             self, "outcomes",
             tuple(ensure_unit(Fraction(u), "outcome") for u in self.outcomes))
 
+    @classmethod
+    def _trusted(cls, outcomes: tuple[Utility, ...]) -> Act:
+        """An act the engine derived from valid outcomes, built unchecked."""
+        act = object.__new__(cls)
+        object.__setattr__(act, "outcomes", outcomes)
+        return act
+
     @property
     def space(self) -> StateSpace:
         return StateSpace(len(self.outcomes))
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """The outcomes as integer numerators over one denominator."""
+        return _integer_image(self.outcomes)
 
 
 def outcome_set(act: Act) -> frozenset:
@@ -151,4 +164,4 @@ def condition_act(act: Act, event: Event) -> Act:
         raise EmptyEvent("cannot condition an act on the empty event")
     if not act.space.contains_event(event):
         raise SpaceMismatch(f"event {sorted(event)} leaves the act's space")
-    return Act(tuple(act.outcomes[s] for s in sorted(event)))
+    return Act._trusted(tuple(act.outcomes[s] for s in sorted(event)))

@@ -22,7 +22,7 @@ from .plausibility import (
     expectation_bounds,
     vacuous,
 )
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, _integer_image
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,20 @@ class ContaminationFamily:
         return StateSpace(len(self.base))
 
     def member(self, epsilon: Fraction) -> CredalSetMeasure:
+        # with epsilon = p/q and the base as b/D, generator s has entry t
+        # ((q - p) * b[t] + p * D * [s == t]) / (q * D), summing to 1
+        epsilon = Fraction(epsilon)
+        p, q = epsilon.numerator, epsilon.denominator
+        base, scale = _integer_image(self.base)
         generators = tuple(
-            tuple((ONE - epsilon) * w + (epsilon if s == t else ZERO)
-                  for t, w in enumerate(self.base))
+            tuple((q - p) * b + (p * scale if s == t else 0) for t, b in enumerate(base))
             for s in self.space.states)
-        return CredalSetMeasure(self.space, generators)
+        # only an epsilon outside [0, 1] can leave an entry negative
+        negative = next((w for gen in generators for w in gen if w < 0), None)
+        if negative is not None:
+            raise ValidationError(
+                f"credal generator has a negative entry: {Fraction(negative, q * scale)}")
+        return CredalSetMeasure._trusted(self.space, generators, q * scale)
 
 
 @dataclass(frozen=True)
@@ -117,11 +126,11 @@ def certainty_check(rule: GammaFunction, act: Act, state: int) -> ConsensusRepor
     space = act.space
     if not 0 <= state < space.n:
         raise SpaceMismatch(f"state {state} not in a space of size {space.n}")
-    point = tuple(ONE if s == state else ZERO for s in space.states)
+    point = tuple(int(s == state) for s in space.states)
     measures = (
-        CredalSetMeasure(space, (point,)),
-        BeliefFunctionMeasure(space, ((frozenset((state,)), ONE),)),
-        PossibilityMeasure(point),
+        CredalSetMeasure._trusted(space, (point,), 1),
+        BeliefFunctionMeasure._trusted(space, {frozenset((state,)): 1}, 1),
+        PossibilityMeasure._trusted(point, 1),
     )
     op = CeOperator(rule, credal_extension=True)
     credal, belief, possibility = (ce(op, m, act) for m in measures)

@@ -35,7 +35,7 @@ from .plausibility import (
     condition,
     restrict,
 )
-from .rationals import ONE, format_rational, unit_grid
+from .rationals import ONE, _integer_image, format_rational, unit_grid
 
 DEFAULT_LIPSCHITZ = ONE
 
@@ -268,9 +268,8 @@ def _levels(values: dict, denominator: int = 1) -> tuple[int, dict]:
     values' denominators, so grid point k/denominator is k * (scale //
     denominator), and order, equality and differences carry over exactly.
     """
-    scale = math.lcm(denominator, *(v.denominator for v in values.values()))
-    return scale, {key: v.numerator * (scale // v.denominator)
-                   for key, v in values.items()}
+    numerators, scale = _integer_image(values.values(), denominator)
+    return scale, dict(zip(values, numerators))
 
 
 def _check_modulus(lipschitz) -> None:

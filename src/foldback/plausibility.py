@@ -11,6 +11,13 @@ Each measure class names its framework and carries its own branch of
 every operation as a private method; the module functions below check
 their arguments once and then call that method.
 
+The methods compute on integers: each measure caches its weights,
+generators, masses or grades as numerators over one common denominator
+(`_ints`), as each act does its outcomes, and a result is divided out
+once. What they return is valid by construction, so it is built by the
+type's `_trusted` constructor, which skips the checks that public
+construction runs; equality, hashing and repr cannot tell the two apart.
+
 Total ignorance is the measure valuing every non-trivial event at the
 unit interval. Both restriction and conditioning keep ignorant measures
 ignorant, which is what makes folding through a partition meaningful.
@@ -19,8 +26,10 @@ ignorant, which is what makes folding through a partition meaningful.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .acts import Act, Event, Partition, StateSpace, event_key
@@ -32,7 +41,7 @@ from .errors import (
     ValidationError,
     ZeroPlausibilityEvent,
 )
-from .rationals import ONE, ZERO, ensure_unit
+from .rationals import ONE, ZERO, _integer_image, ensure_unit
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,14 @@ class ZPair:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
+    @classmethod
+    def _trusted(cls, lower: Fraction, upper: Fraction) -> ZPair:
+        """Bounds the engine derived and knows ordered in [0, 1], unchecked."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "lower", lower)
+        object.__setattr__(pair, "upper", upper)
+        return pair
+
 
 Z_BOTTOM = ZPair(ZERO, ZERO)
 Z_TOP = ZPair(ONE, ONE)
@@ -61,6 +78,11 @@ class Framework(enum.Enum):
     CREDAL_SET = "credal-set"
     BELIEF_FUNCTION = "belief-function"
     POSSIBILITY = "possibility"
+
+
+def _bounds(lower: int, upper: int, scale: int) -> ZPair:
+    """The pair (lower / scale, upper / scale) of integer images."""
+    return ZPair._trusted(Fraction(lower, scale), Fraction(upper, scale))
 
 
 # the frameworks that can express total ignorance (see `vacuous`)
@@ -90,27 +112,44 @@ class ProbabilityMeasure:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _validate_weights(self.weights, "probability"))
 
+    @classmethod
+    def _trusted(cls, weights: tuple[int, ...], scale: int) -> ProbabilityMeasure:
+        """The weights w / scale, known to be a probability vector."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "weights", tuple(Fraction(w, scale) for w in weights))
+        object.__setattr__(measure, "_ints", (weights, scale))
+        return measure
+
     @property
     def space(self) -> StateSpace:
         return StateSpace(len(self.weights))
 
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        return _integer_image(self.weights)
+
     def _value(self, event: Event) -> ZPair:
-        p = sum((self.weights[s] for s in event), ZERO)
-        return ZPair(p, p)
+        weights, scale = self._ints
+        p = sum(weights[s] for s in event)
+        return _bounds(p, p, scale)
 
     def _restrict(self, partition: Partition) -> ProbabilityMeasure:
-        return ProbabilityMeasure(tuple(
-            sum((self.weights[s] for s in block), ZERO) for block in partition.blocks))
+        weights, scale = self._ints
+        return ProbabilityMeasure._trusted(tuple(
+            sum(weights[s] for s in block) for block in partition.blocks), scale)
 
     def _condition(self, kept: list[int]) -> ProbabilityMeasure:
-        total = sum((self.weights[s] for s in kept), ZERO)
+        weights, _ = self._ints
+        total = sum(weights[s] for s in kept)
         if total == 0:
             raise ZeroPlausibilityEvent(f"event {kept} has probability zero")
-        return ProbabilityMeasure(tuple(self.weights[s] / total for s in kept))
+        return ProbabilityMeasure._trusted(tuple(weights[s] for s in kept), total)
 
-    def _expectation(self, outcomes: tuple[Fraction, ...]) -> ZPair:
-        value = sum((w * u for w, u in zip(self.weights, outcomes)), ZERO)
-        return ZPair(value, value)
+    def _expectation(self, act: Act) -> ZPair:
+        weights, scale = self._ints
+        outcomes, denominator = act._ints
+        value = sum(w * u for w, u in zip(weights, outcomes))
+        return _bounds(value, value, scale * denominator)
 
     def _vacuous_by_shape(self) -> bool:
         # on two or more states a singleton's value is a point, not [0, 1]
@@ -143,6 +182,24 @@ class CredalSetMeasure:
             checked.append(values)
         object.__setattr__(self, "generators", tuple(checked))
 
+    @classmethod
+    def _trusted(cls, space: StateSpace, generators: tuple[tuple[int, ...], ...],
+                 scale: int) -> CredalSetMeasure:
+        """Generators g / scale, each known to be a probability vector on space."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "space", space)
+        object.__setattr__(measure, "generators", tuple(
+            tuple(Fraction(w, scale) for w in gen) for gen in generators))
+        object.__setattr__(measure, "_ints", (generators, scale))
+        return measure
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        # only finite generator lists have an image
+        n = self.space.n
+        flat, scale = _integer_image([w for gen in self.generators for w in gen])
+        return tuple(flat[i:i + n] for i in range(0, len(flat), n)), scale
+
     @property
     def is_full_simplex(self) -> bool:
         return self.generators is None
@@ -158,43 +215,49 @@ class CredalSetMeasure:
             if len(event) == self.space.n:
                 return Z_TOP
             return Z_VACUOUS
-        sums = [sum((gen[s] for s in event), ZERO) for gen in self.generators]
-        return ZPair(min(sums), max(sums))
+        generators, scale = self._ints
+        sums = [sum(gen[s] for s in event) for gen in generators]
+        return _bounds(min(sums), max(sums), scale)
 
     def _restrict(self, partition: Partition) -> CredalSetMeasure:
         if self.is_full_simplex:
             return CredalSetMeasure.full_simplex(partition.quotient)
+        generators, scale = self._ints
         pushed = tuple(
-            tuple(sum((gen[s] for s in block), ZERO) for block in partition.blocks)
-            for gen in self.generators)
-        return CredalSetMeasure(partition.quotient, pushed)
+            tuple(sum(gen[s] for s in block) for block in partition.blocks)
+            for gen in generators)
+        return CredalSetMeasure._trusted(partition.quotient, pushed, scale)
 
     def _condition(self, kept: list[int]) -> CredalSetMeasure:
         if self.is_full_simplex:
             return CredalSetMeasure.full_simplex(StateSpace(len(kept)))
-        conditioned = []
-        for gen in self.generators:
-            total = sum((gen[s] for s in kept), ZERO)
-            if total == 0:
-                continue
-            conditioned.append(tuple(gen[s] / total for s in kept))
-        if not conditioned:
+        generators, _ = self._ints
+        totals = (sum(gen[s] for s in kept) for gen in generators)
+        # generators giving the event no weight drop out
+        weighted = [(gen, total) for gen, total in zip(generators, totals) if total]
+        if not weighted:
             raise ZeroPlausibilityEvent(f"event {kept} has upper probability zero")
-        return CredalSetMeasure(StateSpace(len(kept)), tuple(conditioned))
+        # gen[s] / total is gen[s] * (scale // total) / scale
+        scale = math.lcm(*(total for _, total in weighted))
+        return CredalSetMeasure._trusted(StateSpace(len(kept)), tuple(
+            tuple(gen[s] * (scale // total) for s in kept) for gen, total in weighted),
+            scale)
 
-    def _expectation(self, outcomes: tuple[Fraction, ...]) -> ZPair:
+    def _expectation(self, act: Act) -> ZPair:
         if self.is_full_simplex:
-            return ZPair(min(outcomes), max(outcomes))
-        values = [sum((w * u for w, u in zip(gen, outcomes)), ZERO)
-                  for gen in self.generators]
-        return ZPair(min(values), max(values))
+            return ZPair._trusted(min(act.outcomes), max(act.outcomes))
+        generators, scale = self._ints
+        outcomes, denominator = act._ints
+        values = [sum(w * u for w, u in zip(gen, outcomes)) for gen in generators]
+        return _bounds(min(values), max(values), scale * denominator)
 
     def _vacuous_by_shape(self) -> bool:
         # a singleton's upper value is 1 only under its own unit vector
         if self.is_full_simplex:
             return True
         # an entry 1 leaves the others 0, so these are the unit vectors' states
-        units = {gen.index(ONE) for gen in self.generators if ONE in gen}
+        generators, scale = self._ints
+        units = {gen.index(scale) for gen in generators if scale in gen}
         return len(units) == self.space.n
 
 
@@ -231,38 +294,60 @@ class BeliefFunctionMeasure:
             key=lambda pair: event_key(pair[0])))
         object.__setattr__(self, "masses", cleaned)
 
+    @classmethod
+    def _trusted(cls, space: StateSpace, masses: Mapping[Event, int],
+                 scale: int) -> BeliefFunctionMeasure:
+        """Positive masses m / scale on events of space, known to sum to 1."""
+        ordered = tuple(sorted(masses.items(), key=lambda pair: event_key(pair[0])))
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "space", space)
+        object.__setattr__(measure, "masses", tuple(
+            (event, Fraction(m, scale)) for event, m in ordered))
+        object.__setattr__(measure, "_ints", (ordered, scale))
+        return measure
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[tuple[Event, int], ...], int]:
+        masses, scale = _integer_image([m for _, m in self.masses])
+        return tuple(zip((focal for focal, _ in self.masses), masses)), scale
+
     def _value(self, event: Event) -> ZPair:
-        belief = sum((m for focal, m in self.masses if focal <= event), ZERO)
-        plaus = sum((m for focal, m in self.masses if focal & event), ZERO)
-        return ZPair(belief, plaus)
+        masses, scale = self._ints
+        belief = sum(m for focal, m in masses if focal <= event)
+        plaus = sum(m for focal, m in masses if focal & event)
+        return _bounds(belief, plaus, scale)
 
     def _restrict(self, partition: Partition) -> BeliefFunctionMeasure:
         # a focal element coarsens to the set of blocks it meets
-        coarsened: dict[Event, Fraction] = {}
-        for focal, mass in self.masses:
+        masses, scale = self._ints
+        coarsened: dict[Event, int] = {}
+        for focal, mass in masses:
             image = frozenset(i for i, block in enumerate(partition.blocks) if block & focal)
-            coarsened[image] = coarsened.get(image, ZERO) + mass
-        return BeliefFunctionMeasure(partition.quotient, tuple(coarsened.items()))
+            coarsened[image] = coarsened.get(image, 0) + mass
+        return BeliefFunctionMeasure._trusted(partition.quotient, coarsened, scale)
 
     def _condition(self, kept: list[int]) -> BeliefFunctionMeasure:
         event = frozenset(kept)
         relabel = {s: i for i, s in enumerate(kept)}
-        plaus = self._value(event).upper
+        masses, _ = self._ints
+        transferred: dict[Event, int] = {}
+        for focal, mass in masses:
+            trace = focal & event
+            if trace:
+                image = frozenset(relabel[s] for s in trace)
+                transferred[image] = transferred.get(image, 0) + mass
+        # the masses meeting the event add up to its plausibility
+        plaus = sum(transferred.values())
         if plaus == 0:
             raise ZeroPlausibilityEvent(f"event {kept} has plausibility zero")
-        transferred: dict[Event, Fraction] = {}
-        for focal, mass in self.masses:
-            trace = focal & event
-            if not trace:
-                continue
-            image = frozenset(relabel[s] for s in trace)
-            transferred[image] = transferred.get(image, ZERO) + mass / plaus
-        return BeliefFunctionMeasure(StateSpace(len(kept)), tuple(transferred.items()))
+        return BeliefFunctionMeasure._trusted(StateSpace(len(kept)), transferred, plaus)
 
-    def _expectation(self, outcomes: tuple[Fraction, ...]) -> ZPair:
-        lower = sum((m * min(outcomes[s] for s in focal) for focal, m in self.masses), ZERO)
-        upper = sum((m * max(outcomes[s] for s in focal) for focal, m in self.masses), ZERO)
-        return ZPair(lower, upper)
+    def _expectation(self, act: Act) -> ZPair:
+        masses, scale = self._ints
+        outcomes, denominator = act._ints
+        lower = sum(m * min(outcomes[s] for s in focal) for focal, m in masses)
+        upper = sum(m * max(outcomes[s] for s in focal) for focal, m in masses)
+        return _bounds(lower, upper, scale * denominator)
 
     def _vacuous_by_shape(self) -> bool:
         # any other focal element is a proper event with positive belief
@@ -284,28 +369,64 @@ class PossibilityMeasure:
             raise ValidationError("some state must be fully possible (grade 1)")
         object.__setattr__(self, "grades", values)
 
+    @classmethod
+    def _trusted(cls, grades: tuple[int, ...], scale: int) -> PossibilityMeasure:
+        """Grades g / scale, known to lie in [0, 1] with some g == scale."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "grades", tuple(Fraction(g, scale) for g in grades))
+        object.__setattr__(measure, "_ints", (grades, scale))
+        return measure
+
     @property
     def space(self) -> StateSpace:
         return StateSpace(len(self.grades))
 
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        return _integer_image(self.grades)
+
     def _value(self, event: Event) -> ZPair:
-        possible = max((self.grades[s] for s in event), default=ZERO)
+        grades, scale = self._ints
+        possible = max((grades[s] for s in event), default=0)
         complement_possible = max(
-            (self.grades[s] for s in self.space.states if s not in event), default=ZERO)
-        return ZPair(ONE - complement_possible, possible)
+            (g for s, g in enumerate(grades) if s not in event), default=0)
+        return _bounds(scale - complement_possible, possible, scale)
 
     def _restrict(self, partition: Partition) -> PossibilityMeasure:
-        return PossibilityMeasure(
-            tuple(max(self.grades[s] for s in block) for block in partition.blocks))
+        grades, scale = self._ints
+        return PossibilityMeasure._trusted(
+            tuple(max(grades[s] for s in block) for block in partition.blocks), scale)
 
     def _condition(self, kept: list[int]) -> PossibilityMeasure:
-        peak = max(self.grades[s] for s in kept)
+        grades, _ = self._ints
+        peak = max(grades[s] for s in kept)
         if peak == 0:
             raise ZeroPlausibilityEvent(f"event {kept} has possibility zero")
-        return PossibilityMeasure(tuple(self.grades[s] / peak for s in kept))
+        return PossibilityMeasure._trusted(tuple(grades[s] for s in kept), peak)
 
-    def _expectation(self, outcomes: tuple[Fraction, ...]) -> ZPair:
-        return _consonant_masses(self)._expectation(outcomes)
+    def _expectation(self, act: Act) -> ZPair:
+        """The Choquet integrals of the act under necessity and possibility.
+
+        With the distinct outcomes x(1) < ... < x(m) and x(0) = 0, the
+        upper bound is sum (x(k) - x(k-1)) * Pi(f >= x(k)), and the lower
+        one the same with N(f >= x(k)) = 1 - Pi(f < x(k)). Summed by
+        parts, each is the sum of outcome times the rise of the running
+        maximum grade it causes: over the states in ascending order of
+        outcome for the lower bound, in descending order for the upper.
+        """
+        grades, scale = self._ints
+        outcomes, denominator = act._ints
+        order = sorted(range(len(outcomes)), key=outcomes.__getitem__)
+
+        def rises(states) -> int:
+            total = peak = 0
+            for s in states:
+                if grades[s] > peak:
+                    total += outcomes[s] * (grades[s] - peak)
+                    peak = grades[s]
+            return total
+
+        return _bounds(rises(order), rises(reversed(order)), scale * denominator)
 
     def _vacuous_by_shape(self) -> bool:
         # a state graded below 1 is a singleton whose upper value is below 1
@@ -378,19 +499,8 @@ def condition(measure: PlausibilityMeasure, event: Event) -> PlausibilityMeasure
     return measure._condition(sorted(event))
 
 
-def _consonant_masses(measure: PossibilityMeasure) -> BeliefFunctionMeasure:
-    """The belief function whose nested focal elements are the level sets."""
-    levels = sorted(set(measure.grades), reverse=True)
-    masses = []
-    for i, grade in enumerate(levels):
-        cut = frozenset(s for s in measure.space.states if measure.grades[s] >= grade)
-        below = levels[i + 1] if i + 1 < len(levels) else ZERO
-        masses.append((cut, grade - below))
-    return BeliefFunctionMeasure(measure.space, tuple(masses))
-
-
 def expectation_bounds(measure: PlausibilityMeasure, act: Act) -> ZPair:
     """Tight lower and upper expected utility of an act under the measure."""
     if act.space != measure.space:
         raise SpaceMismatch("act and measure live on different spaces")
-    return measure._expectation(act.outcomes)
+    return measure._expectation(act)

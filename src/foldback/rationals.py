@@ -7,6 +7,7 @@ parse so that nothing silently passes through floating point.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -24,6 +25,18 @@ def ensure_unit(value: Fraction, label: str = "value") -> Fraction:
     if not ZERO <= value <= ONE:
         raise ValidationError(f"{label} must lie in [0, 1], got {value}")
     return value
+
+
+def _integer_image(values, denominator: int = 1) -> tuple[tuple[int, ...], int]:
+    """Exact values as integer numerators over one common denominator.
+
+    The scale is the least common multiple of `denominator` and the
+    values' denominators. Sums, products, order and equality of the
+    numerators carry over to the values, so a kernel can compute on
+    ints and divide once.
+    """
+    scale = math.lcm(denominator, *(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 def unit_grid(denominator: int) -> tuple[Fraction, ...]:

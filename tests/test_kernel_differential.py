@@ -7,6 +7,12 @@ arithmetic, with nothing memoised. The kernels (grid-index sweeps, and
 law checkers that compare integer images of the values) must report the
 same failures and witnesses, element by element and in the same order,
 and raise the same errors.
+
+The measure operations have references of the same kind: the
+`reference_*` measure functions are the `Fraction` bodies the integer
+kernels replaced, possibility expectations through consonant masses
+included, building every result by public, validating construction.
+The kernels must give equal results with equal hashes and reprs.
 """
 
 import itertools
@@ -14,11 +20,18 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import conftest as cst
 from foldback import (
     Act,
     Anchored,
+    BeliefFunctionMeasure,
     CeOperator,
     ConsistencyVerdict,
+    ContaminationFamily,
+    CredalSetMeasure,
     Framework,
     Hurwicz,
     LawId,
@@ -27,12 +40,15 @@ from foldback import (
     MedianRule,
     MinRule,
     NotTabulated,
+    PossibilityMeasure,
     Preference,
+    ProbabilityMeasure,
     SearchConfig,
     StateSpace,
     Tabulated,
     ValidationError,
     ZPair,
+    ZeroPlausibilityEvent,
     ce,
     ce_vacuous,
     check_ev_properties,
@@ -44,6 +60,8 @@ from foldback import (
     default_set_family,
     enumerate_lawful_gamma_tables,
     enumerate_partitions,
+    evaluate,
+    expectation_bounds,
     gamma_apply,
     np_prefer,
     restrict,
@@ -51,7 +69,7 @@ from foldback import (
     vacuous,
 )
 from foldback.consistency import DEFAULT_LIPSCHITZ, Probe, Witness
-from foldback.rationals import ONE, format_rational, unit_grid
+from foldback.rationals import ONE, ZERO, format_rational, unit_grid
 
 F = Fraction
 
@@ -318,6 +336,127 @@ def reference_lawful_gamma_tables(denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
     return found
 
 
+# -- reference measure operations ------------------------------------------
+
+
+def reference_consonant_masses(measure):
+    """The belief function whose nested focal elements are the level sets."""
+    levels = sorted(set(measure.grades), reverse=True)
+    masses = []
+    for i, grade in enumerate(levels):
+        cut = frozenset(s for s in measure.space.states if measure.grades[s] >= grade)
+        below = levels[i + 1] if i + 1 < len(levels) else ZERO
+        masses.append((cut, grade - below))
+    return BeliefFunctionMeasure(measure.space, tuple(masses))
+
+
+def reference_value(measure, event):
+    if isinstance(measure, ProbabilityMeasure):
+        p = sum((measure.weights[s] for s in event), ZERO)
+        return ZPair(p, p)
+    if isinstance(measure, CredalSetMeasure):
+        if measure.is_full_simplex:
+            if not event:
+                return ZPair(ZERO, ZERO)
+            if len(event) == measure.space.n:
+                return ZPair(ONE, ONE)
+            return ZPair(ZERO, ONE)
+        sums = [sum((gen[s] for s in event), ZERO) for gen in measure.generators]
+        return ZPair(min(sums), max(sums))
+    if isinstance(measure, BeliefFunctionMeasure):
+        belief = sum((m for focal, m in measure.masses if focal <= event), ZERO)
+        plaus = sum((m for focal, m in measure.masses if focal & event), ZERO)
+        return ZPair(belief, plaus)
+    possible = max((measure.grades[s] for s in event), default=ZERO)
+    complement_possible = max(
+        (measure.grades[s] for s in measure.space.states if s not in event), default=ZERO)
+    return ZPair(ONE - complement_possible, possible)
+
+
+def reference_restrict(measure, partition):
+    blocks = partition.blocks
+    if isinstance(measure, ProbabilityMeasure):
+        return ProbabilityMeasure(tuple(
+            sum((measure.weights[s] for s in block), ZERO) for block in blocks))
+    if isinstance(measure, CredalSetMeasure):
+        if measure.is_full_simplex:
+            return CredalSetMeasure.full_simplex(partition.quotient)
+        return CredalSetMeasure(partition.quotient, tuple(
+            tuple(sum((gen[s] for s in block), ZERO) for block in blocks)
+            for gen in measure.generators))
+    if isinstance(measure, BeliefFunctionMeasure):
+        coarsened = {}
+        for focal, mass in measure.masses:
+            image = frozenset(i for i, block in enumerate(blocks) if block & focal)
+            coarsened[image] = coarsened.get(image, ZERO) + mass
+        return BeliefFunctionMeasure(partition.quotient, tuple(coarsened.items()))
+    return PossibilityMeasure(
+        tuple(max(measure.grades[s] for s in block) for block in blocks))
+
+
+def reference_condition(measure, event):
+    kept = sorted(event)
+    if isinstance(measure, ProbabilityMeasure):
+        total = sum((measure.weights[s] for s in kept), ZERO)
+        if total == 0:
+            raise ZeroPlausibilityEvent(f"event {kept} has probability zero")
+        return ProbabilityMeasure(tuple(measure.weights[s] / total for s in kept))
+    if isinstance(measure, CredalSetMeasure):
+        if measure.is_full_simplex:
+            return CredalSetMeasure.full_simplex(StateSpace(len(kept)))
+        conditioned = []
+        for gen in measure.generators:
+            total = sum((gen[s] for s in kept), ZERO)
+            if total == 0:
+                continue
+            conditioned.append(tuple(gen[s] / total for s in kept))
+        if not conditioned:
+            raise ZeroPlausibilityEvent(f"event {kept} has upper probability zero")
+        return CredalSetMeasure(StateSpace(len(kept)), tuple(conditioned))
+    if isinstance(measure, BeliefFunctionMeasure):
+        relabel = {s: i for i, s in enumerate(kept)}
+        plaus = reference_value(measure, event).upper
+        if plaus == 0:
+            raise ZeroPlausibilityEvent(f"event {kept} has plausibility zero")
+        transferred = {}
+        for focal, mass in measure.masses:
+            trace = focal & event
+            if not trace:
+                continue
+            image = frozenset(relabel[s] for s in trace)
+            transferred[image] = transferred.get(image, ZERO) + mass / plaus
+        return BeliefFunctionMeasure(StateSpace(len(kept)), tuple(transferred.items()))
+    peak = max(measure.grades[s] for s in kept)
+    if peak == 0:
+        raise ZeroPlausibilityEvent(f"event {kept} has possibility zero")
+    return PossibilityMeasure(tuple(measure.grades[s] / peak for s in kept))
+
+
+def reference_expectation(measure, act):
+    outcomes = act.outcomes
+    if isinstance(measure, ProbabilityMeasure):
+        value = sum((w * u for w, u in zip(measure.weights, outcomes)), ZERO)
+        return ZPair(value, value)
+    if isinstance(measure, CredalSetMeasure):
+        if measure.is_full_simplex:
+            return ZPair(min(outcomes), max(outcomes))
+        values = [sum((w * u for w, u in zip(gen, outcomes)), ZERO)
+                  for gen in measure.generators]
+        return ZPair(min(values), max(values))
+    if isinstance(measure, PossibilityMeasure):
+        measure = reference_consonant_masses(measure)
+    lower = sum((m * min(outcomes[s] for s in focal) for focal, m in measure.masses), ZERO)
+    upper = sum((m * max(outcomes[s] for s in focal) for focal, m in measure.masses), ZERO)
+    return ZPair(lower, upper)
+
+
+def reference_member(family, epsilon):
+    return CredalSetMeasure(family.space, tuple(
+        tuple((ONE - epsilon) * w + (epsilon if s == t else ZERO)
+              for t, w in enumerate(family.base))
+        for s in family.space.states))
+
+
 # -- rules under test ------------------------------------------------------
 
 
@@ -532,3 +671,154 @@ def test_set_order_matches_reference_on_odd_families(rule, family):
 def test_lawful_tables_match_reference(denominator, lipschitz):
     assert enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz) == \
         reference_lawful_gamma_tables(denominator, lipschitz=lipschitz)
+
+
+# -- measure kernels -------------------------------------------------------
+
+
+# k/d for d <= 12, drawn from two integers: `st.fractions` builds a
+# strategy per draw, which would dominate these tests' time
+UNIT_FRACTIONS = st.tuples(st.integers(1, 12), st.integers(0, 12)).map(
+    lambda dk: F(dk[1] % (dk[0] + 1), dk[0]))
+
+
+def mixed_vectors(n: int):
+    """Probability vectors whose entries have unrelated denominators."""
+    def normalize(raw: tuple) -> tuple:
+        total = sum(raw)
+        if total == 0:
+            return (ONE,) + (ZERO,) * (n - 1)
+        return tuple(w / total for w in raw)
+
+    return st.tuples(*([UNIT_FRACTIONS] * n)).map(normalize)
+
+
+def mixed_measures(n: int):
+    """Measures of all four frameworks on n states, with mixed denominators."""
+    space = StateSpace(n)
+
+    def belief(raw: list) -> BeliefFunctionMeasure:
+        total = sum(w for _, w in raw)
+        if total == 0:
+            return BeliefFunctionMeasure(space, ((space.full_event(), ONE),))
+        return BeliefFunctionMeasure(space, tuple((e, w / total) for e, w in raw))
+
+    def possibility(raw: tuple) -> PossibilityMeasure:
+        grades, peak = raw
+        return PossibilityMeasure(tuple(ONE if s == peak else g for s, g in enumerate(grades)))
+
+    return st.one_of(
+        mixed_vectors(n).map(ProbabilityMeasure),
+        st.just(CredalSetMeasure.full_simplex(space)),
+        st.lists(mixed_vectors(n), min_size=1, max_size=4).map(
+            lambda gens: CredalSetMeasure(space, tuple(gens))),
+        cst.credal_measures_near_unit_vectors(n),
+        st.lists(st.tuples(cst.events(n), UNIT_FRACTIONS),
+                 min_size=1, max_size=6).map(belief),
+        st.tuples(st.tuples(*([UNIT_FRACTIONS] * n)),
+                  st.integers(0, n - 1)).map(possibility))
+
+
+# strategies by space size, built once: drawing a partition samples
+# from all Bell(n) of them
+SIZES = range(1, 8)
+MEASURES = {n: mixed_measures(n) for n in SIZES}
+VECTORS = {n: mixed_vectors(n) for n in SIZES}
+ACTS = {n: st.tuples(*([UNIT_FRACTIONS] * n)).map(Act) for n in SIZES}
+EVENTS = {n: cst.events(n) for n in SIZES}
+PARTITIONS = {n: cst.partitions(n) for n in SIZES}
+
+
+def _same(got, want):
+    """Equal, and indistinguishable by hash and repr."""
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+
+
+def _outcome(operation, *args):
+    """An operation's result, or the type and message of what it raised."""
+    try:
+        return operation(*args)
+    except Exception as exc:  # the same error must come out of both
+        return ("raised", type(exc), str(exc))
+
+
+@given(st.sampled_from(SIZES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_measure_values_match_reference(n, data):
+    measure = data.draw(MEASURES[n])
+    act = data.draw(ACTS[n])
+    event = data.draw(EVENTS[n])
+    _same(expectation_bounds(measure, act), reference_expectation(measure, act))
+    _same(evaluate(measure, event), reference_value(measure, event))
+
+
+@given(st.sampled_from(SIZES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_restrict_and_condition_match_reference(n, data):
+    measure = data.draw(MEASURES[n])
+    partition = data.draw(PARTITIONS[n])
+    event = data.draw(EVENTS[n])
+    restricted = restrict(measure, partition)
+    reference = reference_restrict(measure, partition)
+    _same(restricted, reference)
+    # a derived measure carries its integer image on into the next operation
+    coarse = data.draw(ACTS[len(partition)])
+    _same(expectation_bounds(restricted, coarse), reference_expectation(reference, coarse))
+    conditioned = _outcome(condition, measure, event)
+    reference = _outcome(reference_condition, measure, event)
+    _same(conditioned, reference)
+    if not isinstance(reference, tuple):
+        act = condition_act(data.draw(ACTS[n]), event)
+        _same(expectation_bounds(conditioned, act), reference_expectation(reference, act))
+        inner = data.draw(EVENTS[len(event)])
+        _same(evaluate(conditioned, inner), reference_value(reference, inner))
+
+
+@given(st.sampled_from(SIZES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_contamination_members_match_reference(n, data):
+    base = data.draw(VECTORS[n])
+    family = ContaminationFamily(base, (ONE,))
+    # an epsilon outside [0, 1] may leave a negative entry, which both refuse
+    epsilon = data.draw(st.fractions(min_value=-1, max_value=2, max_denominator=12))
+    member = _outcome(family.member, epsilon)
+    reference = _outcome(reference_member, family, epsilon)
+    _same(member, reference)
+    if not isinstance(reference, tuple):
+        act = data.draw(ACTS[n])
+        _same(expectation_bounds(member, act), reference_expectation(reference, act))
+
+
+@pytest.mark.parametrize("trusted,validated", [
+    (ZPair._trusted(F(1, 4), F(1, 2)), ZPair(F(1, 4), F(1, 2))),
+    (Act._trusted((F(0), F(1, 3))), Act((F(0), F(1, 3)))),
+    (ProbabilityMeasure._trusted((1, 3), 4), ProbabilityMeasure((F(1, 4), F(3, 4)))),
+    (CredalSetMeasure._trusted(StateSpace(2), ((2, 4), (6, 0)), 6),
+     CredalSetMeasure(StateSpace(2), ((F(1, 3), F(2, 3)), (ONE, ZERO)))),
+    (BeliefFunctionMeasure._trusted(StateSpace(2), {frozenset({0, 1}): 1,
+                                                    frozenset({1}): 2}, 3),
+     BeliefFunctionMeasure(StateSpace(2), ((frozenset({0, 1}), F(1, 3)),
+                                           (frozenset({1}), F(2, 3))))),
+    (PossibilityMeasure._trusted((4, 2), 4), PossibilityMeasure((ONE, F(1, 2)))),
+], ids=["pair", "act", "probability", "credal-set", "belief-function", "possibility"])
+def test_trusted_construction_is_indistinguishable(trusted, validated):
+    _same(trusted, validated)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60)
+def test_consonant_masses_reproduce_the_measure(n, data):
+    measure = data.draw(cst.possibility_measures(n))
+    belief = reference_consonant_masses(measure)
+    for event in cst.all_events(n, empty=True):
+        assert evaluate(measure, event) == evaluate(belief, event)
+
+
+def test_consonant_focal_elements_are_nested():
+    measure = PossibilityMeasure((F(1), F(1, 2), F(1, 2), F(1, 4)))
+    belief = reference_consonant_masses(measure)
+    focal = sorted((e for e, _ in belief.masses), key=len)
+    for smaller, larger in zip(focal, focal[1:]):
+        assert smaller < larger

@@ -18,6 +18,7 @@ from foldback import (
     PossibilityMeasure,
     ProbabilityMeasure,
     StateSpace,
+    ValidationError,
     Z_BOTTOM,
     Z_TOP,
     Z_VACUOUS,
@@ -32,7 +33,6 @@ from foldback import (
     vacuous,
 )
 from foldback.acts import Act, event_key
-from foldback.plausibility import _consonant_masses
 
 F = Fraction
 
@@ -390,23 +390,6 @@ class TestExpectationBounds:
         assert expectation_bounds(measure, act) == ZPair(c, c)
 
 
-class TestPossibilityAsNestedBelief:
-    @given(st.integers(1, 4), st.data())
-    @settings(max_examples=60)
-    def test_consonant_masses_reproduce_the_measure(self, n, data):
-        measure = data.draw(cst.possibility_measures(n))
-        belief = _consonant_masses(measure)
-        for event in cst.all_events(n, empty=True):
-            assert evaluate(measure, event) == evaluate(belief, event)
-
-    def test_focal_elements_are_nested(self):
-        measure = PossibilityMeasure((F(1), F(1, 2), F(1, 2), F(1, 4)))
-        belief = _consonant_masses(measure)
-        focal = sorted((e for e, _ in belief.masses), key=len)
-        for smaller, larger in zip(focal, focal[1:]):
-            assert smaller < larger
-
-
 class TestFramework:
     def test_each_measure_names_its_framework(self):
         space = StateSpace(2)
@@ -451,3 +434,31 @@ class TestMeasureValidation:
         space = StateSpace(2)
         with pytest.raises(Exception):
             CredalSetMeasure(space, ((F(1), F(0), F(0)),))
+
+    # the engine builds the values it derives without these checks;
+    # public construction keeps every one of them
+    @pytest.mark.parametrize("build", [
+        lambda: ZPair(F(1, 2), F(1, 4)),
+        lambda: ZPair(F(-1, 4), F(1, 2)),
+        lambda: ZPair(F(1, 2), F(5, 4)),
+        lambda: ProbabilityMeasure((F(5, 4), F(-1, 4))),
+        lambda: ProbabilityMeasure((F(1, 2), F(1, 3))),
+        lambda: CredalSetMeasure(StateSpace(2), ((F(1), F(0)), (F(3, 2), F(-1, 2)))),
+        lambda: CredalSetMeasure(StateSpace(2), ((F(1), F(0)), (F(1, 2), F(1, 3)))),
+        lambda: BeliefFunctionMeasure(StateSpace(2), (
+            (frozenset({0}), F(3, 2)), (frozenset({1}), F(-1, 2)))),
+        lambda: BeliefFunctionMeasure(StateSpace(2), ((frozenset({0, 1}), F(2, 3)),)),
+        lambda: PossibilityMeasure((F(1), F(-1, 2))),
+        lambda: PossibilityMeasure((F(1), F(3, 2))),
+        lambda: PossibilityMeasure((F(3, 4), F(1, 2))),
+        lambda: Act((F(1, 2), F(-1, 2))),
+        lambda: Act((F(3, 2),)),
+    ], ids=["pair-out-of-order", "pair-below-0", "pair-above-1",
+            "probability-negative", "probability-not-summing",
+            "credal-negative", "credal-not-summing",
+            "belief-negative", "belief-not-summing",
+            "possibility-below-0", "possibility-above-1", "possibility-max-below-1",
+            "act-below-0", "act-above-1"])
+    def test_public_construction_refuses_bad_input(self, build):
+        with pytest.raises(ValidationError):
+            build()

@@ -48,3 +48,15 @@ def test_script_prints_its_summary(script, args, expected):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert [TIMING.sub("", line) for line in done.stdout.splitlines()] == expected
+
+
+@pytest.mark.parametrize("script,args,message", [
+    ("sweep_rules.py", ["--max-states", "9"], "error: sweep capped at n <= 8, asked for 9"),
+    ("enumerate_tables.py", ["--denominator", "0"],
+     "error: grid denominator must be >= 1, got 0"),
+])
+def test_script_reports_an_engine_error_like_the_cli(script, args, message):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [message]
