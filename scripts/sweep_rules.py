@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -30,7 +29,7 @@ from foldback import (
     check_ev_properties,
     check_sequential_exhaustive,
 )
-from foldback.rationals import format_rational, unit_grid
+from foldback.rationals import format_rational, parse_rational, unit_grid
 
 
 def describe(rule) -> str:
@@ -84,7 +83,7 @@ def main() -> int:
     cfg = SearchConfig(sizes=tuple(range(2, args.max_states + 1)),
                        denominator=args.denominator)
     rules = [Anchored(a) for a in unit_grid(args.anchor_denominator)]
-    rules += [MinRule(), MaxRule(), Hurwicz(Fraction(args.alpha)), MedianRule()]
+    rules += [MinRule(), MaxRule(), Hurwicz(parse_rational(args.alpha)), MedianRule()]
 
     print(f"sweep: n in {list(cfg.sizes)}, grid k/{cfg.denominator}, "
           f"{len(cfg.frameworks)} frameworks")

@@ -279,86 +279,6 @@ def _check_modulus(lipschitz) -> None:
             f"the Lipschitz modulus must be an int or a Fraction, got {lipschitz!r}")
 
 
-def _gamma_laws(denominator: int, lipschitz: Fraction):
-    """The pair-rule laws on the grid {k/denominator}, as a checker of tables.
-
-    The returned function takes the table as integer levels over
-    `scale`, a multiple of the denominator: `level[i, j]` is the rule on
-    the grid points i <= j (by index). `fraction` maps a level back to
-    its value, and `apply(lower, upper)` evaluates the rule, as a
-    Fraction, on the pairs of levels the iteration law forms. It returns
-    each law with a lazy iterator over its witnesses, so a caller that
-    only asks whether a law holds stops at the first witness.
-    """
-    grid = unit_grid(denominator)
-    label = [_fmt(x) for x in grid]
-    pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
-    # one-step moves generate the whole argwise order on the grid,
-    # so neighbor checks decide monotonicity and the modulus exactly
-    neighbors = [((i, j), (i2, j2)) for i, j in pairs
-                 for i2, j2 in ((i - 1, j), (i, j - 1)) if 0 <= i2 <= j2]
-
-    def laws(level: dict, scale: int, fraction, apply) -> list:
-        unit = scale // denominator
-
-        def neighbor_witness(a, b) -> Witness:
-            return _pair_witness(grid, label, a, b, fraction(level[a]), fraction(level[b]))
-
-        def idempotence():
-            for k, c in enumerate(grid):
-                if level[k, k] != k * unit:
-                    yield Witness((label[k],), fraction(level[k, k]), c,
-                                  _pair_probe(c, c), _constant_probe(c))
-
-        def monotone():
-            for a, b in neighbors:
-                if level[a] < level[b]:
-                    yield neighbor_witness(a, b)
-
-        def iteration():
-            for i, j in pairs:
-                x, y = grid[i], grid[j]
-                g, gxx, gyy = level[i, j], level[i, i], level[j, j]
-                if gxx <= g:
-                    via_lower = apply(gxx, g)
-                    if via_lower != fraction(g):
-                        yield Witness(
-                            (label[i], label[j], "via-lower"), via_lower, fraction(g),
-                            _pair_probe(fraction(gxx), fraction(g)), _pair_probe(x, y))
-                else:
-                    # the inner pair is out of order, so the law cannot even be formed
-                    yield Witness(
-                        (label[i], label[j], "via-lower", "inner-pair-out-of-order"),
-                        fraction(gxx), fraction(g), _pair_probe(x, x), _pair_probe(x, y))
-                if g <= gyy:
-                    via_upper = apply(g, gyy)
-                    if via_upper != fraction(g):
-                        yield Witness(
-                            (label[i], label[j], "via-upper"), via_upper, fraction(g),
-                            _pair_probe(fraction(g), fraction(gyy)), _pair_probe(x, y))
-                else:
-                    yield Witness(
-                        (label[i], label[j], "via-upper", "inner-pair-out-of-order"),
-                        fraction(g), fraction(gyy), _pair_probe(x, y), _pair_probe(y, y))
-
-        def lipschitz_continuity():
-            # the modulus times one grid step, in levels, floored: an
-            # integer gap exceeds a rational exactly when it exceeds its floor
-            limit = lipschitz * scale // denominator
-            for a, b in neighbors:
-                if abs(level[a] - level[b]) > limit:
-                    yield neighbor_witness(a, b)
-
-        return [
-            (LawId.GAMMA_IDEMPOTENCE, idempotence()),
-            (LawId.GAMMA_MONOTONE, monotone()),
-            (LawId.GAMMA_ITERATION, iteration()),
-            (LawId.LIPSCHITZ_CONTINUITY, lipschitz_continuity()),
-        ]
-
-    return laws
-
-
 def check_gamma_laws(rule: GammaFunction, denominator: int, *,
                      lipschitz: Fraction = DEFAULT_LIPSCHITZ) -> list[LawReport]:
     """Check the pair-rule laws on the grid {k/denominator}.
@@ -369,20 +289,72 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     """
     _check_modulus(lipschitz)
     grid = unit_grid(denominator)
-    value = {(i, j): gamma_apply(rule, ZPair(x, y))
-             for i, x in enumerate(grid) for j, y in enumerate(grid) if i <= j}
+    label = [_fmt(x) for x in grid]
+    pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
+    # one-step moves generate the whole argwise order on the grid,
+    # so neighbor checks decide monotonicity and the modulus exactly
+    neighbors = [((i, j), (i2, j2)) for i, j in pairs
+                 for i2, j2 in ((i - 1, j), (i, j - 1)) if 0 <= i2 <= j2]
+    value = {(i, j): gamma_apply(rule, ZPair(grid[i], grid[j])) for i, j in pairs}
     scale, level = _levels(value, denominator)
     unit = scale // denominator
     fraction = dict(zip(level.values(), value.values()))
-    off_grid = _Memo(lambda pair: gamma_apply(rule, ZPair(fraction[pair[0]], fraction[pair[1]])))
+    # the rule on pairs of levels, as the iteration law forms them: grid
+    # pairs are already valued, any other pair is valued on first use
+    applied = _Memo(lambda pair: gamma_apply(rule, ZPair(fraction[pair[0]], fraction[pair[1]])))
+    applied.update(((i * unit, j * unit), v) for (i, j), v in value.items())
 
-    def apply(lower: int, upper: int) -> Fraction:
-        if lower % unit == 0 and upper % unit == 0:
-            return value[lower // unit, upper // unit]
-        return off_grid[lower, upper]
+    idempotence: list[Witness] = []
+    for k, c in enumerate(grid):
+        if value[k, k] != c:
+            idempotence.append(Witness((label[k],), value[k, k], c,
+                                       _pair_probe(c, c), _constant_probe(c)))
 
-    laws = _gamma_laws(denominator, lipschitz)(level, scale, fraction.__getitem__, apply)
-    return [_report(law, witnesses) for law, witnesses in laws]
+    monotone: list[Witness] = []
+    for a, b in neighbors:
+        if level[a] < level[b]:
+            monotone.append(_pair_witness(grid, label, a, b, value[a], value[b]))
+
+    iteration: list[Witness] = []
+    for i, j in pairs:
+        x, y = grid[i], grid[j]
+        g, gxx, gyy = value[i, j], value[i, i], value[j, j]
+        if level[i, i] <= level[i, j]:
+            via_lower = applied[level[i, i], level[i, j]]
+            if via_lower != g:
+                iteration.append(Witness(
+                    (label[i], label[j], "via-lower"), via_lower, g,
+                    _pair_probe(gxx, g), _pair_probe(x, y)))
+        else:
+            # the inner pair is out of order, so the law cannot even be formed
+            iteration.append(Witness(
+                (label[i], label[j], "via-lower", "inner-pair-out-of-order"),
+                gxx, g, _pair_probe(x, x), _pair_probe(x, y)))
+        if level[i, j] <= level[j, j]:
+            via_upper = applied[level[i, j], level[j, j]]
+            if via_upper != g:
+                iteration.append(Witness(
+                    (label[i], label[j], "via-upper"), via_upper, g,
+                    _pair_probe(g, gyy), _pair_probe(x, y)))
+        else:
+            iteration.append(Witness(
+                (label[i], label[j], "via-upper", "inner-pair-out-of-order"),
+                g, gyy, _pair_probe(x, y), _pair_probe(y, y)))
+
+    # the modulus times one grid step, in levels, floored: an integer
+    # gap exceeds a rational exactly when it exceeds its floor
+    limit = lipschitz * scale // denominator
+    lipped: list[Witness] = []
+    for a, b in neighbors:
+        if abs(level[a] - level[b]) > limit:
+            lipped.append(_pair_witness(grid, label, a, b, value[a], value[b]))
+
+    return [
+        _report(LawId.GAMMA_IDEMPOTENCE, idempotence),
+        _report(LawId.GAMMA_MONOTONE, monotone),
+        _report(LawId.GAMMA_ITERATION, iteration),
+        _report(LawId.LIPSCHITZ_CONTINUITY, lipped),
+    ]
 
 
 def check_ev_properties(rule: VacuousRule, denominator: int, *,
@@ -535,16 +507,15 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
                                   lipschitz: Fraction = DEFAULT_LIPSCHITZ) -> list[Tabulated]:
     """All grid tables passing every pair-rule law, in enumeration order.
 
-    Backtracks over off-diagonal cells with the diagonal pinned by the
-    identity law; candidate values are boxed by monotonicity and the
-    Lipschitz modulus against already-filled neighbors, then each
-    complete table is confirmed against the full set of laws, which
-    stops at the first witness. Cells hold grid indices, which are the
-    table's levels over the scale `denominator`.
+    Backtracks over off-diagonal cells, rows in order and each row's
+    cells in order, with the diagonal pinned by the identity law, and
+    decides every other law as a cell is filled, so each completed
+    table is lawful and the search's cost follows the tables it
+    returns. Cells hold grid indices, which are the table's levels over
+    the scale `denominator`.
     """
     _check_modulus(lipschitz)
     grid = unit_grid(denominator)
-    laws = _gamma_laws(denominator, lipschitz)
     # a value may exceed its neighbor's by the modulus times one grid
     # step, so by this many whole grid steps
     reach = math.floor(lipschitz)
@@ -552,28 +523,32 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     table = {(k, k): k for k in range(len(grid))}
     found: list[Tabulated] = []
 
-    def on_table(lower: int, upper: int) -> Fraction:
-        # table values are grid points, so every pair the iteration law
-        # forms is a cell of the table
-        return grid[table[lower, upper]]
-
     def fill(index: int) -> None:
         if index == len(cells):
-            if all(next(witnesses, None) is None
-                   for _, witnesses in laws(table, denominator, grid.__getitem__, on_table)):
-                found.append(Tabulated(tuple(
-                    (ZPair(grid[i], grid[j]), grid[k]) for (i, j), k in table.items())))
+            found.append(Tabulated(tuple(
+                (ZPair(grid[i], grid[j]), grid[k]) for (i, j), k in table.items())))
             return
         i, j = cells[index]
+        # monotonicity and the modulus against the filled neighbors
         below = table[i, j - 1]
         lo, hi = max(i, below), min(j, below + reach)
         if i:
             left = table[i - 1, j]
             lo, hi = max(lo, left), min(hi, left + reach)
+        if i == j - 1:
+            # the modulus against the diagonal cell (j, j)
+            lo = max(lo, j - reach)
+        if any(table[h, j] == i for h in range(i)):
+            # an earlier row of this column holds i: the iteration law
+            # via the upper end of that cell asks for gamma(i, j) = i
+            hi = min(hi, i)
         for k in range(lo, hi + 1):
-            table[i, j] = k
-            fill(index + 1)
-            del table[i, j]
+            # the iteration law via the lower end, gamma(i, k) = k, reads
+            # a cell of this row that is already filled
+            if k == j or table[i, k] == k:
+                table[i, j] = k
+                fill(index + 1)
+                del table[i, j]
 
     fill(0)
     return found

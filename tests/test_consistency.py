@@ -1,5 +1,6 @@
 """Folding-back consistency, the pair-rule laws, and rule synthesis."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -297,11 +298,27 @@ class TestSetOrderConditions:
         assert all(1 <= len(s) <= 3 for s in family)
 
 
+def monotone_tables(denominator: int) -> list[Tabulated]:
+    """Every table on k/denominator that is idempotent and monotone in both
+    arguments, by brute force over the cells' ranges [x, y]."""
+    grid = unit_grid(denominator)
+    cells = [(i, j) for i in range(len(grid)) for j in range(i + 1, len(grid))]
+    tables = []
+    for values in itertools.product(*(range(i, j + 1) for i, j in cells)):
+        level = {(k, k): k for k in range(len(grid))} | dict(zip(cells, values))
+        if all(level[i, j] >= level[i, j - 1] and (i == 0 or level[i, j] >= level[i - 1, j])
+               for i, j in cells):
+            tables.append(Tabulated(tuple(
+                (ZPair(grid[i], grid[j]), grid[k]) for (i, j), k in level.items())))
+    return tables
+
+
 class TestSynthesis:
-    def test_exactly_the_clamp_tables_survive(self):
-        survivors = enumerate_lawful_gamma_tables(4)
-        anchored = [tabulate(Anchored(a), 4) for a in unit_grid(4)]
-        assert len(survivors) == 5
+    @pytest.mark.parametrize("denominator", range(1, 9))
+    def test_exactly_the_clamp_tables_survive(self, denominator):
+        survivors = enumerate_lawful_gamma_tables(denominator)
+        anchored = [tabulate(Anchored(a), denominator) for a in unit_grid(denominator)]
+        assert len(survivors) == denominator + 1
         assert set(survivors) == set(anchored)
 
     def test_survivors_are_pinned_by_their_corner_value(self):
@@ -310,11 +327,40 @@ class TestSynthesis:
             expected = tabulate(Anchored(anchor), 4)
             assert table == expected
 
-    def test_dropping_the_modulus_admits_steeper_tables(self):
-        relaxed = enumerate_lawful_gamma_tables(4, lipschitz=F(10 ** 6))
-        assert len(relaxed) == 42
-        strict = set(enumerate_lawful_gamma_tables(4))
-        assert strict < set(relaxed)
+    # without the modulus the lawful tables on k/d number the Catalan C(d + 1)
+    @pytest.mark.parametrize("denominator,count", [
+        (1, 2), (2, 5), (3, 14), (4, 42), (5, 132), (6, 429)])
+    def test_dropping_the_modulus_admits_steeper_tables(self, denominator, count):
+        relaxed = enumerate_lawful_gamma_tables(denominator, lipschitz=F(10 ** 6))
+        assert len(relaxed) == count
+        strict = set(enumerate_lawful_gamma_tables(denominator))
+        # on k/1 the two anchored tables are the only monotone tables at all
+        assert strict == set(relaxed) if denominator == 1 else strict < set(relaxed)
+
+    @pytest.mark.parametrize("denominator", [2, 3, 4])
+    def test_monotone_tables_fold_back_exactly_when_lawful(self, denominator):
+        # the paper's condition, across two kernels: among monotone,
+        # idempotent tables the folding sweep fails on none exactly when
+        # the gamma laws (without the modulus) hold
+        tables = monotone_tables(denominator)
+        assert len(tables) == 2 ** (denominator * (denominator + 1) // 2)
+        lawful = set(enumerate_lawful_gamma_tables(denominator, lipschitz=F(10 ** 6)))
+        cfg = SearchConfig(sizes=(2, 3), denominator=denominator,
+                           frameworks=(Framework.CREDAL_SET,), stop_at_first=True)
+        for table in tables:
+            folds = not check_sequential_exhaustive(CeOperator(table), cfg)
+            assert folds == (table in lawful), table
+
+    def test_a_non_monotone_table_folds_yet_breaks_the_laws(self):
+        # gamma(x, x) = x and gamma(x, y) = 0 for x < y: monotonicity is a
+        # premise of the equivalence above, not a consequence of folding
+        grid = unit_grid(3)
+        table = Tabulated(tuple((ZPair(x, y), x if x == y else F(0))
+                                for x in grid for y in grid if x <= y))
+        cfg = SearchConfig(sizes=(2, 3, 4), denominator=3)
+        assert check_sequential_exhaustive(CeOperator(table), cfg) == []
+        reports = {r.law: r for r in check_gamma_laws(table, 3)}
+        assert not reports[LawId.GAMMA_MONOTONE].passed
 
 
 class TestGridScaleCharacterization:

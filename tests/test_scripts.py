@@ -54,6 +54,12 @@ def test_script_prints_its_summary(script, args, expected):
     ("sweep_rules.py", ["--max-states", "9"], "error: sweep capped at n <= 8, asked for 9"),
     ("enumerate_tables.py", ["--denominator", "0"],
      "error: grid denominator must be >= 1, got 0"),
+    ("enumerate_tables.py", ["--lipschitz", "abc"],
+     "error: not an exact rational literal: 'abc'"),
+    ("enumerate_tables.py", ["--lipschitz", "0.5"],
+     "error: not an exact rational literal: '0.5'"),
+    ("sweep_rules.py", ["--alpha", "x/y"], "error: not an exact rational literal: 'x/y'"),
+    ("sweep_rules.py", ["--alpha", "1/0"], "error: zero denominator: '1/0'"),
 ])
 def test_script_reports_an_engine_error_like_the_cli(script, args, message):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
