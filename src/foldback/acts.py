@@ -139,7 +139,7 @@ class Act:
         object.__setattr__(act, "outcomes", outcomes)
         return act
 
-    @property
+    @cached_property
     def space(self) -> StateSpace:
         return StateSpace(len(self.outcomes))
 

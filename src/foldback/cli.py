@@ -70,6 +70,14 @@ from .rationals import format_rational, parse_rational
 SUITES = ("gamma-laws", "ev-properties", "sequential", "set-order")
 MODES = ("consensus", "certainty", "limit")
 
+# The most states a problem may declare with `states`. The parser builds
+# a vacuous measure from that count alone, one entry per state, before a
+# verb sees the problem, so an unchecked count such as 10**9 would be an
+# allocation of that size. Acts, weights and partitions are lists in the
+# problem itself, so their sizes are paid for by its length. The largest
+# problem in the tests and the benchmark has 20 states.
+MAX_STATES = 1000
+
 _PROBLEM_KEYS = {
     "states", "act", "partition", "framework", "measure", "operator",
     "suite", "grid-denominator", "sizes", "max-states", "stop-at-first",
@@ -151,6 +159,12 @@ def _rational_list(value: Any, label: str) -> tuple[Fraction, ...]:
     return tuple(_rational(v, f"{label}[{i}]") for i, v in enumerate(value))
 
 
+def _state_set(value: Any, label: str) -> frozenset:
+    if not isinstance(value, list):
+        raise ParseError(f"{label}: expected a list of states")
+    return frozenset(_integer(s, label) for s in value)
+
+
 # -- problem parsing ------------------------------------------------------
 
 
@@ -225,10 +239,7 @@ def _parse_measure(record: Any, space: Optional[StateSpace],
         for i, item in enumerate(masses):
             if not isinstance(item, Mapping):
                 raise ParseError(f"measure.masses[{i}]: expected an object")
-            event = item.get("event")
-            if not isinstance(event, list):
-                raise ParseError(f"measure.masses[{i}].event: expected a list")
-            members = frozenset(_integer(s, f"measure.masses[{i}].event") for s in event)
+            members = _state_set(item.get("event"), f"measure.masses[{i}].event")
             pairs.append((members, _rational(item.get("mass"),
                                              f"measure.masses[{i}].mass")))
         return BeliefFunctionMeasure(space, tuple(pairs))
@@ -254,7 +265,10 @@ def parse_problem(raw: Mapping) -> ProblemFile:
 
     space = act.space if act is not None else None
     if "states" in raw:
-        declared = StateSpace(_integer(raw["states"], "states"))
+        states = _integer(raw["states"], "states")
+        if states > MAX_STATES:
+            raise ValidationError(f"states must be at most {MAX_STATES}, got {states}")
+        declared = StateSpace(states)
         if space is not None and declared != space:
             raise ValidationError(
                 f"states={declared.n} but the act has {space.n} outcomes")
@@ -268,8 +282,7 @@ def parse_problem(raw: Mapping) -> ProblemFile:
         if not isinstance(blocks, list):
             raise ParseError("partition: expected a list of blocks")
         partition = Partition(space, tuple(
-            frozenset(_integer(s, f"partition[{i}]") for s in block)
-            for i, block in enumerate(blocks)))
+            _state_set(block, f"partition[{i}]") for i, block in enumerate(blocks)))
 
     framework = Framework.CREDAL_SET
     if "framework" in raw:
@@ -432,24 +445,42 @@ def encode_law_report(report: LawReport) -> dict:
     }
 
 
+class Shared(list):
+    """A list that several records of one report hold.
+
+    It is a plain list to every reader; `emit_report` writes it once at
+    each indent where it sits and repeats that text for its other uses.
+    It must not change while a report that holds it is being written.
+    """
+
+    __slots__ = ()
+
+
 def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
     """A verdict's report record.
 
-    `encoded`, kept by the caller for one report, maps the id of each act
-    and partition encoded so far to its list, so one that many verdicts
-    share (as a sweep's failures do) is encoded once and its list shared.
-    The verdicts must stay alive while the map is in use.
+    `encoded`, kept by the caller for one report, maps the id of each act,
+    partition and value encoded so far to its encoding, so one that many
+    verdicts share (as a sweep's failures share their act and partition
+    across frameworks, and their interned values across cells) is encoded
+    once: an act or a partition as one `Shared` list, a value as one
+    string. The verdicts must stay alive while the map is in use.
     """
     act, partition = verdict.act, verdict.partition
+    direct, folded = verdict.direct_value, verdict.folded_value
     if id(act) not in encoded:
-        encoded[id(act)] = encode_act(act)
+        encoded[id(act)] = Shared(encode_act(act))
     if id(partition) not in encoded:
-        encoded[id(partition)] = encode_partition(partition)
+        encoded[id(partition)] = Shared(encode_partition(partition))
+    if id(direct) not in encoded:
+        encoded[id(direct)] = _enc(direct)
+    if id(folded) not in encoded:
+        encoded[id(folded)] = _enc(folded)
     record = {
         "act": encoded[id(act)],
         "partition": encoded[id(partition)],
-        "direct": _enc(verdict.direct_value),
-        "folded": _enc(verdict.folded_value),
+        "direct": encoded[id(direct)],
+        "folded": encoded[id(folded)],
         "holds": verdict.holds,
     }
     if verdict.framework is not None:
@@ -664,13 +695,15 @@ def cmd_consensus(problem: ProblemFile) -> ReportFile:
 # -- emission and entry point --------------------------------------------
 
 
-def _write(value: Any, indent: str, out: list) -> None:
+def _write(value: Any, indent: str, out: list, shared: dict) -> None:
     """Append the pieces of `json.dumps(value, indent=2)`, nested at `indent`.
 
     Only the types reports are built from are accepted: dicts with
     string keys, lists, strings, ints, bools and None. A string inside
     a container is written with its separator as one piece, as the
     `json` encoder does, so the pieces held before the join stay few.
+    A `Shared` list is written once per indent: `shared`, kept for one
+    report, maps its id and the indent to its text.
     """
     if isinstance(value, str):
         out.append(_quote(value))
@@ -683,6 +716,15 @@ def _write(value: Any, indent: str, out: list) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, list):
+        if type(value) is Shared:
+            key = id(value), indent
+            if key not in shared:
+                pieces: list = []
+                # a plain copy, so that it is written out, not looked up
+                _write(list(value), indent, pieces, shared)
+                shared[key] = "".join(pieces)
+            out.append(shared[key])
+            return
         if not value:
             out.append("[]")
             return
@@ -693,7 +735,7 @@ def _write(value: Any, indent: str, out: list) -> None:
                 out.append(separator + _quote(item))
             else:
                 out.append(separator)
-                _write(item, inner, out)
+                _write(item, inner, out, shared)
             separator = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(value, dict):
@@ -707,7 +749,7 @@ def _write(value: Any, indent: str, out: list) -> None:
                 out.append(separator + _quote(key) + ": " + _quote(item))
             else:
                 out.append(separator + _quote(key) + ": ")
-                _write(item, inner, out)
+                _write(item, inner, out, shared)
             separator = ",\n" + inner
         out.append("\n" + indent + "}")
     else:
@@ -717,7 +759,7 @@ def _write(value: Any, indent: str, out: list) -> None:
 def emit_report(report: ReportFile) -> str:
     """The report as indented JSON, byte for byte `json.dumps(payload, indent=2)`."""
     out: list = []
-    _write(report.payload, "", out)
+    _write(report.payload, "", out, {})
     return "".join(out)
 
 

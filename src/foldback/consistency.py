@@ -20,6 +20,7 @@ from .acts import PARTITION_CAP, Act, Partition, StateSpace, condition_act, enum
 from .ce_ops import (
     CeOperator,
     GammaFunction,
+    MedianRule,
     Tabulated,
     VacuousRule,
     ce,
@@ -164,6 +165,26 @@ def _members(mask: int) -> list[int]:
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
+def _grid_valuation(rule: VacuousRule, grid: tuple[Fraction, ...]):
+    """The rule on grid outcome sets given as non-empty bitmasks of indices.
+
+    Each value is the one `ce_vacuous` gives the set of grid points, got
+    without building the set: grid points lie in [0, 1] and rise with
+    their index, so the lowest and highest set bits are the set's min
+    and max, the pair they make is valid by construction, and the
+    members in bit order are the set in sorted order.
+    """
+    if isinstance(rule, MedianRule):
+        def value(mask: int) -> Fraction:
+            members = _members(mask)
+            return grid[members[(len(members) - 1) // 2]]
+    else:
+        def value(mask: int) -> Fraction:
+            return gamma_apply(rule, ZPair._trusted(
+                grid[(mask & -mask).bit_length() - 1], grid[mask.bit_length() - 1]))
+    return value
+
+
 def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[ConsistencyVerdict]:
     """Sweep all grid acts, partitions, and vacuous measures; return failures.
 
@@ -192,8 +213,8 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
         return 1 << (len(interned) - 1)
 
     bit_of = _Memo(intern)
-    on_grid = _Memo(lambda mask: bit_of[
-        ce_vacuous(rule, frozenset(grid[k] for k in _members(mask)))])
+    on_grid_value = _grid_valuation(rule, grid)
+    on_grid = _Memo(lambda mask: bit_of[on_grid_value(mask)])
     on_values = _Memo(lambda mask: bit_of[
         ce_vacuous(rule, frozenset(interned[k] for k in _members(mask)))])
 
@@ -295,7 +316,8 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     # so neighbor checks decide monotonicity and the modulus exactly
     neighbors = [((i, j), (i2, j2)) for i, j in pairs
                  for i2, j2 in ((i - 1, j), (i, j - 1)) if 0 <= i2 <= j2]
-    value = {(i, j): gamma_apply(rule, ZPair(grid[i], grid[j])) for i, j in pairs}
+    # grid pairs are ordered and in [0, 1] by construction
+    value = {(i, j): gamma_apply(rule, ZPair._trusted(grid[i], grid[j])) for i, j in pairs}
     scale, level = _levels(value, denominator)
     unit = scale // denominator
     fraction = dict(zip(level.values(), value.values()))
@@ -369,7 +391,7 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     grid = unit_grid(denominator)
     label = [_fmt(x) for x in grid]
     # outcome sets as bitmasks over grid indices
-    value = _Memo(lambda mask: ce_vacuous(rule, frozenset(grid[k] for k in _members(mask))))
+    value = _Memo(_grid_valuation(rule, grid))
 
     unanimity: list[Witness] = []
     for k, c in enumerate(grid):
@@ -526,7 +548,8 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     def fill(index: int) -> None:
         if index == len(cells):
             found.append(Tabulated(tuple(
-                (ZPair(grid[i], grid[j]), grid[k]) for (i, j), k in table.items())))
+                (ZPair._trusted(grid[i], grid[j]), grid[k])
+                for (i, j), k in table.items())))
             return
         i, j = cells[index]
         # monotonicity and the modulus against the filled neighbors

@@ -120,7 +120,7 @@ class ProbabilityMeasure:
         object.__setattr__(measure, "_ints", (weights, scale))
         return measure
 
-    @property
+    @cached_property
     def space(self) -> StateSpace:
         return StateSpace(len(self.weights))
 
@@ -377,7 +377,7 @@ class PossibilityMeasure:
         object.__setattr__(measure, "_ints", (grades, scale))
         return measure
 
-    @property
+    @cached_property
     def space(self) -> StateSpace:
         return StateSpace(len(self.grades))
 

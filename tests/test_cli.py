@@ -4,12 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foldback import ParseError, UnknownSuite, ValidationError
+from foldback import EngineError, ParseError, UnknownSuite, ValidationError
 from foldback.cli import (
+    MAX_STATES,
+    MODES,
+    SUITES,
     ReportFile,
+    Shared,
     cmd_check,
     cmd_consensus,
     cmd_evaluate,
@@ -37,6 +41,14 @@ def evaluate_problem(**overrides):
     }
     problem.update(overrides)
     return problem
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+    | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f\x7f", "é ✓ 𝄞 \u2028"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20)
 
 
 def walk_no_floats(value):
@@ -148,6 +160,12 @@ class TestProblemParsing:
     def test_partition_needs_a_space(self):
         raw = {"operator": dict(ANCHORED_HALF), "partition": [[0], [1]]}
         with pytest.raises(ValidationError):
+            parse_problem(raw)
+
+    @pytest.mark.parametrize("block", [4, True, None, "01", {"0": 1}])
+    def test_partition_blocks_must_be_lists(self, block):
+        raw = {"operator": dict(ANCHORED_HALF), "act": ["0", "1"], "partition": [block]}
+        with pytest.raises(ParseError, match=r"partition\[0\]"):
             parse_problem(raw)
 
 
@@ -333,16 +351,37 @@ class TestReportRoundTrip:
         assert one == two
 
     @settings(max_examples=200)
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
-        | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f\x7f", "é ✓ 𝄞 \u2028"]),
-        lambda inner: st.lists(inner, max_size=4)
-        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-        max_leaves=20))
+    @given(JSON_TREES)
     def test_emission_is_json_dumps_with_indent_2(self, tree):
         payload = {"tree": tree, "empty-list": [], "empty-object": {}}
         assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
         assert emit_report(ReportFile(tree, 0)) == json.dumps(tree, indent=2)
+
+    @settings(max_examples=100)
+    @given(st.lists(JSON_TREES, max_size=4), JSON_TREES)
+    @example(["0", [1, 2]], None)
+    def test_shared_lists_are_written_as_json_dumps_writes_them(self, items, tree):
+        # one shared list at three indents, twice at each, around any tree
+        shared = Shared(items)
+        payload = {"a": shared, "b": [shared, {"c": shared}], "tree": tree,
+                   "d": [[shared], {"e": [shared]}], "f": shared}
+        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
+        assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
+        nested = Shared([shared, Shared(), items])
+        payload = [nested, {"g": nested}, shared]
+        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
+
+    def test_sweep_failures_share_their_act_and_partition(self):
+        report = cmd_check(parse_problem(
+            {"operator": dict(HURWICZ_HALF), "suite": "sequential", "sizes": [3],
+             "grid-denominator": 2}))
+        failures = report.payload["failures"]
+        assert failures[0]["act"] == ["0", "0", "1/2"]
+        first = [f for f in failures if f["act"] == failures[0]["act"]]
+        # one record per framework of the same cell, holding the same lists
+        assert len({id(f["act"]) for f in first}) == 1
+        assert len({id(f["partition"]) for f in first[:3]}) == 1
+        assert emit_report(report) == json.dumps(report.payload, indent=2)
 
     @pytest.mark.parametrize("value", [F(1, 2), 0.5, (1, 2), {1: "one"}],
                              ids=["fraction", "float", "tuple", "int-key"])
@@ -509,6 +548,21 @@ class TestMain:
         assert captured.out == ""
         assert key in captured.err
 
+    @pytest.mark.parametrize("states", [MAX_STATES + 1, 10 ** 6, 10 ** 9])
+    def test_states_above_the_bound_are_refused(self, tmp_path, capsys, states):
+        path = self.write_problem(
+            tmp_path, {"states": states, "framework": "possibility",
+                       "operator": {"kind": "min"}})
+        assert main(["evaluate", "--problem", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"states must be at most {MAX_STATES}" in captured.err
+
+    def test_states_at_the_bound_parse(self):
+        problem = parse_problem({"states": MAX_STATES, "framework": "possibility",
+                                 "operator": {"kind": "min"}})
+        assert problem.space.n == MAX_STATES
+
     @pytest.mark.parametrize("verb", ["evaluate", "consensus"])
     def test_stop_at_first_refused_for_evaluate_and_consensus(self, tmp_path, capsys, verb):
         path = self.write_problem(tmp_path, evaluate_problem())
@@ -516,3 +570,104 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "stop-at-first" in captured.err
+
+
+# -- arbitrary problems ----------------------------------------------------
+
+UNIT_TEXTS = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "1/4", "3/4"])
+# out of range or malformed
+BAD_RATIONALS = st.sampled_from(["-1/2", "3/2", "1/0", "0.5", " 1", "", 2, -1, None])
+RATIONALS = UNIT_TEXTS | BAD_RATIONALS
+# keys of the problem's nested records, so arbitrary trees reach their parsers
+RECORD_KEYS = st.sampled_from(
+    ["kind", "anchor", "alpha", "entries", "probabilistic-rule", "credal-extension",
+     "weights", "generators", "masses", "event", "mass", "grades"])
+TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 7) | RATIONALS
+    | st.sampled_from(["vacuous", "min", "sequential", "limit"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(RECORD_KEYS, inner, max_size=3), max_leaves=8)
+FLAGS = {"probabilistic-rule": st.booleans(), "credal-extension": st.booleans()}
+
+
+def _operator(kind, **fields):
+    return st.fixed_dictionaries({"kind": st.just(kind), **fields}, optional=FLAGS)
+
+
+OPERATORS = st.one_of(
+    _operator("anchored", anchor=UNIT_TEXTS), _operator("hurwicz", alpha=UNIT_TEXTS),
+    _operator("min"), _operator("max"), _operator("median"),
+    _operator("tabulated", entries=st.lists(
+        st.lists(UNIT_TEXTS, min_size=3, max_size=3), max_size=6)),
+    st.fixed_dictionaries({}, optional={
+        "kind": TREES, "anchor": RATIONALS, "alpha": RATIONALS, "entries": TREES, **FLAGS}))
+
+
+def _likely():
+    return st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def problems(draw):
+    """A problem on at most 6 states with bounded sweeps.
+
+    Any key of a problem file may appear, its value mostly well formed
+    and consistent with the others; one of them may hold an arbitrary
+    tree instead.
+    """
+    n = draw(st.integers(1, 6))
+    vectors = (st.lists(UNIT_TEXTS, min_size=n, max_size=n)
+               | st.lists(RATIONALS, max_size=6))
+    states = st.lists(st.integers(-1, 6), max_size=4)
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    measures = st.one_of(
+        st.just({"kind": "vacuous"}),
+        st.fixed_dictionaries({"kind": st.just("probability"), "weights": vectors}),
+        st.fixed_dictionaries({"kind": st.just("credal-set")},
+                              optional={"generators": st.lists(vectors, max_size=3)}),
+        st.fixed_dictionaries({"kind": st.just("belief-function"), "masses": st.lists(
+            st.fixed_dictionaries({"event": states, "mass": RATIONALS}), max_size=3)}),
+        st.fixed_dictionaries({"kind": st.just("possibility"), "grades": vectors}))
+    fields = {
+        "states": st.sampled_from([n, 0, n + 1]),
+        "act": vectors,
+        "partition": st.just([[s for s in range(n) if labels[s] == b]
+                              for b in sorted(set(labels))]) | st.lists(states, max_size=4),
+        "framework": st.sampled_from(
+            ["credal-set", "belief-function", "possibility", "probability", "bogus"]),
+        "measure": measures,
+        "operator": OPERATORS,
+        "suite": st.sampled_from(SUITES + ("bogus",)),
+        "grid-denominator": st.integers(-1, 4),
+        "sizes": st.lists(st.integers(-1, 3), max_size=3),
+        "max-states": st.integers(-1, 3),
+        "stop-at-first": st.booleans(),
+        "mode": st.sampled_from(MODES + ("bogus",)),
+        "state": st.integers(-1, n),
+        "epsilons": st.lists(RATIONALS, max_size=3),
+        "base": vectors,
+        "family-max-size": st.integers(-1, 3),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(fields))))
+    keys |= {key for key in ("operator", "act", "suite") if draw(_likely())}
+    problem = {key: draw(fields[key]) for key in sorted(keys)}
+    if problem and not draw(_likely()):
+        problem[draw(st.sampled_from(sorted(problem)))] = draw(TREES)
+    return problem
+
+
+class TestArbitraryProblems:
+    @settings(max_examples=300, deadline=None)
+    @given(problems() | TREES)
+    def test_every_problem_ends_in_a_report_or_an_engine_error(self, raw):
+        try:
+            problem = parse_problem(raw)
+        except EngineError:
+            return
+        for verb in (cmd_evaluate, cmd_check, cmd_consensus):
+            try:
+                report = verb(problem)
+            except EngineError:
+                continue
+            assert isinstance(report, ReportFile)
+            assert loads_exact(emit_report(report)) == report.payload

@@ -16,6 +16,7 @@ The kernels must give equal results with equal hashes and reprs.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -68,7 +69,7 @@ from foldback import (
     tabulate,
     vacuous,
 )
-from foldback.consistency import DEFAULT_LIPSCHITZ, Probe, Witness
+from foldback.consistency import DEFAULT_LIPSCHITZ, Probe, Witness, _grid_valuation
 from foldback.rationals import ONE, ZERO, format_rational, unit_grid
 
 F = Fraction
@@ -562,6 +563,34 @@ def test_uncovered_table_raises_at_the_same_first_miss():
     assert str(got.value) == str(expected.value)
 
 
+# -- grid valuation --------------------------------------------------------
+
+
+def _masks(denominator):
+    """Non-empty sets of grid indices as bitmasks, in increasing order:
+    all of them up to k/6; on finer grids every singleton and pair and a
+    fixed sample of larger sets."""
+    top = 1 << (denominator + 1)
+    if denominator <= 6:
+        return range(1, top)
+    points = range(denominator + 1)
+    pairs = {1 << i | 1 << j for i in points for j in points}
+    rng = random.Random(denominator)
+    return sorted(pairs | {rng.randrange(1, top) for _ in range(150)})
+
+
+@rules(RULES)
+@pytest.mark.parametrize("denominator", GRIDS)
+def test_grid_valuation_matches_ce_vacuous(rule, denominator):
+    # masks in increasing order, so an uncovered table raises the same
+    # first NotTabulated, on the same pair, as ce_vacuous
+    grid = unit_grid(denominator)
+    value = _grid_valuation(rule, grid)
+    for mask in _masks(denominator):
+        outcomes = frozenset(x for k, x in enumerate(grid) if mask >> k & 1)
+        assert _outcome(value, mask) == _outcome(ce_vacuous, rule, outcomes)
+
+
 # -- law checkers ----------------------------------------------------------
 
 
@@ -805,6 +834,14 @@ def test_contamination_members_match_reference(n, data):
 ], ids=["pair", "act", "probability", "credal-set", "belief-function", "possibility"])
 def test_trusted_construction_is_indistinguishable(trusted, validated):
     _same(trusted, validated)
+    # the space is built once per object and cached beside the fields, so
+    # reading it changes neither equality, nor hash, nor repr
+    before = [(hash(x), repr(x)) for x in (trusted, validated)]
+    if hasattr(validated, "space"):
+        assert trusted.space is trusted.space
+        assert trusted.space == validated.space == StateSpace(2)
+    _same(trusted, validated)
+    assert [(hash(x), repr(x)) for x in (trusted, validated)] == before
 
 
 @given(st.integers(1, 4), st.data())
