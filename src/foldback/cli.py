@@ -78,11 +78,23 @@ MODES = ("consensus", "certainty", "limit")
 # problem in the tests and the benchmark has 20 states.
 MAX_STATES = 1000
 
-_PROBLEM_KEYS = {
-    "states", "act", "partition", "framework", "measure", "operator",
-    "suite", "grid-denominator", "sizes", "max-states", "stop-at-first",
-    "mode", "state", "epsilons", "base", "family-max-size",
-}
+_SUITE = "operator suite grid-denominator"
+_CONSENSUS = "states act operator mode"
+
+# Each run, named by its verb and its suite or mode, maps to the problem
+# keys it reads and, for a suite, its default grid denominator. A problem
+# that gives its run any other key is refused (`_refuse_unread`).
+RUNS: dict[str, tuple[frozenset[str], Optional[int]]] = {
+    run: (frozenset(keys.split()), grid) for run, keys, grid in (
+        ("evaluate", "states act partition framework measure operator", None),
+        ("check gamma-laws", _SUITE, 16),
+        ("check ev-properties", _SUITE, 4),
+        ("check set-order", _SUITE + " family-max-size", 8),
+        ("check sequential", _SUITE + " sizes max-states stop-at-first", 4),
+        ("consensus consensus", _CONSENSUS, None),
+        ("consensus certainty", _CONSENSUS + " state", None),
+        ("consensus limit", _CONSENSUS + " epsilons base", None))}
+_PROBLEM_KEYS = frozenset().union(*(keys for keys, _ in RUNS.values()))
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,8 @@ class ProblemFile:
     epsilons: Optional[tuple[Fraction, ...]] = None
     base: Optional[tuple[Fraction, ...]] = None
     family_max_size: Optional[int] = None
+    # the keys the problem was given, set by `parse_problem`
+    given: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -340,12 +354,6 @@ def parse_problem(raw: Mapping) -> ProblemFile:
     if mode not in MODES:
         raise ParseError(f"mode: expected one of {MODES}, got {mode!r}")
 
-    if mode != "limit":
-        for key in ("epsilons", "base"):
-            if key in raw:
-                raise ValidationError(
-                    f"{key} needs mode 'limit', but the problem has mode {mode!r}")
-
     state = _integer(raw["state"], "state") if "state" in raw else None
     epsilons = (_rational_list(raw["epsilons"], "epsilons")
                 if "epsilons" in raw else None)
@@ -359,7 +367,7 @@ def parse_problem(raw: Mapping) -> ProblemFile:
         grid_denominator=grid_denominator, sizes=sizes,
         stop_at_first=_boolean(raw.get("stop-at-first", False), "stop-at-first"),
         mode=mode, state=state, epsilons=epsilons, base=base,
-        family_max_size=family_max_size)
+        family_max_size=family_max_size, given=frozenset(raw))
 
 
 # -- encoding -------------------------------------------------------------
@@ -538,17 +546,22 @@ def _problem_echo(problem: ProblemFile, **extras: Any) -> dict:
     return echo
 
 
-def _refuse_stop_at_first(problem: ProblemFile, verb: str) -> None:
-    if problem.stop_at_first:
-        raise ValidationError(
-            f"stop-at-first applies only to the sequential suite of check, not {verb}")
+def _refuse_unread(problem: ProblemFile, run: str) -> Optional[int]:
+    """Refuse every given key `run` does not read; return its default grid."""
+    reads, grid = RUNS[run]
+    # `max-states` is another spelling of `sizes`, so a refusal names both
+    unread = {"sizes/max-states" if key in ("sizes", "max-states") else key
+              for key in problem.given - reads}
+    if unread:
+        raise ValidationError(f"{run} does not read {', '.join(sorted(unread))}")
+    return grid
 
 
 def cmd_evaluate(problem: ProblemFile) -> ReportFile:
     """Certainty equivalent of one act; with a partition, the fold too."""
+    _refuse_unread(problem, "evaluate")
     if problem.act is None or problem.measure is None:
         raise ValidationError("evaluate needs an act and a measure")
-    _refuse_stop_at_first(problem, "evaluate")
     payload: dict[str, Any] = {
         "command": "evaluate",
         "engine-version": __version__,
@@ -568,47 +581,33 @@ def cmd_evaluate(problem: ProblemFile) -> ReportFile:
     return ReportFile(payload, 0 if verdict.holds else 1)
 
 
-def cmd_check(problem: ProblemFile, which: Optional[str] = None) -> ReportFile:
+def cmd_check(problem: ProblemFile) -> ReportFile:
     """Run one law suite and report violations."""
-    suite = which or problem.suite
+    suite = problem.suite
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of {SUITES}")
+    default = _refuse_unread(problem, f"check {suite}")
+    denominator = problem.grid_denominator or default
     op = problem.operator
-    if problem.stop_at_first and suite != "sequential":
-        raise ValidationError(
-            f"stop-at-first applies only to the sequential suite, not {suite!r}")
-    if problem.sizes is not None and suite != "sequential":
-        raise ValidationError(
-            f"sizes and max-states apply only to the sequential suite, not {suite!r}")
+    echo = _problem_echo(problem, suite=suite)
+    echo["grid-denominator"] = denominator
 
     if suite == "gamma-laws":
-        denominator = problem.grid_denominator or 16
         if isinstance(op.vacuous_rule, MedianRule):
             raise ValidationError("the median rule is not a pair rule")
         reports = check_gamma_laws(op.vacuous_rule, denominator)
-        echo = _problem_echo(problem, suite=suite)
-        echo["grid-denominator"] = denominator
     elif suite == "ev-properties":
-        denominator = problem.grid_denominator or 4
         reports = check_ev_properties(op.vacuous_rule, denominator)
-        echo = _problem_echo(problem, suite=suite)
-        echo["grid-denominator"] = denominator
     elif suite == "set-order":
-        denominator = problem.grid_denominator or 8
         max_size = problem.family_max_size or 3
         family = default_set_family(denominator, max_size)
         reports = check_set_order_conditions(op.vacuous_rule, family)
-        echo = _problem_echo(problem, suite=suite)
-        echo["grid-denominator"] = denominator
         echo["family-max-size"] = max_size
     else:
-        denominator = problem.grid_denominator or 4
         cfg = SearchConfig(
             sizes=problem.sizes or (2, 3, 4), denominator=denominator,
             stop_at_first=problem.stop_at_first)
         failures = check_sequential_exhaustive(op, cfg)
-        echo = _problem_echo(problem, suite=suite)
-        echo["grid-denominator"] = denominator
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first
         encoded: dict = {}
@@ -657,9 +656,9 @@ def _encode_convergence(report: ConvergenceReport) -> dict:
 
 def cmd_consensus(problem: ProblemFile) -> ReportFile:
     """Cross-framework agreement in one of three modes."""
+    _refuse_unread(problem, f"consensus {problem.mode}")
     if problem.act is None:
         raise ValidationError("consensus needs an act")
-    _refuse_stop_at_first(problem, "consensus")
     rule = problem.operator.vacuous_rule
     act = problem.act
     payload: dict[str, Any] = {

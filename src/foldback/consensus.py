@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .acts import Act, StateSpace, outcome_set
-from .ce_ops import CeOperator, GammaFunction, ce, ce_vacuous
+from .ce_ops import CeOperator, GammaFunction, ce, ce_vacuous, gamma_apply
 from .errors import SpaceMismatch, ValidationError
 from .plausibility import (
     VACUOUS_FRAMEWORKS,
@@ -142,20 +142,21 @@ def limit_check(rule: GammaFunction, act: Act,
                 family: ContaminationFamily) -> ConvergenceReport:
     """Track the ce along a contamination family toward full ignorance.
 
-    Each row compares the member's value against the ignorant one; the
-    gap can never exceed the weight remaining on the base point times
-    the act's outcome spread.
+    Each row values the member as the credal extension does, by the pair
+    rule on its expectation bounds (the median has no such value and is
+    refused), and compares that against the ignorant value; the gap can
+    never exceed the weight remaining on the base point times the act's
+    outcome spread.
     """
     if family.space != act.space:
         raise SpaceMismatch("family and act live on different spaces")
-    op = CeOperator(rule, credal_extension=True)
     limit_value = ce_vacuous(rule, outcome_set(act))
     spread = max(act.outcomes) - min(act.outcomes)
     rows = []
     for epsilon in family.weights:
         member = family.member(epsilon)
         bounds = expectation_bounds(member, act)
-        value = ce(op, member, act)
+        value = gamma_apply(rule, bounds)
         within = abs(value - limit_value) <= (ONE - epsilon) * spread
         rows.append(ConvergenceRow(epsilon, bounds.lower, bounds.upper, value, within))
     return ConvergenceReport(act, rule, tuple(rows), limit_value,

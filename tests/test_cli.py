@@ -1,7 +1,9 @@
 """Problem files, command payloads, exit codes, and witness replay."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from foldback import EngineError, ParseError, UnknownSuite, ValidationError
 from foldback.cli import (
     MAX_STATES,
     MODES,
+    RUNS,
     SUITES,
     ReportFile,
     Shared,
@@ -570,6 +573,94 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "stop-at-first" in captured.err
+
+
+# -- keys each run reads ---------------------------------------------------
+
+# a problem each run accepts, small enough to run in milliseconds
+RUN_PROBLEMS = {
+    "evaluate": evaluate_problem(),
+    **{f"check {suite}": {"operator": dict(ANCHORED_HALF), "suite": suite,
+                          "grid-denominator": 2} for suite in SUITES},
+    **{f"consensus {mode}": {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF),
+                             "mode": mode} for mode in MODES},
+}
+RUN_PROBLEMS["consensus certainty"]["state"] = 0
+# a value for each problem key that parses beside any of those problems
+KEY_VALUES = {
+    "states": 3, "act": ["0", "0", "1"], "partition": [[0, 2], [1]],
+    "framework": "credal-set", "measure": {"kind": "vacuous"},
+    "operator": {"kind": "min"}, "suite": "gamma-laws", "grid-denominator": 2,
+    "sizes": [2], "max-states": 2, "stop-at-first": True, "mode": "consensus",
+    "state": 0, "epsilons": ["1", "1/2"], "base": ["1/3", "1/3", "1/3"],
+    "family-max-size": 2,
+}
+
+
+def _run_main(tmp_path, capsys, run, problem, flags=()):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code = main([run.split()[0], "--problem", str(path), *flags])
+    return code, capsys.readouterr()
+
+
+def test_every_problem_key_is_read_by_some_run():
+    assert set().union(*(keys for keys, _ in RUNS.values())) == set(KEY_VALUES)
+    assert set(RUNS) == set(RUN_PROBLEMS)
+
+
+@pytest.mark.parametrize("run", list(RUN_PROBLEMS))
+@pytest.mark.parametrize("key", sorted(KEY_VALUES))
+def test_a_run_accepts_the_keys_it_reads_and_refuses_the_rest(tmp_path, capsys, run, key):
+    # the run's own problem wins, so its suite, mode and state stay
+    problem = {key: KEY_VALUES[key], **RUN_PROBLEMS[run]}
+    if key == "partition":  # which parses only on a state space
+        problem.setdefault("act", KEY_VALUES["act"])
+    code, captured = _run_main(tmp_path, capsys, run, problem)
+    if key in RUNS[run][0]:
+        assert code in (0, 1), captured.err
+        assert captured.err == ""
+        assert json.loads(captured.out)["problem"]["operator"]
+    else:
+        assert code == 2
+        assert captured.out == ""
+        assert key in captured.err
+
+
+@pytest.mark.parametrize("run", list(RUN_PROBLEMS))
+@pytest.mark.parametrize("flag,value", [("--grid-denominator", "2"), ("--max-states", "2"),
+                                        ("--stop-at-first", None)])
+def test_shared_flags_are_refused_by_runs_that_do_not_read_them(tmp_path, capsys, run,
+                                                                flag, value):
+    flags = [flag] if value is None else [flag, value]
+    code, captured = _run_main(tmp_path, capsys, run, RUN_PROBLEMS[run], flags)
+    if flag[2:] in RUNS[run][0]:
+        assert code in (0, 1), captured.err
+    else:
+        assert code == 2
+        assert captured.out == ""
+        assert flag[2:] in captured.err
+
+
+def test_refusals_name_every_unread_key(tmp_path, capsys):
+    problem = dict(RUN_PROBLEMS["consensus certainty"], framework="credal-set",
+                   sizes=[2], epsilons=["1"])
+    code, captured = _run_main(tmp_path, capsys, "consensus certainty", problem)
+    assert code == 2
+    assert captured.err == (
+        "error: consensus certainty does not read epsilons, framework, sizes/max-states\n")
+
+
+def test_readme_table_of_keys_matches_the_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Keys each run reads", 1)[1].split("\n### ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            run, keys, grid = (cell.strip() for cell in line.strip("|").split("|"))
+            table[run.strip("`")] = (frozenset(re.findall(r"`([^`]+)`", keys)),
+                                     int(grid.strip("`")[2:]) if grid else None)
+    assert table == RUNS
 
 
 # -- arbitrary problems ----------------------------------------------------

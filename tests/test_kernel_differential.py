@@ -49,6 +49,7 @@ from foldback import (
     Tabulated,
     ValidationError,
     ZPair,
+    UnsupportedCombination,
     ZeroPlausibilityEvent,
     ce,
     ce_vacuous,
@@ -64,7 +65,9 @@ from foldback import (
     evaluate,
     expectation_bounds,
     gamma_apply,
+    limit_check,
     np_prefer,
+    outcome_set,
     restrict,
     tabulate,
     vacuous,
@@ -818,6 +821,48 @@ def test_contamination_members_match_reference(n, data):
     if not isinstance(reference, tuple):
         act = data.draw(ACTS[n])
         _same(expectation_bounds(member, act), reference_expectation(reference, act))
+
+
+def reference_limit_rows(rule, act, family):
+    """`limit_check`'s limit value, then each row valued by the `ce` route."""
+    op = CeOperator(rule, credal_extension=True)
+    ce_vacuous(rule, outcome_set(act))
+    rows = []
+    for epsilon in family.weights:
+        member = family.member(epsilon)
+        bounds = expectation_bounds(member, act)
+        rows.append((epsilon, bounds.lower, bounds.upper, ce(op, member, act)))
+    return rows
+
+
+def _limit_rows(rule, act, family):
+    return [(row.epsilon, row.lower, row.upper, row.value)
+            for row in limit_check(rule, act, family).rows]
+
+
+@given(st.sampled_from(range(1, 7)), st.sampled_from(sorted(PAIR_RULES)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_limit_rows_match_the_credal_extension(n, name, data):
+    rule = PAIR_RULES[name]
+    act = data.draw(ACTS[n])
+    base = data.draw(VECTORS[n] | st.sampled_from(cst.unit_vectors(n)))
+    epsilons = data.draw(st.sets(UNIT_FRACTIONS.filter(bool), min_size=1, max_size=4))
+    family = ContaminationFamily(base, tuple(sorted(epsilons, reverse=True)))
+    # an uncovered table raises the same first miss on both routes
+    assert _outcome(_limit_rows, rule, act, family) == \
+        _outcome(reference_limit_rows, rule, act, family)
+
+
+@pytest.mark.parametrize("outcomes,base", [
+    ((F(0), F(1, 2), F(1)), (F(1, 3), F(1, 3), F(1, 3))),
+    ((F(1, 2),), (ONE,)),
+], ids=["three-states", "one-state"])
+def test_limit_refuses_the_median_at_full_contamination(outcomes, base):
+    # at epsilon 1 the member is vacuous, where `ce` would take the median
+    # of the outcome set; a row is the pair rule on the member's bounds
+    family = ContaminationFamily(base, (ONE,))
+    with pytest.raises(UnsupportedCombination):
+        limit_check(MedianRule(), Act(outcomes), family)
 
 
 @pytest.mark.parametrize("trusted,validated", [

@@ -38,7 +38,7 @@ MODULES = ("acts", "ce_ops", "cli", "consensus", "consistency", "errors",
 REMOVED = ("sequentially_consistent_on_grid", "acts_equivalent", "enumerate_events",
            "compose_partition_act", "DomainMismatch", "VacuityVerdict",
            "ConditionalAct", "framework_of", "parse_report", "IS_VACUOUS_CAP",
-           "iter_events")
+           "iter_events", "_refuse_stop_at_first")
 
 REMOVED_METHODS = [("acts", "Partition", "block_of"), ("acts", "Partition", "is_trivial"),
                    ("acts", "Act", "at"), ("acts", "Act", "rules"),
