@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,6 +96,10 @@ RUNS: dict[str, tuple[frozenset[str], Optional[int]]] = {
         ("consensus certainty", _CONSENSUS + " state", None),
         ("consensus limit", _CONSENSUS + " epsilons base", None))}
 _PROBLEM_KEYS = frozenset().union(*(keys for keys, _ in RUNS.values()))
+
+# the fields each measure kind reads besides `kind`
+_MEASURE_FIELDS = {"vacuous": (), "probability": ("weights",), "credal-set": ("generators",),
+                  "belief-function": ("masses",), "possibility": ("grades",)}
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,12 @@ def _state_set(value: Any, label: str) -> frozenset:
 # -- problem parsing ------------------------------------------------------
 
 
+def _refuse_unread_fields(record: Mapping, reads: Sequence[str], label: str) -> None:
+    unread = set(record) - set(reads)
+    if unread:
+        raise ParseError(f"{label}: unexpected fields {sorted(unread)}")
+
+
 def _parse_operator(record: Any) -> CeOperator:
     if not isinstance(record, Mapping):
         raise ParseError("operator: expected an object")
@@ -216,8 +227,7 @@ def _parse_operator(record: Any) -> CeOperator:
         rule = Tabulated(tuple(table))
     else:
         raise ParseError(f"operator.kind: unknown kind {kind!r}")
-    if params:
-        raise ParseError(f"operator: unexpected fields {sorted(params)}")
+    _refuse_unread_fields(params, (), "operator")
     return CeOperator(rule, probabilistic_rule=probabilistic,
                       credal_extension=extension)
 
@@ -231,6 +241,9 @@ def _parse_measure(record: Any, space: Optional[StateSpace],
     if not isinstance(record, Mapping):
         raise ParseError("measure: expected an object")
     kind = record.get("kind")
+    if not isinstance(kind, str) or kind not in _MEASURE_FIELDS:
+        raise ParseError(f"measure.kind: unknown kind {kind!r}")
+    _refuse_unread_fields(record, ("kind", *_MEASURE_FIELDS[kind]), "measure")
     if kind == "vacuous":
         return vacuous(space, framework)
     if kind == "probability":
@@ -253,14 +266,12 @@ def _parse_measure(record: Any, space: Optional[StateSpace],
         for i, item in enumerate(masses):
             if not isinstance(item, Mapping):
                 raise ParseError(f"measure.masses[{i}]: expected an object")
+            _refuse_unread_fields(item, ("event", "mass"), f"measure.masses[{i}]")
             members = _state_set(item.get("event"), f"measure.masses[{i}].event")
             pairs.append((members, _rational(item.get("mass"),
                                              f"measure.masses[{i}].mass")))
         return BeliefFunctionMeasure(space, tuple(pairs))
-    if kind == "possibility":
-        return PossibilityMeasure(_rational_list(record.get("grades"),
-                                                 "measure.grades"))
-    raise ParseError(f"measure.kind: unknown kind {kind!r}")
+    return PossibilityMeasure(_rational_list(record.get("grades"), "measure.grades"))
 
 
 def parse_problem(raw: Mapping) -> ProblemFile:
@@ -360,6 +371,8 @@ def parse_problem(raw: Mapping) -> ProblemFile:
     base = _rational_list(raw["base"], "base") if "base" in raw else None
     family_max_size = (_integer(raw["family-max-size"], "family-max-size")
                        if "family-max-size" in raw else None)
+    if family_max_size is not None and family_max_size < 1:
+        raise ValidationError("family-max-size must be >= 1")
 
     return ProblemFile(
         operator=operator, framework=framework, space=space, act=act,
@@ -587,7 +600,7 @@ def cmd_check(problem: ProblemFile) -> ReportFile:
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of {SUITES}")
     default = _refuse_unread(problem, f"check {suite}")
-    denominator = problem.grid_denominator or default
+    denominator = default if problem.grid_denominator is None else problem.grid_denominator
     op = problem.operator
     echo = _problem_echo(problem, suite=suite)
     echo["grid-denominator"] = denominator
@@ -599,14 +612,14 @@ def cmd_check(problem: ProblemFile) -> ReportFile:
     elif suite == "ev-properties":
         reports = check_ev_properties(op.vacuous_rule, denominator)
     elif suite == "set-order":
-        max_size = problem.family_max_size or 3
+        max_size = 3 if problem.family_max_size is None else problem.family_max_size
         family = default_set_family(denominator, max_size)
         reports = check_set_order_conditions(op.vacuous_rule, family)
         echo["family-max-size"] = max_size
     else:
         cfg = SearchConfig(
-            sizes=problem.sizes or (2, 3, 4), denominator=denominator,
-            stop_at_first=problem.stop_at_first)
+            sizes=(2, 3, 4) if problem.sizes is None else problem.sizes,
+            denominator=denominator, stop_at_first=problem.stop_at_first)
         failures = check_sequential_exhaustive(op, cfg)
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first
@@ -679,9 +692,11 @@ def cmd_consensus(problem: ProblemFile) -> ReportFile:
         payload.update(_encode_consensus(report))
         ok = report.agree
     else:
-        epsilons = problem.epsilons or (Fraction(1), Fraction(1, 2), Fraction(1, 4))
-        base = problem.base or tuple(
-            Fraction(1, act.space.n) for _ in act.space.states)
+        epsilons, base = problem.epsilons, problem.base
+        if epsilons is None:
+            epsilons = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+        if base is None:
+            base = tuple(Fraction(1, act.space.n) for _ in act.space.states)
         family = ContaminationFamily(base, epsilons)
         payload["base"] = [_enc(w) for w in family.base]
         convergence = limit_check(rule, act, family)
@@ -817,7 +832,7 @@ def _merge_flags(raw: dict, args: argparse.Namespace) -> dict:
         merged["max-states"] = args.max_states
     if args.stop_at_first:
         merged["stop-at-first"] = True
-    if getattr(args, "epsilon_list", None):
+    if getattr(args, "epsilon_list", None) is not None:
         mode = merged.get("mode", "limit")
         if mode in ("consensus", "certainty"):
             raise ValidationError(
@@ -844,10 +859,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "table":
-        print(render_table(report.payload))
-    else:
-        print(emit_report(report))
+    text = render_table(report.payload) if args.format == "table" else emit_report(report)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that
+        # the flush at interpreter exit raises no second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return report.exit_code
 
 

@@ -3,13 +3,14 @@
 Four frameworks share one interface: single probabilities, credal sets
 (finite generator lists, with the full simplex as a symbolic special
 case), belief functions, and possibility distributions. Each measure
-maps events to a pair of exact bounds in [0, 1]; restriction pushes a
-measure onto a partition's blocks, conditioning focuses it on an event
-with states relabeled 0..k-1 in increasing original order.
+values an event as the lower and upper expectation of its indicator;
+restriction pushes a measure onto a partition's blocks, conditioning
+focuses it on an event with states relabeled 0..k-1 in increasing
+original order.
 
 Each measure class names its framework and carries its own branch of
-every operation as a private method; the module functions below check
-their arguments once and then call that method.
+every other operation as a private method; the module functions below
+check their arguments once and then call that method.
 
 The methods compute on integers: each measure caches its weights,
 generators, masses or grades as numerators over one common denominator
@@ -128,11 +129,6 @@ class ProbabilityMeasure:
     def _ints(self) -> tuple[tuple[int, ...], int]:
         return _integer_image(self.weights)
 
-    def _value(self, event: Event) -> ZPair:
-        weights, scale = self._ints
-        p = sum(weights[s] for s in event)
-        return _bounds(p, p, scale)
-
     def _restrict(self, partition: Partition) -> ProbabilityMeasure:
         weights, scale = self._ints
         return ProbabilityMeasure._trusted(tuple(
@@ -207,17 +203,6 @@ class CredalSetMeasure:
     @classmethod
     def full_simplex(cls, space: StateSpace) -> CredalSetMeasure:
         return cls(space, None)
-
-    def _value(self, event: Event) -> ZPair:
-        if self.is_full_simplex:
-            if not event:
-                return Z_BOTTOM
-            if len(event) == self.space.n:
-                return Z_TOP
-            return Z_VACUOUS
-        generators, scale = self._ints
-        sums = [sum(gen[s] for s in event) for gen in generators]
-        return _bounds(min(sums), max(sums), scale)
 
     def _restrict(self, partition: Partition) -> CredalSetMeasure:
         if self.is_full_simplex:
@@ -311,12 +296,6 @@ class BeliefFunctionMeasure:
         masses, scale = _integer_image([m for _, m in self.masses])
         return tuple(zip((focal for focal, _ in self.masses), masses)), scale
 
-    def _value(self, event: Event) -> ZPair:
-        masses, scale = self._ints
-        belief = sum(m for focal, m in masses if focal <= event)
-        plaus = sum(m for focal, m in masses if focal & event)
-        return _bounds(belief, plaus, scale)
-
     def _restrict(self, partition: Partition) -> BeliefFunctionMeasure:
         # a focal element coarsens to the set of blocks it meets
         masses, scale = self._ints
@@ -385,13 +364,6 @@ class PossibilityMeasure:
     def _ints(self) -> tuple[tuple[int, ...], int]:
         return _integer_image(self.grades)
 
-    def _value(self, event: Event) -> ZPair:
-        grades, scale = self._ints
-        possible = max((grades[s] for s in event), default=0)
-        complement_possible = max(
-            (g for s, g in enumerate(grades) if s not in event), default=0)
-        return _bounds(scale - complement_possible, possible, scale)
-
     def _restrict(self, partition: Partition) -> PossibilityMeasure:
         grades, scale = self._ints
         return PossibilityMeasure._trusted(
@@ -445,8 +417,15 @@ def _check_event(measure: PlausibilityMeasure, event: Event) -> Event:
 
 
 def evaluate(measure: PlausibilityMeasure, event: Event) -> ZPair:
-    """Lower and upper value of an event under the measure."""
-    return measure._value(_check_event(measure, event))
+    """Lower and upper value of an event: the expectation of its indicator.
+
+    That is P(E) for a probability, the envelope over a credal set's
+    generators, Bel(E) and Pl(E) for a belief function, and N(E) and
+    Pi(E) for a possibility distribution.
+    """
+    event = _check_event(measure, event)
+    return measure._expectation(Act._trusted(
+        tuple(ONE if s in event else ZERO for s in measure.space.states)))
 
 
 def vacuous(space: StateSpace, framework: Framework) -> PlausibilityMeasure:

@@ -1,7 +1,10 @@
 """Problem files, command payloads, exit codes, and witness replay."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -649,6 +652,69 @@ def test_refusals_name_every_unread_key(tmp_path, capsys):
     assert code == 2
     assert captured.err == (
         "error: consensus certainty does not read epsilons, framework, sizes/max-states\n")
+
+
+# -- given values are used or refused, never swapped for defaults ----------
+
+SET_ORDER = {"operator": dict(ANCHORED_HALF), "suite": "set-order", "grid-denominator": 2}
+LIMIT = {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF), "mode": "limit"}
+
+
+@pytest.mark.parametrize("run,problem,flags,message", [
+    ("check sequential", {"operator": dict(HURWICZ_HALF), "suite": "sequential",
+                          "sizes": []}, (), "sizes must be positive"),
+    ("check set-order", dict(SET_ORDER, **{"family-max-size": 0}), (), "family-max-size"),
+    ("check set-order", dict(SET_ORDER, **{"family-max-size": -3}), (), "family-max-size"),
+    ("consensus limit", dict(LIMIT, epsilons=[]), (), "contamination weight"),
+    ("consensus limit", dict(LIMIT, base=[]), (), "base"),
+    ("consensus", {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF)},
+     ("--epsilon-list", ""), "epsilons[0]"),
+], ids=["sizes", "family-max-size-0", "family-max-size-negative", "epsilons", "base",
+        "epsilon-list"])
+def test_empty_or_zero_values_are_refused_not_defaulted(tmp_path, capsys, run, problem,
+                                                        flags, message):
+    code, captured = _run_main(tmp_path, capsys, run, problem, flags)
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("measure,message", [
+    ({"kind": "probability", "weights": ["1/2", "0", "1/2"], "grades": ["1", "1", "1"]},
+     "measure: unexpected fields ['grades']"),
+    ({"kind": "vacuous", "weights": ["1/2", "0", "1/2"]},
+     "measure: unexpected fields ['weights']"),
+    ({"kind": "credal-set", "weights": [], "grades": [], "generators": [["1", "0", "0"]]},
+     "measure: unexpected fields ['grades', 'weights']"),
+    ({"kind": "possibility", "grades": ["1", "0", "0"], "masses": []},
+     "measure: unexpected fields ['masses']"),
+    ({"kind": "belief-function",
+      "masses": [{"event": [0, 1, 2], "mass": "1", "weight": "1", "focal": [0]}]},
+     "measure.masses[0]: unexpected fields ['focal', 'weight']"),
+], ids=["probability", "vacuous", "credal-set", "possibility", "belief-function-mass"])
+def test_measure_records_refuse_the_fields_they_do_not_read(measure, message):
+    raw = evaluate_problem(measure=measure)
+    del raw["framework"]
+    with pytest.raises(ParseError) as raised:
+        parse_problem(raw)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["machine", "table"])
+def test_a_closed_stdout_exits_two_without_a_traceback(tmp_path, fmt):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"operator": dict(HURWICZ_HALF), "suite": "sequential"}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.Popen(
+        [sys.executable, "-m", "foldback.cli", "check", "--problem", str(path),
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    run.stdout.close()  # the reader leaves before the report is written
+    err = run.stderr.read()
+    run.stderr.close()
+    assert run.wait(timeout=120) == 2
+    assert err == b""
 
 
 def test_readme_table_of_keys_matches_the_runs():

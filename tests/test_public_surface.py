@@ -43,7 +43,10 @@ REMOVED = ("sequentially_consistent_on_grid", "acts_equivalent", "enumerate_even
 REMOVED_METHODS = [("acts", "Partition", "block_of"), ("acts", "Partition", "is_trivial"),
                    ("acts", "Act", "at"), ("acts", "Act", "rules"),
                    ("plausibility", "BeliefFunctionMeasure", "mass_of"),
-                   ("plausibility", "ZPair", "width")]
+                   ("plausibility", "ZPair", "width"),
+                   *(("plausibility", cls, "_value") for cls in (
+                       "ProbabilityMeasure", "CredalSetMeasure", "BeliefFunctionMeasure",
+                       "PossibilityMeasure"))]
 
 
 def test_all_is_the_pinned_list():
