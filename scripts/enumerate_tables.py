@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Enumerate every lawful pair-rule table on a grid.
 
-Backtracks over all grid tables satisfying the pair-rule laws and
-prints each survivor next to the anchored rule it coincides with.
-Under the default Lipschitz modulus 1 the survivors on k/D are exactly
-the D + 1 anchored (clamp) tables. Without the modulus (a huge
---lipschitz) the lawful class is larger: the Catalan number C(D + 1)
-of tables, 42 on k/4.
+Builds the tables satisfying the pair-rule laws, which are the
+lowest-common-ancestor maps of the binary search trees on the grid
+whose edges span at most floor(modulus) grid steps, and prints each
+next to the anchored rule it coincides with. Under the default
+Lipschitz modulus 1 the tables on k/D are exactly the D + 1 anchored
+(clamp) tables. Without the modulus (a huge --lipschitz) the lawful
+class is larger: the Catalan number C(D + 1) of tables, 42 on k/4.
 
 Example:
     python3 scripts/enumerate_tables.py --denominator 4
 """
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -80,8 +82,15 @@ def main() -> int:
 
 if __name__ == "__main__":
     try:
-        sys.exit(main())
+        status = main()
+        sys.stdout.flush()
     except EngineError as exc:
         # the CLI's contract: one line on stderr and exit 2, no traceback
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+        status = 2
+    except BrokenPipeError:
+        # the reader closed stdout, handled as the CLI does: what is left
+        # goes to devnull, so the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
+    sys.exit(status)

@@ -11,6 +11,7 @@ Example:
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from pathlib import Path
@@ -94,8 +95,15 @@ def main() -> int:
 
 if __name__ == "__main__":
     try:
-        sys.exit(main())
+        status = main()
+        sys.stdout.flush()
     except EngineError as exc:
         # the CLI's contract: one line on stderr and exit 2, no traceback
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+        status = 2
+    except BrokenPipeError:
+        # the reader closed stdout, handled as the CLI does: what is left
+        # goes to devnull, so the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
+    sys.exit(status)

@@ -14,7 +14,9 @@ what makes reports replayable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, Optional, Sequence
 
 from . import __version__
-from .acts import Act, Partition, StateSpace
+from .acts import PARTITION_CAP, Act, Partition, StateSpace
 from .ce_ops import (
     Anchored,
     CeOperator,
@@ -55,7 +57,7 @@ from .consistency import (
     check_set_order_conditions,
     default_set_family,
 )
-from .errors import EngineError, ParseError, UnknownSuite, ValidationError
+from .errors import CapExceeded, EngineError, ParseError, UnknownSuite, ValidationError
 from .plausibility import (
     BeliefFunctionMeasure,
     CredalSetMeasure,
@@ -78,6 +80,16 @@ MODES = ("consensus", "certainty", "limit")
 # problem itself, so their sizes are paid for by its length. The largest
 # problem in the tests and the benchmark has 20 states.
 MAX_STATES = 1000
+
+# The most steps of work one `check` may ask for (`_check_work`). The
+# suites' work grows as a power of `grid-denominator`, `sizes` and
+# `family-max-size`, so a problem of a few bytes could ask for hours and
+# gigabytes; it is refused before any work starts. Every suite's default
+# problem is admitted, the largest being set-order's at 149,769 steps. At
+# the limit the slowest runs are those whose every step adds a witness or
+# a failing cell to the report: Hurwicz(1/3) on gamma-laws k/406 takes
+# about 15 s and 600 MB, and on a sequential sweep of k/10 about 9 s.
+MAX_WORK = 250_000
 
 _SUITE = "operator suite grid-denominator"
 _CONSENSUS = "states act operator mode"
@@ -357,6 +369,10 @@ def parse_problem(raw: Mapping) -> ProblemFile:
         top = _integer(raw["max-states"], "max-states")
         if top < 2:
             raise ValidationError("max-states must be >= 2")
+        if top > PARTITION_CAP:
+            # the sizes 2..top are built from this one number, and the sweep
+            # refuses every size above the cap
+            raise CapExceeded(f"sweep capped at n <= {PARTITION_CAP}, asked for {top}")
         if sizes is not None:
             raise ValidationError("give either sizes or max-states, not both")
         sizes = tuple(range(2, top + 1))
@@ -570,6 +586,42 @@ def _refuse_unread(problem: ProblemFile, run: str) -> Optional[int]:
     return grid
 
 
+def _bell(n: int) -> int:
+    """The number of partitions of an n-element set."""
+    row = [1]
+    for _ in range(n - 1):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[-1]
+
+
+def _check_work(suite: str, points: int, sizes: Sequence[int], max_size: int) -> int:
+    """Steps of work a check suite does on a grid of `points` points.
+
+    A step is one value of the rule, one comparison of two values or one
+    sweep cell (an act and a partition), whichever the suite repeats.
+    """
+    pairs = points * (points + 1) // 2
+    if suite == "gamma-laws":
+        # every pair is valued, and the iteration law values at most two more
+        return 3 * pairs
+    if suite == "ev-properties":
+        # the range law values the sets of up to four points; monotonicity
+        # and the modulus compare every two pairs
+        return sum(math.comb(points, size) for size in range(1, 5)) + pairs ** 2
+    if suite == "set-order":
+        # strong independence compares every two family sets at every
+        # point of the grid, which is the family's union
+        family = 0
+        for size in range(1, min(max_size, points) + 1):
+            family += math.comb(points, size)
+            if family > MAX_WORK:
+                break  # the count is past the limit already
+        return family ** 2 * points
+    # every act on the grid with every partition of its states; the sweep
+    # refuses a size above PARTITION_CAP itself, before any work
+    return sum(points ** n * _bell(n) for n in sizes if 0 < n <= PARTITION_CAP)
+
+
 def cmd_evaluate(problem: ProblemFile) -> ReportFile:
     """Certainty equivalent of one act; with a partition, the fold too."""
     _refuse_unread(problem, "evaluate")
@@ -601,6 +653,12 @@ def cmd_check(problem: ProblemFile) -> ReportFile:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of {SUITES}")
     default = _refuse_unread(problem, f"check {suite}")
     denominator = default if problem.grid_denominator is None else problem.grid_denominator
+    sizes = (2, 3, 4) if problem.sizes is None else problem.sizes
+    max_size = 3 if problem.family_max_size is None else problem.family_max_size
+    work = _check_work(suite, denominator + 1, sizes, max_size)
+    if work > MAX_WORK:
+        raise CapExceeded(f"check {suite} on grid k/{denominator} needs at least"
+                          f" {work:,} steps of work; the limit is {MAX_WORK:,}")
     op = problem.operator
     echo = _problem_echo(problem, suite=suite)
     echo["grid-denominator"] = denominator
@@ -612,14 +670,12 @@ def cmd_check(problem: ProblemFile) -> ReportFile:
     elif suite == "ev-properties":
         reports = check_ev_properties(op.vacuous_rule, denominator)
     elif suite == "set-order":
-        max_size = 3 if problem.family_max_size is None else problem.family_max_size
         family = default_set_family(denominator, max_size)
         reports = check_set_order_conditions(op.vacuous_rule, family)
         echo["family-max-size"] = max_size
     else:
-        cfg = SearchConfig(
-            sizes=(2, 3, 4) if problem.sizes is None else problem.sizes,
-            denominator=denominator, stop_at_first=problem.stop_at_first)
+        cfg = SearchConfig(sizes=sizes, denominator=denominator,
+                           stop_at_first=problem.stop_at_first)
         failures = check_sequential_exhaustive(op, cfg)
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first

@@ -527,51 +527,45 @@ def tabulate(rule: GammaFunction, denominator: int) -> Tabulated:
 
 def enumerate_lawful_gamma_tables(denominator: int = 4, *,
                                   lipschitz: Fraction = DEFAULT_LIPSCHITZ) -> list[Tabulated]:
-    """All grid tables passing every pair-rule law, in enumeration order.
+    """All grid tables passing every pair-rule law, sorted by their cells.
 
-    Backtracks over off-diagonal cells, rows in order and each row's
-    cells in order, with the diagonal pinned by the identity law, and
-    decides every other law as a cell is filled, so each completed
-    table is lawful and the search's cost follows the tables it
-    returns. Cells hold grid indices, which are the table's levels over
-    the scale `denominator`.
+    The lawful tables are the lowest-common-ancestor (LCA) maps of the
+    binary search trees on the grid indices: gamma(x_i, x_j) is x_r for
+    the root r of the smallest subtree holding both i and j. Every such
+    map meets the identity, monotonicity and iteration laws. Conversely,
+    a lawful table's corner value gamma(0, 1) = x_r is the value of
+    every pair around r, and the pairs on either side of r form two
+    lawful tables: the root's subtrees. The modulus holds exactly when
+    no tree edge spans more than floor(lipschitz) grid steps, so each
+    child's root is drawn within that reach of its parent and no tree is
+    built only to be discarded. Under modulus 1 the trees are the chains
+    that give the anchored tables.
+
+    Tables come sorted by their cell values, rows by x and then by y.
     """
     _check_modulus(lipschitz)
     grid = unit_grid(denominator)
     # a value may exceed its neighbor's by the modulus times one grid
     # step, so by this many whole grid steps
     reach = math.floor(lipschitz)
-    cells = [(i, j) for i in range(len(grid)) for j in range(i + 1, len(grid))]
-    table = {(k, k): k for k in range(len(grid))}
-    found: list[Tabulated] = []
+    pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
 
-    def fill(index: int) -> None:
-        if index == len(cells):
-            found.append(Tabulated(tuple(
-                (ZPair._trusted(grid[i], grid[j]), grid[k])
-                for (i, j), k in table.items())))
-            return
-        i, j = cells[index]
-        # monotonicity and the modulus against the filled neighbors
-        below = table[i, j - 1]
-        lo, hi = max(i, below), min(j, below + reach)
-        if i:
-            left = table[i - 1, j]
-            lo, hi = max(lo, left), min(hi, left + reach)
-        if i == j - 1:
-            # the modulus against the diagonal cell (j, j)
-            lo = max(lo, j - reach)
-        if any(table[h, j] == i for h in range(i)):
-            # an earlier row of this column holds i: the iteration law
-            # via the upper end of that cell asks for gamma(i, j) = i
-            hi = min(hi, i)
-        for k in range(lo, hi + 1):
-            # the iteration law via the lower end, gamma(i, k) = k, reads
-            # a cell of this row that is already filled
-            if k == j or table[i, k] == k:
-                table[i, j] = k
-                fill(index + 1)
-                del table[i, j]
+    def trees(lo: int, hi: int, first: int, last: int) -> list[dict]:
+        """The LCA maps of the trees on lo..hi rooted in first..last."""
+        if lo > hi:
+            return [{}]
+        maps = []
+        for root in range(max(lo, first), min(hi, last) + 1):
+            # the pairs with an end at the root or one on each side meet there
+            split = {(i, j): root for i in range(lo, root + 1) for j in range(root, hi + 1)}
+            near = (root - reach, root + reach)
+            right = trees(root + 1, hi, *near)
+            for left_map in trees(lo, root - 1, *near):
+                maps.extend(split | left_map | right_map for right_map in right)
+        return maps
 
-    fill(0)
-    return found
+    vectors = sorted(tuple(lca[pair] for pair in pairs)
+                     for lca in trees(0, len(grid) - 1, 0, len(grid) - 1))
+    return [Tabulated(tuple((ZPair._trusted(grid[i], grid[j]), grid[k])
+                            for (i, j), k in zip(pairs, vector)))
+            for vector in vectors]

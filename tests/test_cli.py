@@ -1,10 +1,12 @@
 """Problem files, command payloads, exit codes, and witness replay."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,9 +14,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foldback import EngineError, ParseError, UnknownSuite, ValidationError
+from foldback import (
+    EngineError,
+    ParseError,
+    StateSpace,
+    UnknownSuite,
+    ValidationError,
+    default_set_family,
+    enumerate_partitions,
+)
 from foldback.cli import (
     MAX_STATES,
+    MAX_WORK,
     MODES,
     RUNS,
     SUITES,
@@ -715,6 +726,55 @@ def test_a_closed_stdout_exits_two_without_a_traceback(tmp_path, fmt):
     run.stderr.close()
     assert run.wait(timeout=120) == 2
     assert err == b""
+
+
+# -- work limit --------------------------------------------------------------
+
+# checks just past the limit, with their counts taken from the suites' own
+# loops where a loop is cheap to list
+@pytest.mark.parametrize("settings,work", [
+    ({"suite": "ev-properties", "grid-denominator": 192},
+     sum(math.comb(193, size) for size in range(1, 5)) + (193 * 194 // 2) ** 2),
+    ({"suite": "gamma-laws", "grid-denominator": 407}, 3 * (408 * 409 // 2)),
+    ({"suite": "set-order", "family-max-size": 4}, len(default_set_family(8, 4)) ** 2 * 9),
+    # counting stops once the family alone passes the limit
+    ({"suite": "set-order", "grid-denominator": 10 ** 6, "family-max-size": 10 ** 6},
+     (10 ** 6 + 1) ** 3),
+    ({"suite": "sequential", "sizes": [2, 6]},
+     sum(5 ** n * len(enumerate_partitions(StateSpace(n))) for n in (2, 6))),
+], ids=["ev-properties", "gamma-laws", "set-order", "set-order-huge", "sequential"])
+def test_checks_past_the_work_limit_are_refused_before_they_start(tmp_path, capsys,
+                                                                   settings, work):
+    assert work > MAX_WORK
+    started = time.perf_counter()
+    code, captured = _run_main(tmp_path, capsys, "check",
+                               dict(settings, operator={"kind": "min"}))
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert captured.out == ""
+    suite, denominator = settings["suite"], settings.get("grid-denominator")
+    denominator = RUNS[f"check {suite}"][1] if denominator is None else denominator
+    assert captured.err == (f"error: check {suite} on grid k/{denominator} needs at least"
+                            f" {work:,} steps of work; the limit is {MAX_WORK:,}\n")
+
+
+def test_a_gamma_law_check_at_the_work_limit_runs():
+    # 3 * (407 * 408 / 2) = 249,084 steps, the last grid under the limit
+    report = cmd_check(parse_problem({"operator": {"kind": "min"}, "suite": "gamma-laws",
+                                      "grid-denominator": 406}))
+    assert report.exit_code == 0
+
+
+@pytest.mark.parametrize("given,flags", [
+    ({"max-states": 10 ** 9}, []), ({}, ["--max-states", str(10 ** 9)])], ids=["file", "flag"])
+def test_max_states_past_the_sweep_cap_is_refused_before_sizes_are_built(tmp_path, capsys,
+                                                                           given, flags):
+    # the sizes 2..N would be a tuple of a billion entries
+    code, captured = _run_main(tmp_path, capsys, "check",
+                               {"operator": {"kind": "min"}, "suite": "sequential", **given},
+                               flags)
+    assert code == 2
+    assert captured.err == "error: sweep capped at n <= 8, asked for 1000000000\n"
 
 
 def test_readme_table_of_keys_matches_the_runs():

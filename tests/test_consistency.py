@@ -314,7 +314,7 @@ def monotone_tables(denominator: int) -> list[Tabulated]:
 
 
 class TestSynthesis:
-    @pytest.mark.parametrize("denominator", range(1, 9))
+    @pytest.mark.parametrize("denominator", [*range(1, 9), 16])
     def test_exactly_the_clamp_tables_survive(self, denominator):
         survivors = enumerate_lawful_gamma_tables(denominator)
         anchored = [tabulate(Anchored(a), denominator) for a in unit_grid(denominator)]
@@ -329,7 +329,7 @@ class TestSynthesis:
 
     # without the modulus the lawful tables on k/d number the Catalan C(d + 1)
     @pytest.mark.parametrize("denominator,count", [
-        (1, 2), (2, 5), (3, 14), (4, 42), (5, 132), (6, 429)])
+        (1, 2), (2, 5), (3, 14), (4, 42), (5, 132), (6, 429), (7, 1430)])
     def test_dropping_the_modulus_admits_steeper_tables(self, denominator, count):
         relaxed = enumerate_lawful_gamma_tables(denominator, lipschitz=F(10 ** 6))
         assert len(relaxed) == count
@@ -337,11 +337,30 @@ class TestSynthesis:
         # on k/1 the two anchored tables are the only monotone tables at all
         assert strict == set(relaxed) if denominator == 1 else strict < set(relaxed)
 
+    # grids past the reference enumerator's reach, with moduli that keep
+    # some steep tables and drop others
+    STEEP = pytest.mark.parametrize("denominator,lipschitz", [
+        (denominator, lipschitz) for denominator in (5, 6, 7)
+        for lipschitz in (F(3, 2), 2, 3, F(10 ** 6))], ids=str)
+
+    @STEEP
+    def test_every_table_passes_the_gamma_laws(self, denominator, lipschitz):
+        for table in enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz):
+            reports = check_gamma_laws(table, denominator, lipschitz=lipschitz)
+            assert [r.witnesses for r in reports] == [()] * len(reports), table
+
+    @STEEP
+    def test_tables_ascend_strictly_by_their_cells(self, denominator, lipschitz):
+        cells = [tuple(value for z, value in table.entries if z.lower < z.upper)
+                 for table in enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz)]
+        assert all(a < b for a, b in zip(cells, cells[1:]))
+
     @pytest.mark.parametrize("denominator", [2, 3, 4])
     def test_monotone_tables_fold_back_exactly_when_lawful(self, denominator):
         # the paper's condition, across two kernels: among monotone,
         # idempotent tables the folding sweep fails on none exactly when
-        # the gamma laws (without the modulus) hold
+        # the gamma laws (without the modulus) hold, that is, exactly on
+        # the LCA rules of the binary search trees on the grid
         tables = monotone_tables(denominator)
         assert len(tables) == 2 ** (denominator * (denominator + 1) // 2)
         lawful = set(enumerate_lawful_gamma_tables(denominator, lipschitz=F(10 ** 6)))

@@ -37,17 +37,52 @@ TABLES = [
     "table 2: anchored(1)",
 ]
 
+# without the modulus two of the five tables on k/2 are not anchored
+STEEP_TABLES = [
+    "5 lawful tables on grid k/2 (modulus 1000000)",
+    "",
+    "table 0: anchored(0)",
+    "",
+    "table 1: not anchored; corner value 0",
+    "",
+    "table 2: not anchored; corner value 1",
+    "",
+    "table 3: anchored(1/2)",
+    "",
+    "table 4: anchored(1)",
+]
+
 
 @pytest.mark.parametrize("script,args,expected", [
     ("sweep_rules.py",
      ["--max-states", "3", "--denominator", "2", "--anchor-denominator", "2"], SWEEP),
     ("enumerate_tables.py", ["--denominator", "2", "--quiet"], TABLES),
+    ("enumerate_tables.py", ["--denominator", "2", "--lipschitz", "1000000", "--quiet"],
+     STEEP_TABLES),
 ])
 def test_script_prints_its_summary(script, args, expected):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert [TIMING.sub("", line) for line in done.stdout.splitlines()] == expected
+
+
+# each run prints about 200 KB, more than a pipe holds, so the script is
+# still writing when its reader stops after one line
+@pytest.mark.parametrize("script,args", [
+    ("enumerate_tables.py", ["--denominator", "6", "--lipschitz", "1000000"]),
+    ("sweep_rules.py",
+     ["--max-states", "2", "--denominator", "1", "--anchor-denominator", "4000"]),
+])
+def test_script_exits_quietly_when_its_reader_stops(script, args):
+    run = subprocess.Popen([sys.executable, str(ROOT / "scripts" / script), *args],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = run.stdout.readline()
+    run.stdout.close()
+    errors = run.stderr.read()
+    assert run.wait(timeout=120) == 2
+    assert first.strip()
+    assert errors == ""
 
 
 @pytest.mark.parametrize("script,args,message", [
