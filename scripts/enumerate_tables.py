@@ -8,6 +8,9 @@ next to the anchored rule it coincides with. Under the default
 Lipschitz modulus 1 the tables on k/D are exactly the D + 1 anchored
 (clamp) tables. Without the modulus (a huge --lipschitz) the lawful
 class is larger: the Catalan number C(D + 1) of tables, 42 on k/4.
+The tables are counted first, and a run whose tables hold more cells
+in all than the CLI's work limit (`foldback.cli.MAX_WORK`) is refused
+before any is built.
 
 Example:
     python3 scripts/enumerate_tables.py --denominator 4
@@ -24,12 +27,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from foldback import (
     Anchored,
+    CapExceeded,
     EngineError,
     ZPair,
     enumerate_lawful_gamma_tables,
     gamma_apply,
     tabulate,
 )
+from foldback.cli import MAX_WORK
+from foldback.consistency import count_lawful_gamma_tables
 from foldback.rationals import format_rational, parse_rational, unit_grid
 
 
@@ -59,6 +65,13 @@ def main() -> int:
     args = parser.parse_args()
 
     modulus = parse_rational(args.lipschitz)
+    # a step is one cell of one table
+    tables = count_lawful_gamma_tables(args.denominator, lipschitz=modulus)
+    pairs = (args.denominator + 1) * (args.denominator + 2) // 2
+    if tables * pairs > MAX_WORK:
+        raise CapExceeded(
+            f"{tables:,} lawful tables of {pairs:,} cells on grid k/{args.denominator}"
+            f" need {tables * pairs:,} steps of work; the limit is {MAX_WORK:,}")
     started = time.perf_counter()
     survivors = enumerate_lawful_gamma_tables(args.denominator, lipschitz=modulus)
     elapsed = time.perf_counter() - started

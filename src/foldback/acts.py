@@ -130,7 +130,7 @@ class Act:
             raise ValidationError("an act needs at least one state")
         object.__setattr__(
             self, "outcomes",
-            tuple(ensure_unit(Fraction(u), "outcome") for u in self.outcomes))
+            tuple(ensure_unit(u, "outcome") for u in self.outcomes))
 
     @classmethod
     def _trusted(cls, outcomes: tuple[Utility, ...]) -> Act:

@@ -16,9 +16,10 @@ expectation bounds when the credal extension is enabled.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Union
 
 from .acts import Act, outcome_set
 from .errors import (
@@ -37,7 +38,7 @@ from .plausibility import (
     expectation_bounds,
     is_vacuous,
 )
-from .rationals import ONE, ensure_unit
+from .rationals import ONE, _fraction, _integer_image, ensure_unit
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class Anchored:
     anchor: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "anchor", ensure_unit(Fraction(self.anchor), "anchor"))
+        object.__setattr__(self, "anchor", ensure_unit(self.anchor, "anchor"))
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Hurwicz:
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", ensure_unit(Fraction(self.alpha), "alpha"))
+        object.__setattr__(self, "alpha", ensure_unit(self.alpha, "alpha"))
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,15 @@ class Tabulated:
         raw = self.entries.items() if isinstance(self.entries, Mapping) else self.entries
         index: dict[ZPair, Fraction] = {}
         for z, value in raw:
-            if z in index and index[z] != value:
+            value = _fraction(value)
+            # one lookup both stores a new pair and finds a repeated one
+            if index.setdefault(z, value) != value:
                 raise ValidationError(f"conflicting entries for {z}")
-            index[z] = ensure_unit(Fraction(value), "table value")
-        ordered = tuple(sorted(index.items(), key=lambda e: (e[0].lower, e[0].upper)))
+            ensure_unit(value, "table value")
+        # sorted by (lower, upper), compared as numerators over one scale
+        items = list(index.items())
+        bounds, _ = _integer_image([b for z, _ in items for b in (z.lower, z.upper)])
+        ordered = tuple(item for _, _, item in sorted(zip(bounds[::2], bounds[1::2], items)))
         object.__setattr__(self, "entries", ordered)
         object.__setattr__(self, "_index", index)
 

@@ -19,10 +19,11 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional
 
 from . import __version__
 from .acts import PARTITION_CAP, Act, Partition, StateSpace
@@ -151,12 +152,19 @@ def _reject_float(text: str) -> None:
 
 
 def loads_exact(text: str) -> Any:
-    """json.loads that refuses floating-point literals."""
+    """json.loads that refuses floating-point literals.
+
+    It also refuses an integer literal longer than the interpreter
+    converts to an int (4,300 digits by default).
+    """
     try:
         return json.loads(text, parse_float=_reject_float,
                           parse_constant=_reject_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
+    except ValueError:
+        # the decoder's one other ValueError: int()'s limit on digits
+        raise ParseError("an integer literal is too long to convert") from None
 
 
 def _rational(value: Any, label: str) -> Fraction:
@@ -167,8 +175,8 @@ def _rational(value: Any, label: str) -> Fraction:
     if isinstance(value, str):
         try:
             return parse_rational(value)
-        except ParseError:
-            raise ParseError(f"{label}: not an exact rational: {value!r}") from None
+        except ParseError as exc:
+            raise ParseError(f"{label}: {exc}") from None
     raise ParseError(f"{label}: expected a rational string, got {value!r}")
 
 
@@ -230,11 +238,22 @@ def _parse_operator(record: Any) -> CeOperator:
         entries = params.pop("entries", None)
         if not isinstance(entries, list):
             raise ParseError("operator.entries: expected a list of [x, y, value]")
+        # a grid table spells each grid value in many entries; parse it once
+        literals: dict[str, Fraction] = {}
+
+        def rational(part: Any, label: str) -> Fraction:
+            if type(part) is not str:
+                return _rational(part, label)
+            if part not in literals:
+                literals[part] = _rational(part, label)
+            return literals[part]
+
         table = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError(f"operator.entries[{i}]: expected [x, y, value]")
-            x, y, v = (_rational(part, f"operator.entries[{i}]") for part in entry)
+            label = f"operator.entries[{i}]"
+            x, y, v = (rational(part, label) for part in entry)
             table.append((ZPair(x, y), v))
         rule = Tabulated(tuple(table))
     else:

@@ -10,6 +10,7 @@ cell they came from.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -525,6 +526,51 @@ def tabulate(rule: GammaFunction, denominator: int) -> Tabulated:
     return Tabulated(entries)
 
 
+def _lawful_trees(points: int, reach: int, empty, join, total):
+    """Fold the binary search trees on 0..points-1 with edges of at most `reach` steps.
+
+    `empty` is the fold of the empty tree. `join(root, lo, hi, left,
+    right)` folds the trees on lo..hi with that root from the folds of
+    its two subtrees, and `total` adds up a range's folds over its
+    roots. A subtree's folds depend only on its range and the roots its
+    parent allows, so each is made once per call.
+    """
+    @functools.cache
+    def trees(lo: int, hi: int, first: int, last: int):
+        """The fold of the trees on lo..hi rooted in first..last."""
+        if lo > hi:
+            return empty
+        parts = []
+        for root in range(max(lo, first), min(hi, last) + 1):
+            near = (root - reach, root + reach)
+            parts.append(join(root, lo, hi, trees(lo, root - 1, *near),
+                              trees(root + 1, hi, *near)))
+        return total(parts)
+
+    return trees(0, points - 1, 0, points - 1)
+
+
+def _reach(lipschitz) -> int:
+    """The grid steps a tree edge may span under the modulus.
+
+    A value may exceed its neighbor's by the modulus times one grid
+    step, so by this many whole grid steps.
+    """
+    _check_modulus(lipschitz)
+    return math.floor(lipschitz)
+
+
+def count_lawful_gamma_tables(denominator: int = 4, *,
+                              lipschitz: Fraction = DEFAULT_LIPSCHITZ) -> int:
+    """How many tables `enumerate_lawful_gamma_tables` returns, none built.
+
+    Without the modulus that is the Catalan number C(denominator + 1).
+    """
+    points = len(unit_grid(denominator))
+    return _lawful_trees(points, _reach(lipschitz), 1,
+                         lambda root, lo, hi, left, right: left * right, sum)
+
+
 def enumerate_lawful_gamma_tables(denominator: int = 4, *,
                                   lipschitz: Fraction = DEFAULT_LIPSCHITZ) -> list[Tabulated]:
     """All grid tables passing every pair-rule law, sorted by their cells.
@@ -543,29 +589,18 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
 
     Tables come sorted by their cell values, rows by x and then by y.
     """
-    _check_modulus(lipschitz)
+    reach = _reach(lipschitz)
     grid = unit_grid(denominator)
-    # a value may exceed its neighbor's by the modulus times one grid
-    # step, so by this many whole grid steps
-    reach = math.floor(lipschitz)
     pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
 
-    def trees(lo: int, hi: int, first: int, last: int) -> list[dict]:
-        """The LCA maps of the trees on lo..hi rooted in first..last."""
-        if lo > hi:
-            return [{}]
-        maps = []
-        for root in range(max(lo, first), min(hi, last) + 1):
-            # the pairs with an end at the root or one on each side meet there
-            split = {(i, j): root for i in range(lo, root + 1) for j in range(root, hi + 1)}
-            near = (root - reach, root + reach)
-            right = trees(root + 1, hi, *near)
-            for left_map in trees(lo, root - 1, *near):
-                maps.extend(split | left_map | right_map for right_map in right)
-        return maps
+    def join(root: int, lo: int, hi: int, left: list, right: list) -> list[dict]:
+        # the pairs with an end at the root or one on each side meet there
+        split = {(i, j): root for i in range(lo, root + 1) for j in range(root, hi + 1)}
+        return [split | left_map | right_map for left_map in left for right_map in right]
 
-    vectors = sorted(tuple(lca[pair] for pair in pairs)
-                     for lca in trees(0, len(grid) - 1, 0, len(grid) - 1))
+    maps = _lawful_trees(len(grid), reach, [{}], join,
+                         lambda parts: [lca for part in parts for lca in part])
+    vectors = sorted(tuple(lca[pair] for pair in pairs) for lca in maps)
     return [Tabulated(tuple((ZPair._trusted(grid[i], grid[j]), grid[k])
                             for (i, j), k in zip(pairs, vector)))
             for vector in vectors]

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .acts import Act, Event, Partition, StateSpace, event_key
 from .errors import (
@@ -42,7 +43,7 @@ from .errors import (
     ValidationError,
     ZeroPlausibilityEvent,
 )
-from .rationals import ONE, ZERO, _integer_image, ensure_unit
+from .rationals import ONE, ZERO, _fraction, _integer_image, ensure_unit
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,10 @@ class ZPair:
     upper: Fraction
 
     def __post_init__(self) -> None:
-        lower = ensure_unit(Fraction(self.lower), "lower bound")
-        upper = ensure_unit(Fraction(self.upper), "upper bound")
-        if lower > upper:
+        lower = ensure_unit(self.lower, "lower bound")
+        upper = ensure_unit(self.upper, "upper bound")
+        # lower > upper, over the product of the (positive) denominators
+        if lower.numerator * upper.denominator > upper.numerator * lower.denominator:
             raise ValidationError(f"bounds out of order: {lower} > {upper}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -91,16 +93,24 @@ VACUOUS_FRAMEWORKS = (
     Framework.CREDAL_SET, Framework.BELIEF_FUNCTION, Framework.POSSIBILITY)
 
 
-def _validate_weights(weights: tuple[Fraction, ...], label: str) -> tuple[Fraction, ...]:
-    values = tuple(Fraction(w) for w in weights)
+def _validate_weights(weights: tuple[Fraction, ...], label: str
+                      ) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], int]]:
+    """The weights as Fractions and their integer image, once checked.
+
+    They must be non-negative and sum to 1: on the image, numerators
+    that are non-negative and sum to the scale.
+    """
+    values = tuple(_fraction(w) for w in weights)
     if not values:
         raise ValidationError(f"{label} must cover at least one state")
     for w in values:
-        if w < 0:
+        if w.numerator < 0:
             raise ValidationError(f"{label} has a negative entry: {w}")
-    if sum(values) != 1:
-        raise ValidationError(f"{label} must sum to 1, got {sum(values)}")
-    return values
+    numerators, scale = image = _integer_image(values)
+    total = sum(numerators)
+    if total != scale:
+        raise ValidationError(f"{label} must sum to 1, got {Fraction(total, scale)}")
+    return values, image
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,9 @@ class ProbabilityMeasure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _validate_weights(self.weights, "probability"))
+        weights, image = _validate_weights(self.weights, "probability")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_ints", image)
 
     @classmethod
     def _trusted(cls, weights: tuple[int, ...], scale: int) -> ProbabilityMeasure:
@@ -171,7 +183,7 @@ class CredalSetMeasure:
             raise ValidationError("a credal set needs at least one generator")
         checked = []
         for gen in self.generators:
-            values = _validate_weights(tuple(gen), "credal generator")
+            values, _ = _validate_weights(tuple(gen), "credal generator")
             if len(values) != self.space.n:
                 raise SpaceMismatch(
                     f"generator of length {len(values)} on a space of size {self.space.n}")
@@ -260,24 +272,31 @@ class BeliefFunctionMeasure:
 
     def __post_init__(self) -> None:
         raw = self.masses.items() if isinstance(self.masses, Mapping) else self.masses
-        combined: dict[Event, Fraction] = {}
+        events: list[Event] = []
+        masses: list[Fraction] = []
         for event, mass in raw:
             event = frozenset(event)
-            mass = Fraction(mass)
+            mass = _fraction(mass)
             if not event:
                 raise EmptyEvent("belief functions put no mass on the empty event")
             if not self.space.contains_event(event):
                 raise SpaceMismatch(f"focal element {sorted(event)} leaves the space")
-            if mass < 0:
+            if mass.numerator < 0:
                 raise ValidationError(f"negative mass {mass}")
-            combined[event] = combined.get(event, ZERO) + mass
-        total = sum(combined.values(), ZERO)
-        if total != 1:
-            raise ValidationError(f"masses must sum to 1, got {total}")
-        cleaned = tuple(sorted(
-            ((e, m) for e, m in combined.items() if m > 0),
-            key=lambda pair: event_key(pair[0])))
-        object.__setattr__(self, "masses", cleaned)
+            events.append(event)
+            masses.append(mass)
+        # the masses of an event given twice add up, on the integer image
+        numerators, scale = _integer_image(masses)
+        combined: dict[Event, int] = {}
+        for event, m in zip(events, numerators):
+            combined[event] = combined.get(event, 0) + m
+        total = sum(combined.values())
+        if total != scale:
+            raise ValidationError(f"masses must sum to 1, got {Fraction(total, scale)}")
+        trusted = BeliefFunctionMeasure._trusted(
+            self.space, {e: m for e, m in combined.items() if m > 0}, scale)
+        object.__setattr__(self, "masses", trusted.masses)
+        object.__setattr__(self, "_ints", trusted._ints)
 
     @classmethod
     def _trusted(cls, space: StateSpace, masses: Mapping[Event, int],
@@ -341,10 +360,11 @@ class PossibilityMeasure:
     grades: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(ensure_unit(Fraction(g), "grade") for g in self.grades)
+        values = tuple(ensure_unit(g, "grade") for g in self.grades)
         if not values:
             raise ValidationError("a possibility distribution needs at least one state")
-        if max(values) != 1:
+        # in lowest terms, the grade 1 is the one whose numerator is its denominator
+        if not any(g.numerator == g.denominator for g in values):
             raise ValidationError("some state must be fully possible (grade 1)")
         object.__setattr__(self, "grades", values)
 

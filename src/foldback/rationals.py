@@ -17,12 +17,22 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # integer, or integer/positive-integer; no decimals, no whitespace inside
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
-def ensure_unit(value: Fraction, label: str = "value") -> Fraction:
-    """Return value unchanged after checking it lies in [0, 1]."""
-    if not ZERO <= value <= ONE:
+def _fraction(value) -> Fraction:
+    """value as a Fraction; a Fraction is returned as it is, not copied."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def ensure_unit(value, label: str = "value") -> Fraction:
+    """value as a Fraction, after checking it lies in [0, 1].
+
+    The check runs on its lowest terms, whose denominator is positive:
+    0 <= p <= q.
+    """
+    value = _fraction(value)
+    if not 0 <= value.numerator <= value.denominator:
         raise ValidationError(f"{label} must lie in [0, 1], got {value}")
     return value
 
@@ -47,14 +57,25 @@ def unit_grid(denominator: int) -> tuple[Fraction, ...]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" exactly; anything else (decimals included) fails."""
+    """Parse "p" or "p/q" exactly; anything else (decimals included) fails.
+
+    The value is built from the literal's digits as integers, so a
+    literal longer than the interpreter converts to an int (4,300
+    digits by default) fails here too.
+    """
     token = text.strip()
-    if not _RATIONAL_RE.match(token):
+    match = _RATIONAL_RE.fullmatch(token)
+    if match is None:
         raise ParseError(f"not an exact rational literal: {text!r}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(token)
+        if denominator is None:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator: {text!r}") from None
+    except ValueError:
+        raise ParseError(f"literal too long to convert: {len(token):,} characters") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -575,6 +575,24 @@ class TestMain:
         assert captured.out == ""
         assert f"states must be at most {MAX_STATES}" in captured.err
 
+    # one digit past the interpreter's default limit on int conversion;
+    # the texts are written by hand, as json.dumps would refuse the ints
+    @pytest.mark.parametrize("text,message", [
+        ('{"act": ["%s/%s1"], "operator": {"kind": "min"}}' % ("9" * 4301, "9" * 4301),
+         "error: act[0]: literal too long to convert: 8,604 characters"),
+        ('{"act": [1%s], "operator": {"kind": "min"}}' % ("0" * 4301),
+         "error: an integer literal is too long to convert"),
+        ('{"states": %s, "operator": {"kind": "min"}}' % ("9" * 4301),
+         "error: an integer literal is too long to convert"),
+    ], ids=["rational-string", "json-integer", "states"])
+    def test_oversized_literals_are_usage_errors(self, tmp_path, capsys, text, message):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        assert main(["evaluate", "--problem", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
     def test_states_at_the_bound_parse(self):
         problem = parse_problem({"states": MAX_STATES, "framework": "possibility",
                                  "operator": {"kind": "min"}})

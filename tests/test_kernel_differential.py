@@ -16,6 +16,7 @@ The kernels must give equal results with equal hashes and reprs.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -72,7 +73,13 @@ from foldback import (
     tabulate,
     vacuous,
 )
-from foldback.consistency import DEFAULT_LIPSCHITZ, Probe, Witness, _grid_valuation
+from foldback.consistency import (
+    DEFAULT_LIPSCHITZ,
+    Probe,
+    Witness,
+    _grid_valuation,
+    count_lawful_gamma_tables,
+)
 from foldback.rationals import ONE, ZERO, format_rational, unit_grid
 
 F = Fraction
@@ -647,7 +654,8 @@ def test_ev_properties_match_reference_for_any_modulus(rule, denominator, lipsch
     lambda lipschitz: check_gamma_laws(Hurwicz(F(1, 2)), 3, lipschitz=lipschitz),
     lambda lipschitz: check_ev_properties(Hurwicz(F(1, 2)), 3, lipschitz=lipschitz),
     lambda lipschitz: enumerate_lawful_gamma_tables(3, lipschitz=lipschitz),
-], ids=["gamma-laws", "ev-properties", "lawful-tables"])
+    lambda lipschitz: count_lawful_gamma_tables(3, lipschitz=lipschitz),
+], ids=["gamma-laws", "ev-properties", "lawful-tables", "lawful-count"])
 @pytest.mark.parametrize("lipschitz", [0.5, 1.0, float("inf"), float("nan")], ids=str)
 def test_float_modulus_is_refused(check, lipschitz):
     # 0.5 times one step of k/3 rounds below 1/6, so Hurwicz(1/2)'s
@@ -701,8 +709,18 @@ def test_set_order_matches_reference_on_odd_families(rule, family):
     # and 2 run on the coarser grids only
     if denominator < 4 or lipschitz not in (F(3, 2), 2)], ids=str)
 def test_lawful_tables_match_reference(denominator, lipschitz):
-    assert enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz) == \
-        reference_lawful_gamma_tables(denominator, lipschitz=lipschitz)
+    expected = reference_lawful_gamma_tables(denominator, lipschitz=lipschitz)
+    assert enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz) == expected
+    assert count_lawful_gamma_tables(denominator, lipschitz=lipschitz) == len(expected)
+
+
+@pytest.mark.parametrize("denominator", [1, 2, 5, 8, 30])
+def test_lawful_tables_without_the_modulus_are_catalan_many(denominator):
+    nodes = denominator + 1
+    catalan = math.comb(2 * nodes, nodes) // (nodes + 1)
+    assert count_lawful_gamma_tables(denominator, lipschitz=10 ** 6) == catalan
+    if denominator <= 5:
+        assert len(enumerate_lawful_gamma_tables(denominator, lipschitz=10 ** 6)) == catalan
 
 
 # -- measure kernels -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Plausibility measures: evaluation, vacuity, restriction, conditioning."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,18 @@ from hypothesis import strategies as st
 
 import conftest as cst
 from foldback import (
+    Anchored,
     BeliefFunctionMeasure,
     CredalSetMeasure,
     EmptyEvent,
     Framework,
+    Hurwicz,
     NoVacuousRepresentation,
     Partition,
     PossibilityMeasure,
     ProbabilityMeasure,
     StateSpace,
+    Tabulated,
     ValidationError,
     Z_BOTTOM,
     Z_TOP,
@@ -436,29 +440,46 @@ class TestMeasureValidation:
             CredalSetMeasure(space, ((F(1), F(0), F(0)),))
 
     # the engine builds the values it derives without these checks;
-    # public construction keeps every one of them
-    @pytest.mark.parametrize("build", [
-        lambda: ZPair(F(1, 2), F(1, 4)),
-        lambda: ZPair(F(-1, 4), F(1, 2)),
-        lambda: ZPair(F(1, 2), F(5, 4)),
-        lambda: ProbabilityMeasure((F(5, 4), F(-1, 4))),
-        lambda: ProbabilityMeasure((F(1, 2), F(1, 3))),
-        lambda: CredalSetMeasure(StateSpace(2), ((F(1), F(0)), (F(3, 2), F(-1, 2)))),
-        lambda: CredalSetMeasure(StateSpace(2), ((F(1), F(0)), (F(1, 2), F(1, 3)))),
-        lambda: BeliefFunctionMeasure(StateSpace(2), (
-            (frozenset({0}), F(3, 2)), (frozenset({1}), F(-1, 2)))),
-        lambda: BeliefFunctionMeasure(StateSpace(2), ((frozenset({0, 1}), F(2, 3)),)),
-        lambda: PossibilityMeasure((F(1), F(-1, 2))),
-        lambda: PossibilityMeasure((F(1), F(3, 2))),
-        lambda: PossibilityMeasure((F(3, 4), F(1, 2))),
-        lambda: Act((F(1, 2), F(-1, 2))),
-        lambda: Act((F(3, 2),)),
+    # public construction keeps every one of them, and its message
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ZPair(F(1, 2), F(1, 4)), "bounds out of order: 1/2 > 1/4"),
+        (lambda: ZPair(F(-1, 4), F(1, 2)), "lower bound must lie in [0, 1], got -1/4"),
+        (lambda: ZPair(F(1, 2), F(5, 4)), "upper bound must lie in [0, 1], got 5/4"),
+        (lambda: ProbabilityMeasure((F(5, 4), F(-1, 4))),
+         "probability has a negative entry: -1/4"),
+        (lambda: ProbabilityMeasure((F(1, 2), F(1, 3))), "probability must sum to 1, got 5/6"),
+        (lambda: CredalSetMeasure(StateSpace(2), ((F(1), F(0)), (F(3, 2), F(-1, 2)))),
+         "credal generator has a negative entry: -1/2"),
+        (lambda: CredalSetMeasure(StateSpace(2), ((F(1), F(0)), (F(1, 2), F(1, 3)))),
+         "credal generator must sum to 1, got 5/6"),
+        (lambda: BeliefFunctionMeasure(StateSpace(2), (
+            (frozenset({0}), F(3, 2)), (frozenset({1}), F(-1, 2)))), "negative mass -1/2"),
+        (lambda: BeliefFunctionMeasure(StateSpace(2), ((frozenset({0, 1}), F(2, 3)),)),
+         "masses must sum to 1, got 2/3"),
+        (lambda: PossibilityMeasure((F(1), F(-1, 2))), "grade must lie in [0, 1], got -1/2"),
+        (lambda: PossibilityMeasure((F(1), F(3, 2))), "grade must lie in [0, 1], got 3/2"),
+        (lambda: PossibilityMeasure((F(3, 4), F(1, 2))),
+         "some state must be fully possible (grade 1)"),
+        (lambda: Act((F(1, 2), F(-1, 2))), "outcome must lie in [0, 1], got -1/2"),
+        (lambda: Act((F(3, 2),)), "outcome must lie in [0, 1], got 3/2"),
+        (lambda: Anchored(F(-1, 2)), "anchor must lie in [0, 1], got -1/2"),
+        (lambda: Anchored(F(3, 2)), "anchor must lie in [0, 1], got 3/2"),
+        (lambda: Hurwicz(F(-1, 3)), "alpha must lie in [0, 1], got -1/3"),
+        (lambda: Hurwicz(F(4, 3)), "alpha must lie in [0, 1], got 4/3"),
+        (lambda: Tabulated(((ZPair(F(0), F(1)), F(1, 2)), (ZPair(F(0), F(1)), F(1, 3)))),
+         "conflicting entries for ZPair(lower=Fraction(0, 1), upper=Fraction(1, 1))"),
+        (lambda: Tabulated(((ZPair(F(0), F(1)), F(3, 2)),)),
+         "table value must lie in [0, 1], got 3/2"),
+        (lambda: Tabulated(((ZPair(F(0), F(0)), F(0)), (ZPair(F(0), F(1)), F(-1, 2)))),
+         "table value must lie in [0, 1], got -1/2"),
     ], ids=["pair-out-of-order", "pair-below-0", "pair-above-1",
             "probability-negative", "probability-not-summing",
             "credal-negative", "credal-not-summing",
             "belief-negative", "belief-not-summing",
             "possibility-below-0", "possibility-above-1", "possibility-max-below-1",
-            "act-below-0", "act-above-1"])
-    def test_public_construction_refuses_bad_input(self, build):
-        with pytest.raises(ValidationError):
+            "act-below-0", "act-above-1", "anchored-below-0", "anchored-above-1",
+            "hurwicz-below-0", "hurwicz-above-1", "table-conflict", "table-above-1",
+            "table-below-0"])
+    def test_public_construction_refuses_bad_input(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()

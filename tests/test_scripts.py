@@ -95,6 +95,13 @@ def test_script_exits_quietly_when_its_reader_stops(script, args):
      "error: not an exact rational literal: '0.5'"),
     ("sweep_rules.py", ["--alpha", "x/y"], "error: not an exact rational literal: 'x/y'"),
     ("sweep_rules.py", ["--alpha", "1/0"], "error: zero denominator: '1/0'"),
+    # the tables are counted, not built, so both refusals come at once
+    ("enumerate_tables.py", ["--denominator", "9", "--lipschitz", "1000000"],
+     "error: 16,796 lawful tables of 55 cells on grid k/9 need 923,780 steps of work;"
+     " the limit is 250,000"),
+    ("enumerate_tables.py", ["--denominator", "30", "--lipschitz", "1000000"],
+     "error: 14,544,636,039,226,909 lawful tables of 496 cells on grid k/30 need"
+     " 7,214,139,475,456,546,864 steps of work; the limit is 250,000"),
 ])
 def test_script_reports_an_engine_error_like_the_cli(script, args, message):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
