@@ -155,7 +155,8 @@ def loads_exact(text: str) -> Any:
     """json.loads that refuses floating-point literals.
 
     It also refuses an integer literal longer than the interpreter
-    converts to an int (4,300 digits by default).
+    converts to an int (4,300 digits by default), and arrays or objects
+    nested deeper than the decoder can recurse.
     """
     try:
         return json.loads(text, parse_float=_reject_float,
@@ -165,6 +166,8 @@ def loads_exact(text: str) -> Any:
     except ValueError:
         # the decoder's one other ValueError: int()'s limit on digits
         raise ParseError("an integer literal is too long to convert") from None
+    except RecursionError:
+        raise ParseError("the JSON nests too deeply to decode") from None
 
 
 def _rational(value: Any, label: str) -> Fraction:
@@ -512,35 +515,66 @@ class Shared(list):
     __slots__ = ()
 
 
+class Headed(dict):
+    """A record whose first items are those of `head`, a shared dict.
+
+    It is a plain dict to every reader. Inside a `HeadedList`,
+    `emit_report` writes the head once at each indent where it sits and
+    then the record's own items. Neither may change while a report that
+    holds them is being written.
+    """
+
+    __slots__ = ("head",)
+
+
+class HeadedList(list):
+    """A list of records, some of them `Headed`; a plain list to every reader."""
+
+    __slots__ = ()
+
+
 def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
     """A verdict's report record.
 
     `encoded`, kept by the caller for one report, maps the id of each act,
     partition and value encoded so far to its encoding, so one that many
-    verdicts share (as a sweep's failures share their act and partition
-    across frameworks, and their interned values across cells) is encoded
-    once: an act or a partition as one `Shared` list, a value as one
-    string. The verdicts must stay alive while the map is in use.
+    verdicts share (as a sweep's failures share their act across
+    partitions, and their interned values across cells) is encoded once:
+    an act or a partition as one `Shared` list, a value or a framework
+    as one string. Under the key None it keeps the last verdict's act,
+    partition and values, and their five keys (act, partition, direct,
+    folded, holds): consecutive verdicts of one cell, as a sweep reports
+    it for each framework, get `Headed` records with those keys as their
+    one head. The verdicts must stay alive while the map is in use.
     """
     act, partition = verdict.act, verdict.partition
     direct, folded = verdict.direct_value, verdict.folded_value
-    if id(act) not in encoded:
-        encoded[id(act)] = Shared(encode_act(act))
-    if id(partition) not in encoded:
-        encoded[id(partition)] = Shared(encode_partition(partition))
-    if id(direct) not in encoded:
-        encoded[id(direct)] = _enc(direct)
-    if id(folded) not in encoded:
-        encoded[id(folded)] = _enc(folded)
-    record = {
-        "act": encoded[id(act)],
-        "partition": encoded[id(partition)],
-        "direct": encoded[id(direct)],
-        "folded": encoded[id(folded)],
-        "holds": verdict.holds,
-    }
-    if verdict.framework is not None:
-        record["framework"] = verdict.framework.value
+    cell = encoded.get(None)
+    if cell is None or not (cell[0] is act and cell[1] is partition
+                            and cell[2] is direct and cell[3] is folded):
+        if id(act) not in encoded:
+            encoded[id(act)] = Shared(encode_act(act))
+        if id(partition) not in encoded:
+            encoded[id(partition)] = Shared(encode_partition(partition))
+        if id(direct) not in encoded:
+            encoded[id(direct)] = _enc(direct)
+        if id(folded) not in encoded:
+            encoded[id(folded)] = _enc(folded)
+        cell = encoded[None] = act, partition, direct, folded, {
+            "act": encoded[id(act)],
+            "partition": encoded[id(partition)],
+            "direct": encoded[id(direct)],
+            "folded": encoded[id(folded)],
+            "holds": verdict.holds,
+        }
+    head = cell[4]
+    record = Headed(head)
+    record.head = head
+    framework = verdict.framework
+    if framework is not None:
+        if id(framework) not in encoded:
+            encoded[id(framework)] = framework.value
+        record["framework"] = encoded[id(framework)]
     return record
 
 
@@ -703,7 +737,7 @@ def cmd_check(problem: ProblemFile) -> ReportFile:
             "command": "check",
             "engine-version": __version__,
             "problem": echo,
-            "failures": [encode_verdict(v, encoded) for v in failures],
+            "failures": HeadedList(encode_verdict(v, encoded) for v in failures),
             "summary": {"violations": len(failures)},
         }
         return ReportFile(payload, 1 if failures else 0)
@@ -792,7 +826,8 @@ def _write(value: Any, indent: str, out: list, shared: dict) -> None:
     a container is written with its separator as one piece, as the
     `json` encoder does, so the pieces held before the join stay few.
     A `Shared` list is written once per indent: `shared`, kept for one
-    report, maps its id and the indent to its text.
+    report, maps its id and the indent to its text. So is the head of
+    each `Headed` record in a `HeadedList`, without its closing brace.
     """
     if isinstance(value, str):
         out.append(_quote(value))
@@ -805,15 +840,49 @@ def _write(value: Any, indent: str, out: list, shared: dict) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, list):
-        if type(value) is Shared:
-            key = id(value), indent
-            if key not in shared:
-                pieces: list = []
-                # a plain copy, so that it is written out, not looked up
-                _write(list(value), indent, pieces, shared)
-                shared[key] = "".join(pieces)
-            out.append(shared[key])
-            return
+        # plain lists, the most of any report, pay one test here
+        if type(value) is not list:
+            if type(value) is Shared:
+                key = id(value), indent
+                if key not in shared:
+                    pieces: list = []
+                    # a plain copy, so that it is written out, not looked up
+                    _write(list(value), indent, pieces, shared)
+                    shared[key] = "".join(pieces)
+                out.append(shared[key])
+                return
+            if type(value) is HeadedList and value:
+                inner = indent + "  "
+                fields = inner + "  "
+                close = "\n" + inner + "}"
+                separator = "[\n" + inner
+                last = None
+                for item in value:
+                    head = item.head if type(item) is Headed else None
+                    if not head:
+                        out.append(separator)
+                        _write(item, inner, out, shared)
+                    else:
+                        if head is not last:
+                            key = id(head), inner
+                            if key not in shared:
+                                pieces = []
+                                _write(head, inner, pieces, shared)
+                                # the closing brace comes after the record's own items
+                                pieces.pop()
+                                shared[key] = "".join(pieces)
+                            last, text = head, shared[key]
+                        out.append(separator + text)
+                        for name, field in itertools.islice(item.items(), len(head), None):
+                            if type(field) is str:
+                                out.append(",\n" + fields + _quote(name) + ": " + _quote(field))
+                            else:
+                                out.append(",\n" + fields + _quote(name) + ": ")
+                                _write(field, fields, out, shared)
+                        out.append(close)
+                    separator = ",\n" + inner
+                out.append("\n" + indent + "]")
+                return
         if not value:
             out.append("[]")
             return

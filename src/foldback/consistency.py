@@ -104,6 +104,17 @@ class ConsistencyVerdict:
         if self.holds != (self.direct_value == self.folded_value):
             raise ValidationError("verdict flag contradicts its values")
 
+    @classmethod
+    def _trusted_failure(cls, direct_value: Fraction, folded_value: Fraction,
+                         partition: Partition, act: Act,
+                         framework: Framework) -> ConsistencyVerdict:
+        """A failing verdict whose values the engine knows differ, unchecked."""
+        verdict = object.__new__(cls)
+        vars(verdict).update(holds=False, direct_value=direct_value,
+                             folded_value=folded_value, partition=partition,
+                             act=act, framework=framework)
+        return verdict
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -200,7 +211,9 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     bitmasks over grid indices, values are interned as bits of another
     mask, and evaluation order (direct, then blocks in order, then
     folded) is that of `check_sequential`, so a rule that raises does so
-    on the same input.
+    on the same input. A failing cell's act is made of grid points and
+    its two values are distinct interned values, so its act and verdicts
+    are built trusted.
     """
     if max(cfg.sizes) > PARTITION_CAP:
         raise CapExceeded(
@@ -245,10 +258,11 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
                 if folded == direct:
                     continue
                 if act is None:
-                    act = Act(tuple(grid[k] for k in act_index))
+                    act = Act._trusted(tuple(grid[k] for k in act_index))
+                direct_value, folded_value = value(direct), value(folded)
                 for fw in cfg.frameworks:
-                    failures.append(ConsistencyVerdict(
-                        False, value(direct), value(folded), H, act, fw))
+                    failures.append(ConsistencyVerdict._trusted_failure(
+                        direct_value, folded_value, H, act, fw))
                     if cfg.stop_at_first:
                         return failures
     return failures

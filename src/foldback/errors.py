@@ -22,7 +22,7 @@ class ZeroPlausibilityEvent(EngineError):
 
 
 class CapExceeded(EngineError):
-    """A combinatorial enumeration exceeded its configured size cap."""
+    """A combinatorial enumeration or a result exceeded its size cap."""
 
 
 class NoVacuousRepresentation(EngineError):

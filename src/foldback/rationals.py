@@ -11,7 +11,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import CapExceeded, ParseError, ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -79,7 +79,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical "p/q" form ("p" when the denominator is 1)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical "p/q" form ("p" when the denominator is 1).
+
+    A value whose numerator or denominator is longer than the
+    interpreter converts to text (4,300 digits by default) is refused
+    with CapExceeded.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise CapExceeded("a result is too long to write: its numerator or denominator"
+                          " has more digits than the interpreter converts to text") from None

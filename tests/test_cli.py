@@ -29,6 +29,8 @@ from foldback.cli import (
     MODES,
     RUNS,
     SUITES,
+    Headed,
+    HeadedList,
     ReportFile,
     Shared,
     cmd_check,
@@ -66,6 +68,43 @@ JSON_TREES = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=20)
+
+
+@st.composite
+def headed_lists(draw):
+    """A `HeadedList` whose records share a few heads, with plain items among them."""
+    heads = draw(st.lists(st.dictionaries(
+        st.text(max_size=6), JSON_TREES | st.builds(Shared, st.lists(JSON_TREES, max_size=3)),
+        max_size=4), min_size=1, max_size=3))
+    items = HeadedList()
+    for choice in draw(st.lists(st.integers(0, len(heads)), max_size=8)):
+        if choice == len(heads):
+            items.append(draw(JSON_TREES))
+            continue
+        head = heads[choice]
+        record = Headed(head)
+        record.head = head
+        record.update(draw(st.dictionaries(
+            st.text(max_size=6).filter(lambda key: key not in head), JSON_TREES, max_size=2)))
+        items.append(record)
+    return items
+
+
+# report trees holding headed lists at any depth
+HEADED_TREES = st.recursive(
+    headed_lists(),
+    lambda inner: st.lists(inner | JSON_TREES, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner | JSON_TREES, max_size=3),
+    max_leaves=6)
+
+
+def plain(value):
+    """A copy of a report tree made of plain dicts and lists only."""
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    return value
 
 
 def walk_no_floats(value):
@@ -388,6 +427,29 @@ class TestReportRoundTrip:
         payload = [nested, {"g": nested}, shared]
         assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
 
+    @settings(max_examples=150)
+    @given(headed_lists(), HEADED_TREES)
+    @example(HeadedList(), [])
+    def test_headed_records_are_written_as_json_dumps_writes_them(self, records, tree):
+        # one headed list at four indents, once in a plain list, inside any tree
+        payload = {"failures": records, "tree": tree, "loose": list(records),
+                   "nested": [records, {"again": [records]}], "last": records}
+        assert emit_report(ReportFile(payload, 0)) == json.dumps(plain(payload), indent=2)
+        assert emit_report(ReportFile(records, 0)) == json.dumps(plain(records), indent=2)
+        assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
+
+    @pytest.mark.parametrize("stop_at_first", [True, False])
+    def test_sweep_reports_are_written_as_json_dumps_writes_them(self, stop_at_first):
+        report = cmd_check(parse_problem(
+            {"operator": dict(HURWICZ_HALF), "suite": "sequential", "sizes": [2, 3],
+             "grid-denominator": 2, "stop-at-first": stop_at_first}))
+        failures = report.payload["failures"]
+        assert len(failures) == (1 if stop_at_first else report.payload["summary"]["violations"])
+        for record in failures:
+            assert list(record) == ["act", "partition", "direct", "folded", "holds",
+                                    "framework"]
+        assert emit_report(report) == json.dumps(plain(report.payload), indent=2)
+
     def test_sweep_failures_share_their_act_and_partition(self):
         report = cmd_check(parse_problem(
             {"operator": dict(HURWICZ_HALF), "suite": "sequential", "sizes": [3],
@@ -592,6 +654,31 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
+
+    def test_deeply_nested_json_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text('{"act": %s%s, "operator": {"kind": "min"}}'
+                        % ("[" * 100_000, "]" * 100_000))
+        assert main(["evaluate", "--problem", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: the JSON nests too deeply to decode"]
+
+    def test_a_result_too_long_to_write_is_a_usage_error(self, tmp_path, capsys):
+        # each literal is under the limit on digits, but the expectation's
+        # denominator is their product, about 5,000 digits
+        big = 10 ** 2500
+        path = self.write_problem(tmp_path, {
+            "act": ["0", f"1/{big + 1}"],
+            "measure": {"kind": "probability",
+                        "weights": [f"1/{big + 3}", f"{big + 2}/{big + 3}"]},
+            "operator": {"kind": "min"}})
+        assert main(["evaluate", "--problem", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: a result is too long to write: its numerator or denominator has more"
+            " digits than the interpreter converts to text"]
 
     def test_states_at_the_bound_parse(self):
         problem = parse_problem({"states": MAX_STATES, "framework": "possibility",

@@ -42,6 +42,7 @@ from foldback import (
     MedianRule,
     MinRule,
     NotTabulated,
+    Partition,
     PossibilityMeasure,
     Preference,
     ProbabilityMeasure,
@@ -896,7 +897,14 @@ def test_limit_refuses_the_median_at_full_contamination(outcomes, base):
      BeliefFunctionMeasure(StateSpace(2), ((frozenset({0, 1}), F(1, 3)),
                                            (frozenset({1}), F(2, 3))))),
     (PossibilityMeasure._trusted((4, 2), 4), PossibilityMeasure((ONE, F(1, 2)))),
-], ids=["pair", "act", "probability", "credal-set", "belief-function", "possibility"])
+    (ConsistencyVerdict._trusted_failure(
+        F(1, 2), F(1, 4), Partition(StateSpace(2), (frozenset({0}), frozenset({1}))),
+        Act((F(0), ONE)), Framework.POSSIBILITY),
+     ConsistencyVerdict(False, F(1, 2), F(1, 4),
+                        Partition(StateSpace(2), (frozenset({0}), frozenset({1}))),
+                        Act((F(0), ONE)), Framework.POSSIBILITY)),
+], ids=["pair", "act", "probability", "credal-set", "belief-function", "possibility",
+        "failing-verdict"])
 def test_trusted_construction_is_indistinguishable(trusted, validated):
     _same(trusted, validated)
     # the space is built once per object and cached beside the fields, so
