@@ -17,7 +17,6 @@ Example:
 """
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -28,13 +27,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from foldback import (
     Anchored,
     CapExceeded,
-    EngineError,
     ZPair,
     enumerate_lawful_gamma_tables,
     gamma_apply,
     tabulate,
 )
-from foldback.cli import MAX_WORK
+from foldback.cli import MAX_WORK, run_entry_point
 from foldback.consistency import count_lawful_gamma_tables
 from foldback.rationals import format_rational, parse_rational, unit_grid
 
@@ -94,16 +92,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        status = main()
-        sys.stdout.flush()
-    except EngineError as exc:
-        # the CLI's contract: one line on stderr and exit 2, no traceback
-        print(f"error: {exc}", file=sys.stderr)
-        status = 2
-    except BrokenPipeError:
-        # the reader closed stdout, handled as the CLI does: what is left
-        # goes to devnull, so the flush at exit raises nothing more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 2
-    sys.exit(status)
+    sys.exit(run_entry_point(main))

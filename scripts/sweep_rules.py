@@ -1,35 +1,26 @@
 #!/usr/bin/env python3
 """Sweep evaluation rules for folding failures.
 
-Runs the exhaustive sequential-consistency search for a family of
-anchored rules and a few interpolating ones, and prints one summary
-line per rule with its first counterexample, if any.
+Runs `foldback check`'s sequential and ev-properties suites for a family
+of anchored rules and a few interpolating ones, and prints one summary
+line per rule with its first counterexample, if any. Each run is the
+CLI's own, from its problem parser to its report, so a sweep the CLI
+refuses (past its work limit, say) is refused here too.
 
 Example:
     python3 scripts/sweep_rules.py --max-states 4 --denominator 4
 """
 
 import argparse
-import dataclasses
-import os
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from foldback import (
-    Anchored,
-    CeOperator,
-    EngineError,
-    Hurwicz,
-    MaxRule,
-    MedianRule,
-    MinRule,
-    SearchConfig,
-    check_ev_properties,
-    check_sequential_exhaustive,
-)
+from foldback import Anchored, CeOperator, Hurwicz, MaxRule, MedianRule, MinRule
+from foldback.cli import ProblemFile, cmd_check, encode_operator, parse_problem, run_entry_point
+from foldback.plausibility import VACUOUS_FRAMEWORKS
 from foldback.rationals import format_rational, parse_rational, unit_grid
 
 
@@ -41,24 +32,30 @@ def describe(rule) -> str:
     return type(rule).__name__.replace("Rule", "").lower()
 
 
-def sweep(rule, cfg: SearchConfig, stop_at_first: bool) -> str:
-    op = CeOperator(rule)
-    run_cfg = dataclasses.replace(cfg, stop_at_first=stop_at_first)
+def problems(rule, args: argparse.Namespace) -> tuple[ProblemFile, ProblemFile]:
+    """The rule's `check sequential` and `check ev-properties` problems."""
+    operator = encode_operator(CeOperator(rule))
+    return (parse_problem({"operator": operator, "suite": "sequential",
+                           "grid-denominator": args.denominator,
+                           "max-states": args.max_states,
+                           "stop-at-first": args.stop_at_first}),
+            parse_problem({"operator": operator, "suite": "ev-properties",
+                           "grid-denominator": args.denominator}))
+
+
+def sweep(rule, sequential: ProblemFile, properties: ProblemFile) -> str:
     started = time.perf_counter()
-    failures = check_sequential_exhaustive(op, run_cfg)
-    properties = check_ev_properties(rule, cfg.denominator)
+    failures = cmd_check(sequential).payload["failures"]
+    reports = cmd_check(properties).payload["reports"]
     elapsed = time.perf_counter() - started
-    broken = [r.law.value for r in properties if not r.passed]
+    broken = [report["law"] for report in reports if not report["passed"]]
     parts = [f"{describe(rule):<16}"]
     if failures:
-        count = "1+" if stop_at_first else str(len(failures))
+        count = "1+" if sequential.stop_at_first else str(len(failures))
         first = failures[0]
-        blocks = [sorted(b) for b in first.partition.blocks]
         parts.append(
-            f"folding failures: {count:>6}  first: f="
-            f"({', '.join(format_rational(u) for u in first.act.outcomes)})"
-            f" H={blocks} {format_rational(first.direct_value)}"
-            f" vs {format_rational(first.folded_value)}")
+            f"folding failures: {count:>6}  first: f=({', '.join(first['act'])})"
+            f" H={first['partition']} {first['direct']} vs {first['folded']}")
     else:
         parts.append("folding failures:      0")
     if broken:
@@ -81,29 +78,17 @@ def main() -> int:
                         help="stop each sweep at its first counterexample")
     args = parser.parse_args()
 
-    cfg = SearchConfig(sizes=tuple(range(2, args.max_states + 1)),
-                       denominator=args.denominator)
     rules = [Anchored(a) for a in unit_grid(args.anchor_denominator)]
     rules += [MinRule(), MaxRule(), Hurwicz(parse_rational(args.alpha)), MedianRule()]
-
-    print(f"sweep: n in {list(cfg.sizes)}, grid k/{cfg.denominator}, "
-          f"{len(cfg.frameworks)} frameworks")
+    # the rules share every flag, so a flag refused for one is refused
+    # here, before the header
+    sequential, _ = problems(rules[0], args)
+    print(f"sweep: n in {list(sequential.sizes)}, grid k/{sequential.grid_denominator}, "
+          f"{len(VACUOUS_FRAMEWORKS)} frameworks")
     for rule in rules:
-        print(sweep(rule, cfg, args.stop_at_first))
+        print(sweep(rule, *problems(rule, args)))
     return 0
 
 
 if __name__ == "__main__":
-    try:
-        status = main()
-        sys.stdout.flush()
-    except EngineError as exc:
-        # the CLI's contract: one line on stderr and exit 2, no traceback
-        print(f"error: {exc}", file=sys.stderr)
-        status = 2
-    except BrokenPipeError:
-        # the reader closed stdout, handled as the CLI does: what is left
-        # goes to devnull, so the flush at exit raises nothing more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 2
-    sys.exit(status)
+    sys.exit(run_entry_point(main))

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -82,14 +82,16 @@ MODES = ("consensus", "certainty", "limit")
 # problem in the tests and the benchmark has 20 states.
 MAX_STATES = 1000
 
-# The most steps of work one `check` may ask for (`_check_work`). The
-# suites' work grows as a power of `grid-denominator`, `sizes` and
-# `family-max-size`, so a problem of a few bytes could ask for hours and
-# gigabytes; it is refused before any work starts. Every suite's default
-# problem is admitted, the largest being set-order's at 149,769 steps. At
-# the limit the slowest runs are those whose every step adds a witness or
-# a failing cell to the report: Hurwicz(1/3) on gamma-laws k/406 takes
-# about 15 s and 600 MB, and on a sequential sweep of k/10 about 9 s.
+# The most steps of work one `check` or `consensus limit` run may ask for
+# (`_check_work`, and |epsilons| * states**2 for a limit run, one step per
+# entry of a contaminated member's generators). The suites' work grows as
+# a power of `grid-denominator`, `sizes` and `family-max-size`, so a
+# problem of a few bytes could ask for hours and gigabytes; it is refused
+# before any work starts. Every suite's default problem is admitted, the
+# largest being set-order's at 149,769 steps. At the limit the slowest
+# runs are those whose every step adds a witness or a failing cell to the
+# report: Hurwicz(1/3) on gamma-laws k/406 takes about 15 s and 600 MB,
+# and on a sequential sweep of k/10 about 9 s.
 MAX_WORK = 250_000
 
 _SUITE = "operator suite grid-denominator"
@@ -266,14 +268,10 @@ def _parse_operator(record: Any) -> CeOperator:
                       credal_extension=extension)
 
 
-def _parse_measure(record: Any, space: Optional[StateSpace],
+def _parse_measure(record: Optional[Mapping], space: StateSpace,
                    framework: Framework) -> PlausibilityMeasure:
-    if space is None:
-        raise ValidationError("a measure needs a state space (states or act)")
     if record is None:
         record = {"kind": "vacuous"}
-    if not isinstance(record, Mapping):
-        raise ParseError("measure: expected an object")
     kind = record.get("kind")
     if not isinstance(kind, str) or kind not in _MEASURE_FIELDS:
         raise ParseError(f"measure.kind: unknown kind {kind!r}")
@@ -806,6 +804,12 @@ def cmd_consensus(problem: ProblemFile) -> ReportFile:
             epsilons = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
         if base is None:
             base = tuple(Fraction(1, act.space.n) for _ in act.space.states)
+        # each epsilon's member holds one generator of n entries per state
+        member = act.space.n ** 2
+        if len(epsilons) * member > MAX_WORK:
+            raise CapExceeded(f"consensus limit on {act.space.n:,} states needs"
+                              f" {len(epsilons) * member:,} steps of work, {member:,}"
+                              f" per epsilon; the limit is {MAX_WORK:,}")
         family = ContaminationFamily(base, epsilons)
         payload["base"] = [_enc(w) for w in family.base]
         convergence = limit_check(rule, act, family)
@@ -986,9 +990,31 @@ def _merge_flags(raw: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
+def run_entry_point(body: Callable[[], int]) -> int:
+    """Run an entry point's body under the exit contract; return its status.
+
+    The body's own status stands once stdout is flushed. A reader that
+    closed stdout ends the run with 2 and nothing on stderr; what is left
+    goes to devnull, so that the flush at interpreter exit raises no second
+    BrokenPipeError. An engine error or any other OSError (a missing
+    problem file, a full disk) ends it with 2 and one `error:` line.
+    """
+    try:
+        status = body()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except (EngineError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return status
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
+
+    def run() -> int:
         with open(args.problem, encoding="utf-8") as handle:
             raw = loads_exact(handle.read())
         if not isinstance(raw, dict):
@@ -1000,19 +1026,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_check(problem)
         else:
             report = cmd_consensus(problem)
-    except (EngineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = render_table(report.payload) if args.format == "table" else emit_report(report)
-    try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: send what is left to devnull, so that
-        # the flush at interpreter exit raises no second BrokenPipeError
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
-    return report.exit_code
+        print(render_table(report.payload) if args.format == "table"
+              else emit_report(report))
+        return report.exit_code
+
+    return run_entry_point(run)
 
 
 if __name__ == "__main__":

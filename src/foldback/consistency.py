@@ -309,10 +309,14 @@ def _levels(values: dict, denominator: int = 1) -> tuple[int, dict]:
 
 
 def _check_modulus(lipschitz) -> None:
-    """Refuse a Lipschitz modulus that is not exact: a float bound rounds."""
+    """Refuse a Lipschitz modulus that is not exact (a float bound rounds)
+    or is negative (no two values are that close). Under 0 only a constant
+    rule meets the modulus."""
     if not isinstance(lipschitz, (int, Fraction)):
         raise ValidationError(
             f"the Lipschitz modulus must be an int or a Fraction, got {lipschitz!r}")
+    if lipschitz < 0:
+        raise ValidationError(f"the Lipschitz modulus must be >= 0, got {lipschitz}")
 
 
 def check_gamma_laws(rule: GammaFunction, denominator: int, *,

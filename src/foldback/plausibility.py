@@ -137,10 +137,6 @@ class ProbabilityMeasure:
     def space(self) -> StateSpace:
         return StateSpace(len(self.weights))
 
-    @cached_property
-    def _ints(self) -> tuple[tuple[int, ...], int]:
-        return _integer_image(self.weights)
-
     def _restrict(self, partition: Partition) -> ProbabilityMeasure:
         weights, scale = self._ints
         return ProbabilityMeasure._trusted(tuple(
@@ -309,11 +305,6 @@ class BeliefFunctionMeasure:
             (event, Fraction(m, scale)) for event, m in ordered))
         object.__setattr__(measure, "_ints", (ordered, scale))
         return measure
-
-    @cached_property
-    def _ints(self) -> tuple[tuple[tuple[Event, int], ...], int]:
-        masses, scale = _integer_image([m for _, m in self.masses])
-        return tuple(zip((focal for focal, _ in self.masses), masses)), scale
 
     def _restrict(self, partition: Partition) -> BeliefFunctionMeasure:
         # a focal element coarsens to the set of blocks it meets

@@ -882,6 +882,43 @@ def test_max_states_past_the_sweep_cap_is_refused_before_sizes_are_built(tmp_pat
     assert captured.err == "error: sweep capped at n <= 8, asked for 1000000000\n"
 
 
+def _limit_problem(states: int, epsilons: int) -> dict:
+    return {"act": ["0"] * (states - 1) + ["1"], "operator": dict(ANCHORED_HALF),
+            "mode": "limit", "epsilons": [f"1/{k}" for k in range(1, epsilons + 1)]}
+
+
+def test_a_limit_run_past_the_work_limit_is_refused_before_it_starts(tmp_path, capsys):
+    # each of the 4 members would hold 251 generators of 251 entries
+    started = time.perf_counter()
+    code, captured = _run_main(tmp_path, capsys, "consensus", _limit_problem(251, 4))
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: consensus limit on 251 states needs 252,004 steps of"
+                            " work, 63,001 per epsilon; the limit is 250,000\n")
+
+
+def test_a_limit_run_at_the_work_limit_runs(tmp_path, capsys):
+    # 4 * 250 ** 2 = 250,000 steps
+    code, captured = _run_main(tmp_path, capsys, "consensus", _limit_problem(250, 4))
+    assert code in (0, 1), captured.err
+    assert len(json.loads(captured.out)["rows"]) == 4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_two_with_one_error_line(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(evaluate_problem()))
+    src = Path(__file__).resolve().parents[1] / "src"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "foldback.cli", "evaluate", "--problem", str(path)],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
 def test_readme_table_of_keys_matches_the_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Keys each run reads", 1)[1].split("\n### ", 1)[0]

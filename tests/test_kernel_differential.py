@@ -139,7 +139,14 @@ def _constant_probe(c):
     return Probe((c,), Framework.PROBABILITY, (ONE,))
 
 
+def reference_modulus(lipschitz):
+    # a negative modulus bounds no two values, equal ones included
+    if lipschitz < 0:
+        raise ValidationError(f"the Lipschitz modulus must be >= 0, got {lipschitz}")
+
+
 def reference_gamma_laws(rule, denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
+    reference_modulus(lipschitz)
     grid = unit_grid(denominator)
     step = F(1, denominator)
     pairs = [(x, y) for x in grid for y in grid if x <= y]
@@ -210,6 +217,7 @@ def reference_gamma_laws(rule, denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
 
 
 def reference_ev_properties(rule, denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
+    reference_modulus(lipschitz)
     grid = unit_grid(denominator)
     pairs = [(x, y) for x in grid for y in grid if x <= y]
 
@@ -310,6 +318,7 @@ def reference_set_order_conditions(rule, family):
 
 
 def reference_lawful_gamma_tables(denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
+    reference_modulus(lipschitz)
     grid = unit_grid(denominator)
     step = F(1, denominator)
     cells = [(x, y) for x in grid for y in grid if x < y]
@@ -515,7 +524,7 @@ def _run(checker, *args, **kwargs):
     """A checker's result, or the type and message of what it raised."""
     try:
         return checker(*args, **kwargs)
-    except NotTabulated as exc:
+    except (NotTabulated, ValidationError) as exc:
         return ("raised", type(exc), str(exc))
 
 
@@ -657,10 +666,11 @@ def test_ev_properties_match_reference_for_any_modulus(rule, denominator, lipsch
     lambda lipschitz: enumerate_lawful_gamma_tables(3, lipschitz=lipschitz),
     lambda lipschitz: count_lawful_gamma_tables(3, lipschitz=lipschitz),
 ], ids=["gamma-laws", "ev-properties", "lawful-tables", "lawful-count"])
-@pytest.mark.parametrize("lipschitz", [0.5, 1.0, float("inf"), float("nan")], ids=str)
+@pytest.mark.parametrize("lipschitz", [0.5, 1.0, float("inf"), float("nan"), -1], ids=str)
 def test_float_modulus_is_refused(check, lipschitz):
     # 0.5 times one step of k/3 rounds below 1/6, so Hurwicz(1/2)'s
-    # exact gaps of 1/6 would read as breaking the modulus
+    # exact gaps of 1/6 would read as breaking the modulus; a negative
+    # modulus would read even two equal values as breaking it
     with pytest.raises(ValidationError, match="Lipschitz modulus"):
         check(lipschitz)
     check(F(1, 2))  # the same modulus, exact, is accepted
@@ -710,9 +720,10 @@ def test_set_order_matches_reference_on_odd_families(rule, family):
     # and 2 run on the coarser grids only
     if denominator < 4 or lipschitz not in (F(3, 2), 2)], ids=str)
 def test_lawful_tables_match_reference(denominator, lipschitz):
-    expected = reference_lawful_gamma_tables(denominator, lipschitz=lipschitz)
-    assert enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz) == expected
-    assert count_lawful_gamma_tables(denominator, lipschitz=lipschitz) == len(expected)
+    expected = _run(reference_lawful_gamma_tables, denominator, lipschitz=lipschitz)
+    assert _run(enumerate_lawful_gamma_tables, denominator, lipschitz=lipschitz) == expected
+    count = _run(count_lawful_gamma_tables, denominator, lipschitz=lipschitz)
+    assert count == (len(expected) if type(expected) is list else expected)
 
 
 @pytest.mark.parametrize("denominator", [1, 2, 5, 8, 30])

@@ -4,9 +4,11 @@ Each script runs in its own interpreter, as a user would start it; the
 timings it prints are stripped before the lines are compared.
 """
 
+import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,9 +104,42 @@ def test_script_exits_quietly_when_its_reader_stops(script, args):
     ("enumerate_tables.py", ["--denominator", "30", "--lipschitz", "1000000"],
      "error: 14,544,636,039,226,909 lawful tables of 496 cells on grid k/30 need"
      " 7,214,139,475,456,546,864 steps of work; the limit is 250,000"),
+    ("enumerate_tables.py", ["--lipschitz", "-1"],
+     "error: the Lipschitz modulus must be >= 0, got -1"),
+    ("sweep_rules.py", ["--max-states", "8000000"],
+     "error: sweep capped at n <= 8, asked for 8000000"),
+    # the sweep runs through `foldback check`, so it meets the same work limit
+    ("sweep_rules.py", ["--max-states", "5", "--denominator", "8"],
+     "error: check sequential on grid k/8 needs at least 3,172,770 steps of work;"
+     " the limit is 250,000"),
 ])
 def test_script_reports_an_engine_error_like_the_cli(script, args, message):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert done.stderr.splitlines() == [message]
+
+
+def test_a_refused_sweep_prints_no_header_and_allocates_nothing():
+    # 2..8,000,000 as a list would be about 450 MB, and its header 71 MB
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_rules.py"),
+                           "--max-states", "8000000"],
+                          capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - started < 1
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("script,args", [
+    ("sweep_rules.py", ["--max-states", "2", "--denominator", "1"]),
+    ("enumerate_tables.py", ["--denominator", "2"]),
+])
+def test_a_script_on_a_full_stdout_exits_two_with_one_error_line(script, args):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
