@@ -80,8 +80,9 @@ def main() -> int:
 
     rules = [Anchored(a) for a in unit_grid(args.anchor_denominator)]
     rules += [MinRule(), MaxRule(), Hurwicz(parse_rational(args.alpha)), MedianRule()]
-    # the rules share every flag, so a flag refused for one is refused
-    # here, before the header
+    # the rules share every flag, so a flag the problem parser refuses for
+    # one is refused here, before the header; cmd_check's work limit
+    # refuses with the first rule's runs, after it
     sequential, _ = problems(rules[0], args)
     print(f"sweep: n in {list(sequential.sizes)}, grid k/{sequential.grid_denominator}, "
           f"{len(VACUOUS_FRAMEWORKS)} frameworks")

@@ -994,19 +994,22 @@ def run_entry_point(body: Callable[[], int]) -> int:
     """Run an entry point's body under the exit contract; return its status.
 
     The body's own status stands once stdout is flushed. A reader that
-    closed stdout ends the run with 2 and nothing on stderr; what is left
-    goes to devnull, so that the flush at interpreter exit raises no second
-    BrokenPipeError. An engine error or any other OSError (a missing
-    problem file, a full disk) ends it with 2 and one `error:` line.
+    closed stdout ends the run with 2 and nothing on stderr. An engine
+    error or any other OSError (a missing problem file, a full stdout)
+    ends it with 2 and one `error:` line. Output that stdout still cannot
+    take goes to devnull: a failed write keeps its bytes buffered, and the
+    flush at interpreter exit would fail on them again and exit 120.
     """
     try:
         status = body()
         sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
     except (EngineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     return status
 

@@ -905,16 +905,21 @@ def test_a_limit_run_at_the_work_limit_runs(tmp_path, capsys):
     assert len(json.loads(captured.out)["rows"]) == 4
 
 
+# stdout is block-buffered unless PYTHONUNBUFFERED is set: a buffered write
+# fails at the flush, and its bytes would fail again at interpreter exit
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_full_stdout_exits_two_with_one_error_line(tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_full_stdout_exits_two_with_one_error_line(tmp_path, unbuffered):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(evaluate_problem()))
-    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         done = subprocess.run(
             [sys.executable, "-m", "foldback.cli", "evaluate", "--problem", str(path)],
-            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(src)))
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
     assert done.returncode == 2
     assert done.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
 
