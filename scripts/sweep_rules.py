@@ -18,8 +18,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from foldback import Anchored, CeOperator, Hurwicz, MaxRule, MedianRule, MinRule
-from foldback.cli import ProblemFile, cmd_check, encode_operator, parse_problem, run_entry_point
+from foldback import Anchored, CapExceeded, CeOperator, Hurwicz, MaxRule, MedianRule, MinRule
+from foldback.cli import (
+    MAX_WORK,
+    ProblemFile,
+    _check_work,
+    cmd_check,
+    encode_operator,
+    parse_problem,
+    run_entry_point,
+)
 from foldback.plausibility import VACUOUS_FRAMEWORKS
 from foldback.rationals import format_rational, parse_rational, unit_grid
 
@@ -78,12 +86,21 @@ def main() -> int:
                         help="stop each sweep at its first counterexample")
     args = parser.parse_args()
 
+    # the rules share every flag, so a flag the problem parser refuses for
+    # one is refused here, and so is a run past the CLI's work limit in
+    # all, before any rule is built or the header printed
+    sequential, _ = problems(MinRule(), args)
+    count = args.anchor_denominator + 1 + 4  # the anchors, min, max, Hurwicz, median
+    points = args.denominator + 1
+    # only `sequential` reads the sizes, and only `set-order` the family size
+    per_rule = (_check_work("sequential", points, sequential.sizes, 0)
+                + _check_work("ev-properties", points, (), 0))
+    if count * per_rule > MAX_WORK:
+        raise CapExceeded(f"{count:,} rules of {per_rule:,} steps each on grid"
+                          f" k/{args.denominator} need {count * per_rule:,} steps of"
+                          f" work; the limit is {MAX_WORK:,}")
     rules = [Anchored(a) for a in unit_grid(args.anchor_denominator)]
     rules += [MinRule(), MaxRule(), Hurwicz(parse_rational(args.alpha)), MedianRule()]
-    # the rules share every flag, so a flag the problem parser refuses for
-    # one is refused here, before the header; cmd_check's work limit
-    # refuses with the first rule's runs, after it
-    sequential, _ = problems(rules[0], args)
     print(f"sweep: n in {list(sequential.sizes)}, grid k/{sequential.grid_denominator}, "
           f"{len(VACUOUS_FRAMEWORKS)} frameworks")
     for rule in rules:

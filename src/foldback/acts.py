@@ -8,9 +8,9 @@ encodings produce, so enumeration order and block indexing agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import CapExceeded, EmptyEvent, SpaceMismatch, ValidationError
@@ -22,11 +22,55 @@ Event = frozenset  # frozenset[int]
 PARTITION_CAP = 8
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class Frozen:
+    """Base of the engine's immutable value classes.
+
+    A subclass declares its fields as annotations, in order, and its own
+    `__init__` stores them with `object.__setattr__`. Two instances of
+    one class are equal when their fields are, and an instance hashes as
+    the tuple of its fields and prints as `Name(field=value, ...)`, as a
+    frozen dataclass would. Unlike a dataclass, nothing is compiled for
+    each class, which keeps importing the engine cheap. Instances keep
+    their `__dict__`, which `cached_property` writes to.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__annotations__)
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+            cls._key = staticmethod(lambda obj: (get(obj),))
+        else:
+            # with two or more names an attrgetter returns the tuple itself
+            cls._key = staticmethod(attrgetter(*fields) if fields else lambda obj: ())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class StateSpace(Frozen):
     """A finite set of states, identified with range(n)."""
 
     n: int
+
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -48,8 +92,7 @@ def event_key(event: Event) -> tuple[int, ...]:
     return tuple(sorted(event))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """An ordered partition of a state space into non-empty blocks.
 
     Blocks are canonicalized to ascending least-element order on
@@ -58,6 +101,11 @@ class Partition:
 
     space: StateSpace
     blocks: tuple[Event, ...]
+
+    def __init__(self, space: StateSpace, blocks: tuple[Event, ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         blocks = tuple(frozenset(b) for b in self.blocks)
@@ -119,11 +167,14 @@ def enumerate_partitions(space: StateSpace) -> list[Partition]:
     return [partition_from_rgs(space, rgs) for rgs in restricted_growth_strings(space.n)]
 
 
-@dataclass(frozen=True)
-class Act:
+class Act(Frozen):
     """A utility-valued act on range(len(outcomes))."""
 
     outcomes: tuple[Utility, ...]
+
+    def __init__(self, outcomes: tuple[Utility, ...]) -> None:
+        object.__setattr__(self, "outcomes", outcomes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.outcomes:

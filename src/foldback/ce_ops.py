@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Union
 
-from .acts import Act, outcome_set
+from .acts import Act, Frozen, outcome_set
 from .errors import (
     EmptyOutcomeSet,
     FrameworkMismatch,
@@ -41,28 +40,33 @@ from .plausibility import (
 from .rationals import ONE, _fraction, _integer_image, ensure_unit
 
 
-@dataclass(frozen=True)
-class Anchored:
+class Anchored(Frozen):
     """Clamp the anchor into [lower, upper]: the interval absorbs it."""
 
     anchor: Fraction
+
+    def __init__(self, anchor: Fraction) -> None:
+        object.__setattr__(self, "anchor", anchor)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "anchor", ensure_unit(self.anchor, "anchor"))
 
 
-@dataclass(frozen=True)
-class Hurwicz:
+class Hurwicz(Frozen):
     """alpha weighs the lower endpoint, 1 - alpha the upper."""
 
     alpha: Fraction
+
+    def __init__(self, alpha: Fraction) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", ensure_unit(self.alpha, "alpha"))
 
 
-@dataclass(frozen=True)
-class MinRule:
+class MinRule(Frozen):
     """Always the lower endpoint.
 
     Its values equal Anchored(0)'s, but it keeps its own class for the
@@ -71,8 +75,7 @@ class MinRule:
     """
 
 
-@dataclass(frozen=True)
-class MaxRule:
+class MaxRule(Frozen):
     """Always the upper endpoint.
 
     Its values equal Anchored(1)'s, but it keeps its own class for the
@@ -81,11 +84,14 @@ class MaxRule:
     """
 
 
-@dataclass(frozen=True)
-class Tabulated:
+class Tabulated(Frozen):
     """An explicit finite map from pairs to utilities; off-grid is an error."""
 
     entries: tuple[tuple[ZPair, Fraction], ...]
+
+    def __init__(self, entries: tuple[tuple[ZPair, Fraction], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         raw = self.entries.items() if isinstance(self.entries, Mapping) else self.entries
@@ -113,8 +119,7 @@ class Tabulated:
 GammaFunction = Union[Anchored, Hurwicz, MinRule, MaxRule, Tabulated]
 
 
-@dataclass(frozen=True)
-class MedianRule:
+class MedianRule(Frozen):
     """Lower median of the distinct outcomes; not a pair function."""
 
 
@@ -127,13 +132,19 @@ class Preference(enum.Enum):
     STRICTLY_DISPREFERS = "StrictlyDisprefers"
 
 
-@dataclass(frozen=True)
-class CeOperator:
+class CeOperator(Frozen):
     """An evaluation model: which routes are enabled, and the vacuous rule."""
 
     vacuous_rule: VacuousRule
     probabilistic_rule: bool = True
     credal_extension: bool = False
+
+    def __init__(self, vacuous_rule: VacuousRule, probabilistic_rule: bool = True,
+                 credal_extension: bool = False) -> None:
+        object.__setattr__(self, "vacuous_rule", vacuous_rule)
+        object.__setattr__(self, "probabilistic_rule", probabilistic_rule)
+        object.__setattr__(self, "credal_extension", credal_extension)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.vacuous_rule is None:

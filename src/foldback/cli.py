@@ -20,13 +20,12 @@ import math
 import os
 import sys
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
 
 from . import __version__
-from .acts import PARTITION_CAP, Act, Partition, StateSpace
+from .acts import PARTITION_CAP, Act, Frozen, Partition, StateSpace
 from .ce_ops import (
     Anchored,
     CeOperator,
@@ -117,8 +116,7 @@ _MEASURE_FIELDS = {"vacuous": (), "probability": ("weights",), "credal-set": ("g
                   "belief-function": ("masses",), "possibility": ("grades",)}
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Frozen):
     """A parsed, validated problem."""
 
     operator: CeOperator
@@ -139,11 +137,42 @@ class ProblemFile:
     # the keys the problem was given, set by `parse_problem`
     given: frozenset[str] = frozenset()
 
+    def __init__(self, operator: CeOperator, framework: Framework = Framework.CREDAL_SET,
+                 space: Optional[StateSpace] = None, act: Optional[Act] = None,
+                 partition: Optional[Partition] = None,
+                 measure: Optional[PlausibilityMeasure] = None, suite: Optional[str] = None,
+                 grid_denominator: Optional[int] = None,
+                 sizes: Optional[tuple[int, ...]] = None, stop_at_first: bool = False,
+                 mode: str = "consensus", state: Optional[int] = None,
+                 epsilons: Optional[tuple[Fraction, ...]] = None,
+                 base: Optional[tuple[Fraction, ...]] = None,
+                 family_max_size: Optional[int] = None,
+                 given: frozenset[str] = frozenset()) -> None:
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "framework", framework)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "act", act)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "measure", measure)
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "grid_denominator", grid_denominator)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "stop_at_first", stop_at_first)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "epsilons", epsilons)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "family_max_size", family_max_size)
+        object.__setattr__(self, "given", given)
 
-@dataclass(frozen=True)
-class ReportFile:
+
+class ReportFile(Frozen):
     payload: dict
     exit_code: int
+
+    def __init__(self, payload: dict, exit_code: int) -> None:
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "exit_code", exit_code)
 
 
 # -- rational / JSON primitives ------------------------------------------

@@ -8,10 +8,9 @@ the ignorant one, within an explicit linear envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .acts import Act, StateSpace, outcome_set
+from .acts import Act, Frozen, StateSpace, outcome_set
 from .ce_ops import CeOperator, GammaFunction, ce, ce_vacuous, gamma_apply
 from .errors import SpaceMismatch, ValidationError
 from .plausibility import (
@@ -25,8 +24,7 @@ from .plausibility import (
 from .rationals import ONE, ZERO, _integer_image
 
 
-@dataclass(frozen=True)
-class ConsensusReport:
+class ConsensusReport(Frozen):
     """Per-framework certainty equivalents of one act, and their agreement."""
 
     act: Act
@@ -35,14 +33,22 @@ class ConsensusReport:
     possibility_value: Fraction
     agree: bool
 
+    def __init__(self, act: Act, credal_value: Fraction, belief_value: Fraction,
+                 possibility_value: Fraction, agree: bool) -> None:
+        object.__setattr__(self, "act", act)
+        object.__setattr__(self, "credal_value", credal_value)
+        object.__setattr__(self, "belief_value", belief_value)
+        object.__setattr__(self, "possibility_value", possibility_value)
+        object.__setattr__(self, "agree", agree)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         expected = self.credal_value == self.belief_value == self.possibility_value
         if self.agree != expected:
             raise ValidationError("agreement flag contradicts the values")
 
 
-@dataclass(frozen=True)
-class ContaminationFamily:
+class ContaminationFamily(Frozen):
     """Mixtures (1-eps)*base + eps*q over all probability vectors q.
 
     Each member is represented by its extreme points: the base shifted
@@ -52,6 +58,11 @@ class ContaminationFamily:
 
     base: tuple[Fraction, ...]
     weights: tuple[Fraction, ...]
+
+    def __init__(self, base: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         base = tuple(Fraction(w) for w in self.base)
@@ -88,22 +99,37 @@ class ContaminationFamily:
         return CredalSetMeasure._trusted(self.space, generators, q * scale)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(Frozen):
     epsilon: Fraction
     lower: Fraction
     upper: Fraction
     value: Fraction
     within_bound: bool
 
+    def __init__(self, epsilon: Fraction, lower: Fraction, upper: Fraction,
+                 value: Fraction, within_bound: bool) -> None:
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "within_bound", within_bound)
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+
+class ConvergenceReport(Frozen):
     act: Act
     rule: GammaFunction
     rows: tuple[ConvergenceRow, ...]
     limit_value: Fraction
     bound_satisfied: bool
+
+    def __init__(self, act: Act, rule: GammaFunction, rows: tuple[ConvergenceRow, ...],
+                 limit_value: Fraction, bound_satisfied: bool) -> None:
+        object.__setattr__(self, "act", act)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "limit_value", limit_value)
+        object.__setattr__(self, "bound_satisfied", bound_satisfied)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.bound_satisfied != all(row.within_bound for row in self.rows):

@@ -13,11 +13,18 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .acts import PARTITION_CAP, Act, Partition, StateSpace, condition_act, enumerate_partitions
+from .acts import (
+    PARTITION_CAP,
+    Act,
+    Frozen,
+    Partition,
+    StateSpace,
+    condition_act,
+    enumerate_partitions,
+)
 from .ce_ops import (
     CeOperator,
     GammaFunction,
@@ -55,8 +62,7 @@ class LawId(enum.Enum):
     CONDITION_M = "ConditionM"
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(Frozen):
     """A minimal evaluation problem that reproduces one witness value.
 
     Evaluating the probe act under the probe measure (a vacuous measure
@@ -68,29 +74,47 @@ class Probe:
     framework: Framework = Framework.CREDAL_SET
     weights: Optional[tuple[Fraction, ...]] = None
 
+    def __init__(self, outcomes: tuple[Fraction, ...],
+                 framework: Framework = Framework.CREDAL_SET,
+                 weights: Optional[tuple[Fraction, ...]] = None) -> None:
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "framework", framework)
+        object.__setattr__(self, "weights", weights)
 
-@dataclass(frozen=True)
-class Witness:
+
+class Witness(Frozen):
     inputs: tuple[str, ...]
     left: Fraction
     right: Fraction
     probe_left: Probe
     probe_right: Probe
 
+    def __init__(self, inputs: tuple[str, ...], left: Fraction, right: Fraction,
+                 probe_left: Probe, probe_right: Probe) -> None:
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "probe_left", probe_left)
+        object.__setattr__(self, "probe_right", probe_right)
 
-@dataclass(frozen=True)
-class LawReport:
+
+class LawReport(Frozen):
     law: LawId
     passed: bool
     witnesses: tuple[Witness, ...] = ()
+
+    def __init__(self, law: LawId, passed: bool, witnesses: tuple[Witness, ...] = ()) -> None:
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witnesses", witnesses)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.passed != (len(self.witnesses) == 0):
             raise ValidationError("a law passes exactly when it has no witnesses")
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(Frozen):
     """One folding-back comparison: direct vs through-a-partition value."""
 
     holds: bool
@@ -99,6 +123,17 @@ class ConsistencyVerdict:
     partition: Partition
     act: Act
     framework: Optional[Framework] = None
+
+    def __init__(self, holds: bool, direct_value: Fraction, folded_value: Fraction,
+                 partition: Partition, act: Act,
+                 framework: Optional[Framework] = None) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "direct_value", direct_value)
+        object.__setattr__(self, "folded_value", folded_value)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "act", act)
+        object.__setattr__(self, "framework", framework)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.holds != (self.direct_value == self.folded_value):
@@ -116,14 +151,22 @@ class ConsistencyVerdict:
         return verdict
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Frozen):
     """Extent of the exhaustive sweeps."""
 
     sizes: tuple[int, ...] = (2, 3, 4)
     denominator: int = 4
     frameworks: tuple[Framework, ...] = VACUOUS_FRAMEWORKS
     stop_at_first: bool = False
+
+    def __init__(self, sizes: tuple[int, ...] = (2, 3, 4), denominator: int = 4,
+                 frameworks: tuple[Framework, ...] = VACUOUS_FRAMEWORKS,
+                 stop_at_first: bool = False) -> None:
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "frameworks", frameworks)
+        object.__setattr__(self, "stop_at_first", stop_at_first)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.denominator < 1:

@@ -29,12 +29,11 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .acts import Act, Event, Partition, StateSpace, event_key
+from .acts import Act, Event, Frozen, Partition, StateSpace, event_key
 from .errors import (
     EmptyEvent,
     FrameworkMismatch,
@@ -46,12 +45,16 @@ from .errors import (
 from .rationals import ONE, ZERO, _fraction, _integer_image, ensure_unit
 
 
-@dataclass(frozen=True)
-class ZPair:
+class ZPair(Frozen):
     """A pair of bounds 0 <= lower <= upper <= 1."""
 
     lower: Fraction
     upper: Fraction
+
+    def __init__(self, lower: Fraction, upper: Fraction) -> None:
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         lower = ensure_unit(self.lower, "lower bound")
@@ -113,12 +116,15 @@ def _validate_weights(weights: tuple[Fraction, ...], label: str
     return values, image
 
 
-@dataclass(frozen=True)
-class ProbabilityMeasure:
+class ProbabilityMeasure(Frozen):
     """A single probability vector; evaluates events to point pairs."""
 
     framework = Framework.PROBABILITY
     weights: tuple[Fraction, ...]
+
+    def __init__(self, weights: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         weights, image = _validate_weights(self.weights, "probability")
@@ -160,8 +166,7 @@ class ProbabilityMeasure:
         return False
 
 
-@dataclass(frozen=True)
-class CredalSetMeasure:
+class CredalSetMeasure(Frozen):
     """The convex hull of finitely many probability vectors.
 
     generators=None marks the full simplex symbolically, so ignorance
@@ -171,6 +176,12 @@ class CredalSetMeasure:
     framework = Framework.CREDAL_SET
     space: StateSpace
     generators: Optional[tuple[tuple[Fraction, ...], ...]] = None
+
+    def __init__(self, space: StateSpace,
+                 generators: Optional[tuple[tuple[Fraction, ...], ...]] = None) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "generators", generators)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.generators is None:
@@ -254,8 +265,7 @@ class CredalSetMeasure:
         return len(units) == self.space.n
 
 
-@dataclass(frozen=True)
-class BeliefFunctionMeasure:
+class BeliefFunctionMeasure(Frozen):
     """A mass assignment on non-empty events.
 
     Masses are stored zero-free and sorted by event, so equal mass
@@ -265,6 +275,11 @@ class BeliefFunctionMeasure:
     framework = Framework.BELIEF_FUNCTION
     space: StateSpace
     masses: tuple[tuple[Event, Fraction], ...]
+
+    def __init__(self, space: StateSpace, masses: tuple[tuple[Event, Fraction], ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "masses", masses)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         raw = self.masses.items() if isinstance(self.masses, Mapping) else self.masses
@@ -343,12 +358,15 @@ class BeliefFunctionMeasure:
         return self.masses == ((self.space.full_event(), ONE),)
 
 
-@dataclass(frozen=True)
-class PossibilityMeasure:
+class PossibilityMeasure(Frozen):
     """A possibility distribution: per-state grades with max 1."""
 
     framework = Framework.POSSIBILITY
     grades: tuple[Fraction, ...]
+
+    def __init__(self, grades: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "grades", grades)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         values = tuple(ensure_unit(g, "grade") for g in self.grades)

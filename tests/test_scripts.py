@@ -107,10 +107,17 @@ def test_script_exits_quietly_when_its_reader_stops(script, args):
      "error: the Lipschitz modulus must be >= 0, got -1"),
     ("sweep_rules.py", ["--max-states", "8000000"],
      "error: sweep capped at n <= 8, asked for 8000000"),
-    # the sweep runs through `foldback check`, so it meets the same work limit
+    # the sweep counts its rules' `foldback check` runs against the CLI's
+    # work limit in all, before it builds a rule
     ("sweep_rules.py", ["--max-states", "5", "--denominator", "8"],
-     "error: check sequential on grid k/8 needs at least 3,172,770 steps of work;"
+     "error: 9 rules of 3,175,050 steps each on grid k/8 need 28,575,450 steps of work;"
      " the limit is 250,000"),
+    ("sweep_rules.py", ["--max-states", "5", "--denominator", "4"],
+     "error: 9 rules of 172,805 steps each on grid k/4 need 1,555,245 steps of work;"
+     " the limit is 250,000"),
+    ("sweep_rules.py", ["--anchor-denominator", "100000000"],
+     "error: 100,000,005 rules of 10,305 steps each on grid k/4 need"
+     " 1,030,500,051,525 steps of work; the limit is 250,000"),
 ])
 def test_script_reports_an_engine_error_like_the_cli(script, args, message):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
@@ -119,10 +126,13 @@ def test_script_reports_an_engine_error_like_the_cli(script, args, message):
     assert done.stderr.splitlines() == [message]
 
 
-def test_a_refused_sweep_prints_no_header():
-    # 2..8,000,000 as a list would be about 450 MB, and its header 71 MB
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_rules.py"),
-                           "--max-states", "8000000"],
+# 2..8,000,000 as a list would be about 450 MB, and its header 71 MB; 10^8
+# anchors would be as many rules, each with its own Fraction
+@pytest.mark.parametrize("args", [["--max-states", "8000000"],
+                                  ["--anchor-denominator", "100000000"],
+                                  ["--max-states", "5", "--denominator", "4"]])
+def test_a_refused_sweep_prints_no_header(args):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_rules.py"), *args],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert done.stdout == ""
