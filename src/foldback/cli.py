@@ -6,14 +6,15 @@ the same way, with deterministic field order, so byte identity of two
 runs means identical results. Exit status: 0 all checks pass, 1 a
 violation was found and reported, 2 the run itself failed.
 
-The `problem` block echoed into every report is itself a valid problem,
-and every witness probe together with that block forms one, which is
-what makes reports replayable.
+The `problem` block of an `evaluate` report is a valid problem that
+replays to the same report, and every witness probe with its report's
+operator forms one. The blocks of `check` and `consensus` reports are
+not: they echo `framework`, and `measure` where there is a state space,
+which those runs refuse (ROADMAP.md, "Reports that replay").
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -22,7 +23,7 @@ import sys
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__
 from .acts import PARTITION_CAP, Act, Frozen, Partition, StateSpace
@@ -69,6 +70,9 @@ from .plausibility import (
     vacuous,
 )
 from .rationals import format_rational, parse_rational
+
+if TYPE_CHECKING:
+    import argparse  # imported by `_build_parser`, which only `main` calls
 
 SUITES = ("gamma-laws", "ev-properties", "sequential", "set-order")
 MODES = ("consensus", "certainty", "limit")
@@ -531,77 +535,41 @@ def encode_law_report(report: LawReport) -> dict:
     }
 
 
-class Shared(list):
-    """A list that several records of one report hold.
-
-    It is a plain list to every reader; `emit_report` writes it once at
-    each indent where it sits and repeats that text for its other uses.
-    It must not change while a report that holds it is being written.
-    """
-
-    __slots__ = ()
-
-
-class Headed(dict):
-    """A record whose first items are those of `head`, a shared dict.
-
-    It is a plain dict to every reader. Inside a `HeadedList`,
-    `emit_report` writes the head once at each indent where it sits and
-    then the record's own items. Neither may change while a report that
-    holds them is being written.
-    """
-
-    __slots__ = ("head",)
-
-
-class HeadedList(list):
-    """A list of records, some of them `Headed`; a plain list to every reader."""
+class VerdictRecords(list):
+    """Records of `encode_verdict`; a plain list to every reader but `_write`."""
 
     __slots__ = ()
 
 
 def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
-    """A verdict's report record.
+    """A verdict's report record, with `framework` only when it has one.
 
     `encoded`, kept by the caller for one report, maps the id of each act,
     partition and value encoded so far to its encoding, so one that many
     verdicts share (as a sweep's failures share their act across
-    partitions, and their interned values across cells) is encoded once:
-    an act or a partition as one `Shared` list, a value or a framework
-    as one string. Under the key None it keeps the last verdict's act,
-    partition and values, and their five keys (act, partition, direct,
-    folded, holds): consecutive verdicts of one cell, as a sweep reports
-    it for each framework, get `Headed` records with those keys as their
-    one head. The verdicts must stay alive while the map is in use.
+    partitions and frameworks, and their interned values across cells) is
+    encoded once, as one list or string that their records hold. The
+    verdicts must stay alive while the map is in use.
     """
     act, partition = verdict.act, verdict.partition
     direct, folded = verdict.direct_value, verdict.folded_value
-    cell = encoded.get(None)
-    if cell is None or not (cell[0] is act and cell[1] is partition
-                            and cell[2] is direct and cell[3] is folded):
-        if id(act) not in encoded:
-            encoded[id(act)] = Shared(encode_act(act))
-        if id(partition) not in encoded:
-            encoded[id(partition)] = Shared(encode_partition(partition))
-        if id(direct) not in encoded:
-            encoded[id(direct)] = _enc(direct)
-        if id(folded) not in encoded:
-            encoded[id(folded)] = _enc(folded)
-        cell = encoded[None] = act, partition, direct, folded, {
-            "act": encoded[id(act)],
-            "partition": encoded[id(partition)],
-            "direct": encoded[id(direct)],
-            "folded": encoded[id(folded)],
-            "holds": verdict.holds,
-        }
-    head = cell[4]
-    record = Headed(head)
-    record.head = head
-    framework = verdict.framework
-    if framework is not None:
-        if id(framework) not in encoded:
-            encoded[id(framework)] = framework.value
-        record["framework"] = encoded[id(framework)]
+    if id(act) not in encoded:
+        encoded[id(act)] = encode_act(act)
+    if id(partition) not in encoded:
+        encoded[id(partition)] = encode_partition(partition)
+    if id(direct) not in encoded:
+        encoded[id(direct)] = _enc(direct)
+    if id(folded) not in encoded:
+        encoded[id(folded)] = _enc(folded)
+    record = {
+        "act": encoded[id(act)],
+        "partition": encoded[id(partition)],
+        "direct": encoded[id(direct)],
+        "folded": encoded[id(folded)],
+        "holds": verdict.holds,
+    }
+    if verdict.framework is not None:
+        record["framework"] = verdict.framework.value
     return record
 
 
@@ -743,38 +711,33 @@ def cmd_check(problem: ProblemFile) -> ReportFile:
     echo = _problem_echo(problem, suite=suite)
     echo["grid-denominator"] = denominator
 
-    if suite == "gamma-laws":
-        if isinstance(op.vacuous_rule, MedianRule):
-            raise ValidationError("the median rule is not a pair rule")
-        reports = check_gamma_laws(op.vacuous_rule, denominator)
-    elif suite == "ev-properties":
-        reports = check_ev_properties(op.vacuous_rule, denominator)
-    elif suite == "set-order":
-        family = default_set_family(denominator, max_size)
-        reports = check_set_order_conditions(op.vacuous_rule, family)
-        echo["family-max-size"] = max_size
-    else:
+    if suite == "sequential":
         cfg = SearchConfig(sizes=sizes, denominator=denominator,
                            stop_at_first=problem.stop_at_first)
         failures = check_sequential_exhaustive(op, cfg)
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first
         encoded: dict = {}
-        payload = {
-            "command": "check",
-            "engine-version": __version__,
-            "problem": echo,
-            "failures": HeadedList(encode_verdict(v, encoded) for v in failures),
-            "summary": {"violations": len(failures)},
-        }
-        return ReportFile(payload, 1 if failures else 0)
-
-    violations = sum(len(r.witnesses) for r in reports)
+        key, entries = "failures", VerdictRecords(encode_verdict(v, encoded) for v in failures)
+        violations = len(failures)
+    else:
+        if suite == "gamma-laws":
+            if isinstance(op.vacuous_rule, MedianRule):
+                raise ValidationError("the median rule is not a pair rule")
+            reports = check_gamma_laws(op.vacuous_rule, denominator)
+        elif suite == "ev-properties":
+            reports = check_ev_properties(op.vacuous_rule, denominator)
+        else:
+            family = default_set_family(denominator, max_size)
+            reports = check_set_order_conditions(op.vacuous_rule, family)
+            echo["family-max-size"] = max_size
+        key, entries = "reports", [encode_law_report(r) for r in reports]
+        violations = sum(len(r.witnesses) for r in reports)
     payload = {
         "command": "check",
         "engine-version": __version__,
         "problem": echo,
-        "reports": [encode_law_report(r) for r in reports],
+        key: entries,
         "summary": {"violations": violations},
     }
     return ReportFile(payload, 1 if violations else 0)
@@ -851,16 +814,13 @@ def cmd_consensus(problem: ProblemFile) -> ReportFile:
 # -- emission and entry point --------------------------------------------
 
 
-def _write(value: Any, indent: str, out: list, shared: dict) -> None:
+def _write(value: Any, indent: str, out: list) -> None:
     """Append the pieces of `json.dumps(value, indent=2)`, nested at `indent`.
 
     Only the types reports are built from are accepted: dicts with
     string keys, lists, strings, ints, bools and None. A string inside
     a container is written with its separator as one piece, as the
     `json` encoder does, so the pieces held before the join stay few.
-    A `Shared` list is written once per indent: `shared`, kept for one
-    report, maps its id and the indent to its text. So is the head of
-    each `Headed` record in a `HeadedList`, without its closing brace.
     """
     if isinstance(value, str):
         out.append(_quote(value))
@@ -874,48 +834,9 @@ def _write(value: Any, indent: str, out: list, shared: dict) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, list):
         # plain lists, the most of any report, pay one test here
-        if type(value) is not list:
-            if type(value) is Shared:
-                key = id(value), indent
-                if key not in shared:
-                    pieces: list = []
-                    # a plain copy, so that it is written out, not looked up
-                    _write(list(value), indent, pieces, shared)
-                    shared[key] = "".join(pieces)
-                out.append(shared[key])
-                return
-            if type(value) is HeadedList and value:
-                inner = indent + "  "
-                fields = inner + "  "
-                close = "\n" + inner + "}"
-                separator = "[\n" + inner
-                last = None
-                for item in value:
-                    head = item.head if type(item) is Headed else None
-                    if not head:
-                        out.append(separator)
-                        _write(item, inner, out, shared)
-                    else:
-                        if head is not last:
-                            key = id(head), inner
-                            if key not in shared:
-                                pieces = []
-                                _write(head, inner, pieces, shared)
-                                # the closing brace comes after the record's own items
-                                pieces.pop()
-                                shared[key] = "".join(pieces)
-                            last, text = head, shared[key]
-                        out.append(separator + text)
-                        for name, field in itertools.islice(item.items(), len(head), None):
-                            if type(field) is str:
-                                out.append(",\n" + fields + _quote(name) + ": " + _quote(field))
-                            else:
-                                out.append(",\n" + fields + _quote(name) + ": ")
-                                _write(field, fields, out, shared)
-                        out.append(close)
-                    separator = ",\n" + inner
-                out.append("\n" + indent + "]")
-                return
+        if type(value) is VerdictRecords and value:
+            _write_verdicts(value, indent, out)
+            return
         if not value:
             out.append("[]")
             return
@@ -926,7 +847,7 @@ def _write(value: Any, indent: str, out: list, shared: dict) -> None:
                 out.append(separator + _quote(item))
             else:
                 out.append(separator)
-                _write(item, inner, out, shared)
+                _write(item, inner, out)
             separator = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(value, dict):
@@ -940,17 +861,53 @@ def _write(value: Any, indent: str, out: list, shared: dict) -> None:
                 out.append(separator + _quote(key) + ": " + _quote(item))
             else:
                 out.append(separator + _quote(key) + ": ")
-                _write(item, inner, out, shared)
+                _write(item, inner, out)
             separator = ",\n" + inner
         out.append("\n" + indent + "}")
     else:
         raise TypeError(f"cannot write {type(value).__name__} into a report")
 
 
+def _write_verdicts(records: VerdictRecords, indent: str, out: list) -> None:
+    """`_write` for a nonempty list of `encode_verdict`'s records.
+
+    A run of records of one cell, equal in their first five keys (act,
+    partition, direct, folded, holds), writes those keys once, each act's
+    and partition's text made once and kept by id; each record then adds
+    its `framework` line.
+    """
+    inner = indent + "  "
+    fields = inner + "  "
+    comma = ",\n" + fields
+    close = "\n" + inner + "}"
+    texts: dict = {}
+    separator = "[\n" + inner
+    last = None
+    for record in records:
+        cell = (record["act"], record["partition"], record["direct"], record["folded"],
+                record["holds"])
+        if cell != last:
+            last = act, partition, direct, folded, holds = cell
+            for value in (act, partition):
+                if id(value) not in texts:
+                    pieces: list = []
+                    _write(value, fields, pieces)
+                    texts[id(value)] = "".join(pieces)
+            head = ("{\n" + fields + '"act": ' + texts[id(act)]
+                    + comma + '"partition": ' + texts[id(partition)]
+                    + comma + '"direct": ' + _quote(direct) + comma + '"folded": '
+                    + _quote(folded) + comma + '"holds": ' + ("true" if holds else "false"))
+        framework = record.get("framework")
+        tail = close if framework is None else comma + '"framework": ' + _quote(framework) + close
+        out.append(separator + head + tail)
+        separator = ",\n" + inner
+    out.append("\n" + indent + "]")
+
+
 def emit_report(report: ReportFile) -> str:
     """The report as indented JSON, byte for byte `json.dumps(payload, indent=2)`."""
     out: list = []
-    _write(report.payload, "", out, {})
+    _write(report.payload, "", out)
     return "".join(out)
 
 
@@ -979,6 +936,8 @@ def render_table(payload: Mapping) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="foldback",
         description="Exact certainty-equivalent evaluation and law checking.")

@@ -29,10 +29,8 @@ from foldback.cli import (
     MODES,
     RUNS,
     SUITES,
-    Headed,
-    HeadedList,
     ReportFile,
-    Shared,
+    VerdictRecords,
     cmd_check,
     cmd_consensus,
     cmd_evaluate,
@@ -71,40 +69,26 @@ JSON_TREES = st.recursive(
 
 
 @st.composite
-def headed_lists(draw):
-    """A `HeadedList` whose records share a few heads, with plain items among them."""
-    heads = draw(st.lists(st.dictionaries(
-        st.text(max_size=6), JSON_TREES | st.builds(Shared, st.lists(JSON_TREES, max_size=3)),
-        max_size=4), min_size=1, max_size=3))
-    items = HeadedList()
-    for choice in draw(st.lists(st.integers(0, len(heads)), max_size=8)):
-        if choice == len(heads):
-            items.append(draw(JSON_TREES))
-            continue
-        head = heads[choice]
-        record = Headed(head)
-        record.head = head
-        record.update(draw(st.dictionaries(
-            st.text(max_size=6).filter(lambda key: key not in head), JSON_TREES, max_size=2)))
-        items.append(record)
-    return items
-
-
-# report trees holding headed lists at any depth
-HEADED_TREES = st.recursive(
-    headed_lists(),
-    lambda inner: st.lists(inner | JSON_TREES, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner | JSON_TREES, max_size=3),
-    max_leaves=6)
-
-
-def plain(value):
-    """A copy of a report tree made of plain dicts and lists only."""
-    if isinstance(value, dict):
-        return {key: plain(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [plain(item) for item in value]
-    return value
+def verdict_records(draw):
+    """Sweep-shaped records: cells drawn from a few shared acts, partitions
+    and values, each a run of zero to three records with a framework or
+    one record without."""
+    texts = st.text(max_size=4) | st.sampled_from(["", "\"", "\\", "\n\x1f", "é 𝄞 \u2028"])
+    acts = draw(st.lists(st.lists(texts, max_size=3), min_size=1, max_size=3))
+    partitions = draw(st.lists(st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3),
+                               min_size=1, max_size=3))
+    values = draw(st.lists(texts, min_size=1, max_size=3))
+    records = VerdictRecords()
+    for _ in range(draw(st.integers(0, 5))):
+        head = {"act": draw(st.sampled_from(acts)),
+                "partition": draw(st.sampled_from(partitions)),
+                "direct": draw(st.sampled_from(values)),
+                "folded": draw(st.sampled_from(values)),
+                "holds": draw(st.booleans())}
+        frameworks = draw(st.lists(texts, max_size=3) | st.just([None]))
+        for framework in frameworks:
+            records.append(dict(head) if framework is None else dict(head, framework=framework))
+    return records
 
 
 def walk_no_floats(value):
@@ -257,10 +241,24 @@ class TestEvaluateCommand:
         assert report.payload["holds"] is True
         assert report.exit_code == 0
 
-    def test_problem_echo_replays_to_the_same_value(self):
-        report = cmd_evaluate(parse_problem(evaluate_problem()))
-        echoed = cmd_evaluate(parse_problem(report.payload["problem"]))
-        assert echoed.payload["ce"] == report.payload["ce"]
+    @pytest.mark.parametrize("partition", [None, [[0], [1, 2]]], ids=["whole", "folded"])
+    @pytest.mark.parametrize("measure", [
+        {"kind": "vacuous"},
+        {"kind": "probability", "weights": ["1/4", "1/4", "1/2"]},
+        {"kind": "credal-set", "generators": [["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"]]},
+        {"kind": "belief-function", "masses": [
+            {"event": [0], "mass": "1/3"}, {"event": [1, 2], "mass": "1/3"},
+            {"event": [0, 1, 2], "mass": "1/3"}]},
+        {"kind": "possibility", "grades": ["1", "1/2", "1/4"]},
+    ], ids=lambda measure: measure["kind"])
+    def test_problem_echo_replays_to_the_same_report(self, measure, partition):
+        raw = {"act": ["0", "1/2", "1"], "measure": measure,
+               "operator": dict(HURWICZ_HALF, **{"credal-extension": True})}
+        if partition is not None:
+            raw["partition"] = partition
+        text = emit_report(cmd_evaluate(parse_problem(raw)))
+        echo = loads_exact(text)["problem"]
+        assert emit_report(cmd_evaluate(parse_problem(echo))) == text
 
     def test_echo_resolves_the_vacuous_measure(self):
         report = cmd_evaluate(parse_problem(evaluate_problem()))
@@ -413,29 +411,16 @@ class TestReportRoundTrip:
         assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
         assert emit_report(ReportFile(tree, 0)) == json.dumps(tree, indent=2)
 
-    @settings(max_examples=100)
-    @given(st.lists(JSON_TREES, max_size=4), JSON_TREES)
-    @example(["0", [1, 2]], None)
-    def test_shared_lists_are_written_as_json_dumps_writes_them(self, items, tree):
-        # one shared list at three indents, twice at each, around any tree
-        shared = Shared(items)
-        payload = {"a": shared, "b": [shared, {"c": shared}], "tree": tree,
-                   "d": [[shared], {"e": [shared]}], "f": shared}
-        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
-        assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
-        nested = Shared([shared, Shared(), items])
-        payload = [nested, {"g": nested}, shared]
-        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
-
     @settings(max_examples=150)
-    @given(headed_lists(), HEADED_TREES)
-    @example(HeadedList(), [])
-    def test_headed_records_are_written_as_json_dumps_writes_them(self, records, tree):
-        # one headed list at four indents, once in a plain list, inside any tree
-        payload = {"failures": records, "tree": tree, "loose": list(records),
-                   "nested": [records, {"again": [records]}], "last": records}
-        assert emit_report(ReportFile(payload, 0)) == json.dumps(plain(payload), indent=2)
-        assert emit_report(ReportFile(records, 0)) == json.dumps(plain(records), indent=2)
+    @given(verdict_records(), JSON_TREES)
+    @example(VerdictRecords(), [])
+    def test_verdict_records_are_written_as_json_dumps_writes_them(self, records, tree):
+        # one list of records at four indents, once as a plain list, inside any tree
+        payload = {"failures": records, "tree": [tree, {"deeper": records}],
+                   "loose": list(records), "nested": [records, {"again": [records]}],
+                   "last": records}
+        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
+        assert emit_report(ReportFile(records, 0)) == json.dumps(records, indent=2)
         assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
 
     @pytest.mark.parametrize("stop_at_first", [True, False])
@@ -448,7 +433,7 @@ class TestReportRoundTrip:
         for record in failures:
             assert list(record) == ["act", "partition", "direct", "folded", "holds",
                                     "framework"]
-        assert emit_report(report) == json.dumps(plain(report.payload), indent=2)
+        assert emit_report(report) == json.dumps(report.payload, indent=2)
 
     def test_sweep_failures_share_their_act_and_partition(self):
         report = cmd_check(parse_problem(

@@ -186,11 +186,12 @@ def test_equality_matches_frozen_dataclasses_across_all_classes():
             assert (value == other) == (twin == other)
 
 
-def test_importing_the_cli_leaves_dataclasses_unloaded():
-    # -S keeps site-packages' start-up hooks from importing it first
+def test_importing_the_cli_leaves_dataclasses_and_argparse_unloaded():
+    # -S keeps site-packages' start-up hooks from importing them first;
+    # only `main` needs argparse, so a library import does not pay for it
     done = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, foldback.cli; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-S", "-c", "import sys, foldback.cli;"
+         " print([name in sys.modules for name in ('dataclasses', 'argparse')])"],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
