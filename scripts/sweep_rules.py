@@ -21,8 +21,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from foldback import Anchored, CapExceeded, CeOperator, Hurwicz, MaxRule, MedianRule, MinRule
 from foldback.cli import (
     MAX_WORK,
-    ProblemFile,
     _check_work,
+    _steps,
     cmd_check,
     encode_operator,
     parse_problem,
@@ -40,7 +40,7 @@ def describe(rule) -> str:
     return type(rule).__name__.replace("Rule", "").lower()
 
 
-def problems(rule, args: argparse.Namespace) -> tuple[ProblemFile, ProblemFile]:
+def problems(rule, args: argparse.Namespace) -> tuple[dict, dict]:
     """The rule's `check sequential` and `check ev-properties` problems."""
     operator = encode_operator(CeOperator(rule))
     return (parse_problem({"operator": operator, "suite": "sequential",
@@ -51,7 +51,7 @@ def problems(rule, args: argparse.Namespace) -> tuple[ProblemFile, ProblemFile]:
                            "grid-denominator": args.denominator}))
 
 
-def sweep(rule, sequential: ProblemFile, properties: ProblemFile) -> str:
+def sweep(rule, sequential: dict, properties: dict) -> str:
     started = time.perf_counter()
     failures = cmd_check(sequential).payload["failures"]
     reports = cmd_check(properties).payload["reports"]
@@ -59,7 +59,7 @@ def sweep(rule, sequential: ProblemFile, properties: ProblemFile) -> str:
     broken = [report["law"] for report in reports if not report["passed"]]
     parts = [f"{describe(rule):<16}"]
     if failures:
-        count = "1+" if sequential.stop_at_first else str(len(failures))
+        count = "1+" if sequential["stop-at-first"] else str(len(failures))
         first = failures[0]
         parts.append(
             f"folding failures: {count:>6}  first: f=({', '.join(first['act'])})"
@@ -93,15 +93,15 @@ def main() -> int:
     count = args.anchor_denominator + 1 + 4  # the anchors, min, max, Hurwicz, median
     points = args.denominator + 1
     # only `sequential` reads the sizes, and only `set-order` the family size
-    per_rule = (_check_work("sequential", points, sequential.sizes, 0)
+    per_rule = (_check_work("sequential", points, sequential["sizes"], 0)
                 + _check_work("ev-properties", points, (), 0))
     if count * per_rule > MAX_WORK:
-        raise CapExceeded(f"{count:,} rules of {per_rule:,} steps each on grid"
-                          f" k/{args.denominator} need {count * per_rule:,} steps of"
+        raise CapExceeded(f"{count:,} rules of {_steps(per_rule)} steps each on grid"
+                          f" k/{args.denominator} need {_steps(count * per_rule)} steps of"
                           f" work; the limit is {MAX_WORK:,}")
     rules = [Anchored(a) for a in unit_grid(args.anchor_denominator)]
     rules += [MinRule(), MaxRule(), Hurwicz(parse_rational(args.alpha)), MedianRule()]
-    print(f"sweep: n in {list(sequential.sizes)}, grid k/{sequential.grid_denominator}, "
+    print(f"sweep: n in {list(sequential['sizes'])}, grid k/{args.denominator}, "
           f"{len(VACUOUS_FRAMEWORKS)} frameworks")
     for rule in rules:
         print(sweep(rule, *problems(rule, args)))

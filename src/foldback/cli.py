@@ -6,11 +6,18 @@ the same way, with deterministic field order, so byte identity of two
 runs means identical results. Exit status: 0 all checks pass, 1 a
 violation was found and reported, 2 the run itself failed.
 
+`parse_problem` returns a plain dict holding, under each key the problem
+gave, its parsed value, and fills in no default. Each `cmd_*` refuses
+the keys its run does not read (`RUNS`), fills in its own defaults and
+writes its report's `problem` block, defaults filled in.
+
 The `problem` block of an `evaluate` report is a valid problem that
 replays to the same report, and every witness probe with its report's
 operator forms one. The blocks of `check` and `consensus` reports are
-not: they echo `framework`, and `measure` where there is a state space,
-which those runs refuse (ROADMAP.md, "Reports that replay").
+not: they echo `framework`, and `consensus` also `measure`, which those
+runs refuse, and a `consensus` block lacks `mode`, `state`, `epsilons`
+and `base`. Mending them changes report bytes, so it waits for a
+re-recorded `perfbench/reference.json` (ROADMAP.md item 1).
 """
 
 from __future__ import annotations
@@ -77,12 +84,12 @@ if TYPE_CHECKING:
 SUITES = ("gamma-laws", "ev-properties", "sequential", "set-order")
 MODES = ("consensus", "certainty", "limit")
 
-# The most states a problem may declare with `states`. The parser builds
-# a vacuous measure from that count alone, one entry per state, before a
-# verb sees the problem, so an unchecked count such as 10**9 would be an
-# allocation of that size. Acts, weights and partitions are lists in the
-# problem itself, so their sizes are paid for by its length. The largest
-# problem in the tests and the benchmark has 20 states.
+# The most states a problem may declare with `states`. A vacuous measure
+# is built from that count alone, one entry per state, so an unchecked
+# count such as 10**9 would be an allocation of that size. Acts, weights
+# and partitions are lists in the problem itself, so their sizes are paid
+# for by its length. The largest problem in the tests and the benchmark
+# has 20 states.
 MAX_STATES = 1000
 
 # The most steps of work one `check` or `consensus limit` run may ask for
@@ -118,56 +125,6 @@ _PROBLEM_KEYS = frozenset().union(*(keys for keys, _ in RUNS.values()))
 # the fields each measure kind reads besides `kind`
 _MEASURE_FIELDS = {"vacuous": (), "probability": ("weights",), "credal-set": ("generators",),
                   "belief-function": ("masses",), "possibility": ("grades",)}
-
-
-class ProblemFile(Frozen):
-    """A parsed, validated problem."""
-
-    operator: CeOperator
-    framework: Framework = Framework.CREDAL_SET
-    space: Optional[StateSpace] = None
-    act: Optional[Act] = None
-    partition: Optional[Partition] = None
-    measure: Optional[PlausibilityMeasure] = None
-    suite: Optional[str] = None
-    grid_denominator: Optional[int] = None
-    sizes: Optional[tuple[int, ...]] = None
-    stop_at_first: bool = False
-    mode: str = "consensus"
-    state: Optional[int] = None
-    epsilons: Optional[tuple[Fraction, ...]] = None
-    base: Optional[tuple[Fraction, ...]] = None
-    family_max_size: Optional[int] = None
-    # the keys the problem was given, set by `parse_problem`
-    given: frozenset[str] = frozenset()
-
-    def __init__(self, operator: CeOperator, framework: Framework = Framework.CREDAL_SET,
-                 space: Optional[StateSpace] = None, act: Optional[Act] = None,
-                 partition: Optional[Partition] = None,
-                 measure: Optional[PlausibilityMeasure] = None, suite: Optional[str] = None,
-                 grid_denominator: Optional[int] = None,
-                 sizes: Optional[tuple[int, ...]] = None, stop_at_first: bool = False,
-                 mode: str = "consensus", state: Optional[int] = None,
-                 epsilons: Optional[tuple[Fraction, ...]] = None,
-                 base: Optional[tuple[Fraction, ...]] = None,
-                 family_max_size: Optional[int] = None,
-                 given: frozenset[str] = frozenset()) -> None:
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "framework", framework)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "act", act)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "measure", measure)
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "grid_denominator", grid_denominator)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "stop_at_first", stop_at_first)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "family_max_size", family_max_size)
-        object.__setattr__(self, "given", given)
 
 
 class ReportFile(Frozen):
@@ -339,21 +296,23 @@ def _parse_measure(record: Optional[Mapping], space: StateSpace,
     return PossibilityMeasure(_rational_list(record.get("grades"), "measure.grades"))
 
 
-def parse_problem(raw: Mapping) -> ProblemFile:
-    """Validate a problem dictionary into typed engine objects."""
+def parse_problem(raw: Mapping) -> dict[str, Any]:
+    """Validate a problem dictionary into typed engine objects, one for each
+    key it gives; `max-states` is stored as the `sizes` it stands for."""
     if not isinstance(raw, Mapping):
         raise ParseError("problem: expected a JSON object")
     unknown = set(raw) - _PROBLEM_KEYS
     if unknown:
         raise ParseError(f"problem: unknown fields {sorted(unknown)}")
+    problem: dict[str, Any] = {}
 
-    act = None
+    space = None
     if "act" in raw:
         if not isinstance(raw["act"], list):
             raise ParseError("act: expected a list of rationals")
-        act = Act(_rational_list(raw["act"], "act"))
+        problem["act"] = Act(_rational_list(raw["act"], "act"))
+        space = problem["act"].space
 
-    space = act.space if act is not None else None
     if "states" in raw:
         states = _integer(raw["states"], "states")
         if states > MAX_STATES:
@@ -362,62 +321,60 @@ def parse_problem(raw: Mapping) -> ProblemFile:
         if space is not None and declared != space:
             raise ValidationError(
                 f"states={declared.n} but the act has {space.n} outcomes")
-        space = declared
+        problem["states"] = space = declared
 
-    partition = None
     if "partition" in raw:
         if space is None:
             raise ValidationError("a partition needs a state space")
         blocks = raw["partition"]
         if not isinstance(blocks, list):
             raise ParseError("partition: expected a list of blocks")
-        partition = Partition(space, tuple(
+        problem["partition"] = Partition(space, tuple(
             _state_set(block, f"partition[{i}]") for i, block in enumerate(blocks)))
 
     framework = Framework.CREDAL_SET
     if "framework" in raw:
         try:
-            framework = Framework(raw["framework"])
+            problem["framework"] = framework = Framework(raw["framework"])
         except ValueError:
             raise ParseError(f"framework: unknown framework {raw['framework']!r}") from None
 
     measure_spec = raw.get("measure")
     if not isinstance(measure_spec, (Mapping, type(None))):
         raise ParseError("measure: expected an object")
-    if isinstance(measure_spec, Mapping) and measure_spec.get("kind") not in (
-            None, "vacuous"):
-        implied = Framework(measure_spec["kind"]) if measure_spec["kind"] in (
-            f.value for f in Framework) else None
-        if implied is not None:
-            if "framework" in raw and implied is not framework:
-                raise ValidationError(
-                    f"framework {framework.value!r} contradicts measure kind"
-                    f" {measure_spec['kind']!r}")
-            framework = implied
+    # a concrete measure's kind names its framework, which a given one must match
+    if (isinstance(measure_spec, Mapping) and "framework" in raw
+            and measure_spec.get("kind") in [f.value for f in Framework]
+            and measure_spec["kind"] != framework.value):
+        raise ValidationError(f"framework {framework.value!r} contradicts measure kind"
+                              f" {measure_spec['kind']!r}")
 
-    measure = None
-    if space is not None:
-        measure = _parse_measure(measure_spec, space, framework)
+    if "measure" in raw:
+        # without a state space no run reads it: evaluate needs an act,
+        # and every other run refuses the key
+        problem["measure"] = (None if space is None
+                              else _parse_measure(measure_spec, space, framework))
+    elif space is not None and framework is Framework.PROBABILITY:
+        vacuous(space, framework)  # raises: the default measure is vacuous, no probability
 
     if "operator" not in raw:
         raise ParseError("problem: an operator is required")
-    operator = _parse_operator(raw["operator"])
+    problem["operator"] = _parse_operator(raw["operator"])
 
-    suite = raw.get("suite")
-    if suite is not None and not isinstance(suite, str):
-        raise ParseError("suite: expected a string")
+    if "suite" in raw:
+        if raw["suite"] is not None and not isinstance(raw["suite"], str):
+            raise ParseError("suite: expected a string")
+        problem["suite"] = raw["suite"]
 
-    grid_denominator = None
     if "grid-denominator" in raw:
-        grid_denominator = _integer(raw["grid-denominator"], "grid-denominator")
-        if grid_denominator < 1:
+        problem["grid-denominator"] = _integer(raw["grid-denominator"], "grid-denominator")
+        if problem["grid-denominator"] < 1:
             raise ValidationError("grid-denominator must be >= 1")
 
-    sizes = None
     if "sizes" in raw:
         if not isinstance(raw["sizes"], list):
             raise ParseError("sizes: expected a list of integers")
-        sizes = tuple(_integer(n, "sizes") for n in raw["sizes"])
+        problem["sizes"] = tuple(_integer(n, "sizes") for n in raw["sizes"])
     if "max-states" in raw:
         top = _integer(raw["max-states"], "max-states")
         if top < 2:
@@ -426,30 +383,27 @@ def parse_problem(raw: Mapping) -> ProblemFile:
             # the sizes 2..top are built from this one number, and the sweep
             # refuses every size above the cap
             raise CapExceeded(f"sweep capped at n <= {PARTITION_CAP}, asked for {top}")
-        if sizes is not None:
+        if "sizes" in raw:
             raise ValidationError("give either sizes or max-states, not both")
-        sizes = tuple(range(2, top + 1))
+        problem["sizes"] = tuple(range(2, top + 1))
 
-    mode = raw.get("mode", "consensus")
-    if mode not in MODES:
-        raise ParseError(f"mode: expected one of {MODES}, got {mode!r}")
+    if "mode" in raw:
+        if raw["mode"] not in MODES:
+            raise ParseError(f"mode: expected one of {MODES}, got {raw['mode']!r}")
+        problem["mode"] = raw["mode"]
 
-    state = _integer(raw["state"], "state") if "state" in raw else None
-    epsilons = (_rational_list(raw["epsilons"], "epsilons")
-                if "epsilons" in raw else None)
-    base = _rational_list(raw["base"], "base") if "base" in raw else None
-    family_max_size = (_integer(raw["family-max-size"], "family-max-size")
-                       if "family-max-size" in raw else None)
-    if family_max_size is not None and family_max_size < 1:
-        raise ValidationError("family-max-size must be >= 1")
-
-    return ProblemFile(
-        operator=operator, framework=framework, space=space, act=act,
-        partition=partition, measure=measure, suite=suite,
-        grid_denominator=grid_denominator, sizes=sizes,
-        stop_at_first=_boolean(raw.get("stop-at-first", False), "stop-at-first"),
-        mode=mode, state=state, epsilons=epsilons, base=base,
-        family_max_size=family_max_size, given=frozenset(raw))
+    if "state" in raw:
+        problem["state"] = _integer(raw["state"], "state")
+    for key in ("epsilons", "base"):
+        if key in raw:
+            problem[key] = _rational_list(raw[key], key)
+    if "family-max-size" in raw:
+        problem["family-max-size"] = _integer(raw["family-max-size"], "family-max-size")
+        if problem["family-max-size"] < 1:
+            raise ValidationError("family-max-size must be >= 1")
+    if "stop-at-first" in raw:
+        problem["stop-at-first"] = _boolean(raw["stop-at-first"], "stop-at-first")
+    return problem
 
 
 # -- encoding -------------------------------------------------------------
@@ -605,30 +559,11 @@ def verdict_problem(verdict_record: Mapping, operator_record: Mapping) -> dict:
 # -- commands -------------------------------------------------------------
 
 
-def _problem_echo(problem: ProblemFile, **extras: Any) -> dict:
-    echo: dict[str, Any] = {}
-    if problem.space is not None:
-        echo["states"] = problem.space.n
-    if problem.act is not None:
-        echo["act"] = encode_act(problem.act)
-    if problem.partition is not None:
-        echo["partition"] = encode_partition(problem.partition)
-    echo["framework"] = problem.framework.value
-    if problem.measure is not None:
-        echo["measure"] = encode_measure(problem.measure)
-    echo["operator"] = encode_operator(problem.operator)
-    for key, value in extras.items():
-        if value is not None:
-            echo[key] = value
-    return echo
-
-
-def _refuse_unread(problem: ProblemFile, run: str) -> Optional[int]:
+def _refuse_unread(problem: Mapping[str, Any], run: str) -> Optional[int]:
     """Refuse every given key `run` does not read; return its default grid."""
     reads, grid = RUNS[run]
-    # `max-states` is another spelling of `sizes`, so a refusal names both
-    unread = {"sizes/max-states" if key in ("sizes", "max-states") else key
-              for key in problem.given - reads}
+    # `max-states` is parsed into `sizes`, so a refusal names both spellings
+    unread = {"sizes/max-states" if key == "sizes" else key for key in problem.keys() - reads}
     if unread:
         raise ValidationError(f"{run} does not read {', '.join(sorted(unread))}")
     return grid
@@ -670,23 +605,36 @@ def _check_work(suite: str, points: int, sizes: Sequence[int], max_size: int) ->
     return sum(points ** n * _bell(n) for n in sizes if 0 < n <= PARTITION_CAP)
 
 
-def cmd_evaluate(problem: ProblemFile) -> ReportFile:
+def _steps(count: int) -> str:
+    """`count` with separators; past the digits str() writes, a power of ten it is at least."""
+    try:
+        return f"{count:,}"
+    except ValueError:  # 2 ** (bits - 1) <= count, and 0.30102 < log10(2)
+        return f"10^{(count.bit_length() - 1) * 30102 // 100_000:,}"
+
+
+def cmd_evaluate(problem: Mapping[str, Any]) -> ReportFile:
     """Certainty equivalent of one act; with a partition, the fold too."""
     _refuse_unread(problem, "evaluate")
-    if problem.act is None or problem.measure is None:
+    act = problem.get("act")
+    if act is None:
         raise ValidationError("evaluate needs an act and a measure")
-    payload: dict[str, Any] = {
-        "command": "evaluate",
-        "engine-version": __version__,
-        "problem": _problem_echo(problem),
-    }
-    if problem.partition is None:
-        value = ce(problem.operator, problem.measure, problem.act)
+    measure = problem.get("measure")
+    if measure is None:
+        measure = vacuous(act.space, problem.get("framework", Framework.CREDAL_SET))
+    operator, partition = problem["operator"], problem.get("partition")
+    echo: dict[str, Any] = {"states": act.space.n, "act": encode_act(act)}
+    if partition is not None:
+        echo["partition"] = encode_partition(partition)
+    echo.update(framework=measure.framework.value, measure=encode_measure(measure),
+                operator=encode_operator(operator))
+    payload = {"command": "evaluate", "engine-version": __version__, "problem": echo}
+    if partition is None:
+        value = ce(operator, measure, act)
         payload["ce"] = _enc(value)
         payload["summary"] = {"violations": 0}
         return ReportFile(payload, 0)
-    verdict = check_sequential(problem.operator, problem.measure, problem.act,
-                               problem.partition)
+    verdict = check_sequential(operator, measure, act, partition)
     payload["ce"] = _enc(verdict.direct_value)
     payload["folded"] = _enc(verdict.folded_value)
     payload["holds"] = verdict.holds
@@ -694,26 +642,27 @@ def cmd_evaluate(problem: ProblemFile) -> ReportFile:
     return ReportFile(payload, 0 if verdict.holds else 1)
 
 
-def cmd_check(problem: ProblemFile) -> ReportFile:
+def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
     """Run one law suite and report violations."""
-    suite = problem.suite
+    suite = problem.get("suite")
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of {SUITES}")
     default = _refuse_unread(problem, f"check {suite}")
-    denominator = default if problem.grid_denominator is None else problem.grid_denominator
-    sizes = (2, 3, 4) if problem.sizes is None else problem.sizes
-    max_size = 3 if problem.family_max_size is None else problem.family_max_size
+    denominator = problem.get("grid-denominator", default)
+    sizes = problem.get("sizes", (2, 3, 4))
+    max_size = problem.get("family-max-size", 3)
     work = _check_work(suite, denominator + 1, sizes, max_size)
     if work > MAX_WORK:
         raise CapExceeded(f"check {suite} on grid k/{denominator} needs at least"
-                          f" {work:,} steps of work; the limit is {MAX_WORK:,}")
-    op = problem.operator
-    echo = _problem_echo(problem, suite=suite)
-    echo["grid-denominator"] = denominator
+                          f" {_steps(work)} steps of work; the limit is {MAX_WORK:,}")
+    op = problem["operator"]
+    # no check reads `framework`, yet the block echoes it (ROADMAP.md item 1)
+    echo = {"framework": "credal-set", "operator": encode_operator(op), "suite": suite,
+            "grid-denominator": denominator}
 
     if suite == "sequential":
         cfg = SearchConfig(sizes=sizes, denominator=denominator,
-                           stop_at_first=problem.stop_at_first)
+                           stop_at_first=problem.get("stop-at-first", False))
         failures = check_sequential_exhaustive(op, cfg)
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first
@@ -766,34 +715,38 @@ def _encode_convergence(report: ConvergenceReport) -> dict:
     }
 
 
-def cmd_consensus(problem: ProblemFile) -> ReportFile:
+def cmd_consensus(problem: Mapping[str, Any]) -> ReportFile:
     """Cross-framework agreement in one of three modes."""
-    _refuse_unread(problem, f"consensus {problem.mode}")
-    if problem.act is None:
+    mode = problem.get("mode", "consensus")
+    _refuse_unread(problem, f"consensus {mode}")
+    act = problem.get("act")
+    if act is None:
         raise ValidationError("consensus needs an act")
-    rule = problem.operator.vacuous_rule
-    act = problem.act
+    rule = problem["operator"].vacuous_rule
     payload: dict[str, Any] = {
         "command": "consensus",
         "engine-version": __version__,
-        "mode": problem.mode,
-        "problem": _problem_echo(problem),
+        "mode": mode,
+        # no consensus run reads `framework` or `measure`, yet the block
+        # echoes them (ROADMAP.md item 1)
+        "problem": {"states": act.space.n, "act": encode_act(act), "framework": "credal-set",
+                    "measure": {"kind": "credal-set"},
+                    "operator": encode_operator(problem["operator"])},
     }
-    if problem.mode == "consensus":
+    if mode == "consensus":
         report = consensus_check(rule, act)
         payload.update(_encode_consensus(report))
         ok = report.agree
-    elif problem.mode == "certainty":
-        if problem.state is None:
+    elif mode == "certainty":
+        if "state" not in problem:
             raise ValidationError("certainty mode needs a state")
-        payload["state"] = problem.state
-        report = certainty_check(rule, act, problem.state)
+        payload["state"] = problem["state"]
+        report = certainty_check(rule, act, problem["state"])
         payload.update(_encode_consensus(report))
         ok = report.agree
     else:
-        epsilons, base = problem.epsilons, problem.base
-        if epsilons is None:
-            epsilons = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+        epsilons = problem.get("epsilons", (Fraction(1), Fraction(1, 2), Fraction(1, 4)))
+        base = problem.get("base")
         if base is None:
             base = tuple(Fraction(1, act.space.n) for _ in act.space.states)
         # each epsilon's member holds one generator of n entries per state

@@ -4,6 +4,7 @@ Each script runs in its own interpreter, as a user would start it; the
 timings it prints are stripped before the lines are compared.
 """
 
+import math
 import os
 import re
 import subprocess
@@ -124,6 +125,28 @@ def test_script_reports_an_engine_error_like_the_cli(script, args, message):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert done.stderr.splitlines() == [message]
+
+
+def test_a_sweep_past_the_digit_limit_is_refused_with_one_line():
+    # the run's count of steps on a grid of 3,000 digits has more digits
+    # than the interpreter converts to text, so the refusal writes a power
+    # of ten the count is at least
+    points = 10 ** 3000
+    pairs = points * (points + 1) // 2
+    per_rule = (points ** 2 * 2 + points ** 3 * 5 + points ** 4 * 15
+                + sum(math.comb(points, size) for size in range(1, 5)) + pairs ** 2)
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_rules.py"),
+                           "--denominator", str(points - 1)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    refusal = re.fullmatch(rf"error: 9 rules of 10\^([\d,]+) steps each on grid k/{points - 1}"
+                           r" need 10\^([\d,]+) steps of work; the limit is 250,000", line)
+    assert refusal, line
+    for count, exponent in zip((per_rule, 9 * per_rule), refusal.groups()):
+        exponent = int(exponent.replace(",", ""))
+        assert 10 ** exponent <= count < 10 ** (exponent + 2)
 
 
 # 2..8,000,000 as a list would be about 450 MB, and its header 71 MB; 10^8

@@ -52,7 +52,7 @@ from foldback import (
     vacuous,
 )
 from foldback.acts import Frozen
-from foldback.cli import ProblemFile, ReportFile, parse_problem
+from foldback.cli import ReportFile
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,8 +110,6 @@ SAMPLES = {
         ConsistencyVerdict._trusted_failure(F(0), F(1), PARTITION, ACT,
                                             Framework.CREDAL_SET)],
     SearchConfig: [SearchConfig(), SearchConfig((2,), 2, (Framework.POSSIBILITY,), True)],
-    ProblemFile: [ProblemFile(CeOperator(MinRule())),
-                  parse_problem({"act": ["0", "1"], "operator": {"kind": "min"}})],
     # a dict payload leaves the report unhashable
     ReportFile: [ReportFile({"value": "1/2"}, 0), ReportFile({}, 1)],
 }
@@ -151,7 +149,7 @@ def _hash(value):
 
 def test_the_samples_cover_every_value_class():
     assert set(SAMPLES) == set(_subclasses(Frozen))
-    assert len(SAMPLES) == 26
+    assert len(SAMPLES) == 25
 
 
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
