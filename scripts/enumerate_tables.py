@@ -10,7 +10,9 @@ Lipschitz modulus 1 the tables on k/D are exactly the D + 1 anchored
 class is larger: the Catalan number C(D + 1) of tables, 42 on k/4.
 The tables are counted first, and a run whose tables hold more cells
 in all than the CLI's work limit (`foldback.cli.MAX_WORK`) is refused
-before any is built.
+before any is built. Under a modulus of at least 1 the D + 1 anchored
+tables alone can pass the limit, and then the run is refused before
+the tables are counted.
 
 Example:
     python3 scripts/enumerate_tables.py --denominator 4
@@ -64,8 +66,16 @@ def main() -> int:
 
     modulus = parse_rational(args.lipschitz)
     # a step is one cell of one table
-    tables = count_lawful_gamma_tables(args.denominator, lipschitz=modulus)
     pairs = (args.denominator + 1) * (args.denominator + 2) // 2
+    # under a modulus >= 1 the D + 1 anchored tables are lawful: a bound
+    # that refuses a large grid before its tables are counted
+    anchored = (args.denominator + 1) * pairs
+    if modulus >= 1 and anchored > MAX_WORK:
+        raise CapExceeded(
+            f"at least {args.denominator + 1:,} lawful tables of {pairs:,} cells on grid"
+            f" k/{args.denominator} need at least {anchored:,} steps of work;"
+            f" the limit is {MAX_WORK:,}")
+    tables = count_lawful_gamma_tables(args.denominator, lipschitz=modulus)
     if tables * pairs > MAX_WORK:
         raise CapExceeded(
             f"{tables:,} lawful tables of {pairs:,} cells on grid k/{args.denominator}"
@@ -74,16 +84,14 @@ def main() -> int:
     survivors = enumerate_lawful_gamma_tables(args.denominator, lipschitz=modulus)
     elapsed = time.perf_counter() - started
 
-    anchored = {tabulate(Anchored(a), args.denominator): a
-                for a in unit_grid(args.denominator)}
     print(f"{len(survivors)} lawful tables on grid k/{args.denominator}"
           f" (modulus {args.lipschitz}) in {elapsed:.2f}s")
     for i, table in enumerate(survivors):
-        anchor = anchored.get(table)
-        if anchor is not None:
-            label = f"anchored({format_rational(anchor)})"
+        # the one anchored table that can match is the one anchored at the corner
+        corner = gamma_apply(table, ZPair(Fraction(0), Fraction(1)))
+        if table == tabulate(Anchored(corner), args.denominator):
+            label = f"anchored({format_rational(corner)})"
         else:
-            corner = gamma_apply(table, ZPair(Fraction(0), Fraction(1)))
             label = f"not anchored; corner value {format_rational(corner)}"
         print(f"\ntable {i}: {label}")
         if not args.quiet:

@@ -46,11 +46,7 @@ class Anchored(Frozen):
     anchor: Fraction
 
     def __init__(self, anchor: Fraction) -> None:
-        object.__setattr__(self, "anchor", anchor)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "anchor", ensure_unit(self.anchor, "anchor"))
+        object.__setattr__(self, "anchor", ensure_unit(anchor, "anchor"))
 
 
 class Hurwicz(Frozen):
@@ -59,11 +55,7 @@ class Hurwicz(Frozen):
     alpha: Fraction
 
     def __init__(self, alpha: Fraction) -> None:
-        object.__setattr__(self, "alpha", alpha)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", ensure_unit(self.alpha, "alpha"))
+        object.__setattr__(self, "alpha", ensure_unit(alpha, "alpha"))
 
 
 class MinRule(Frozen):
@@ -90,11 +82,7 @@ class Tabulated(Frozen):
     entries: tuple[tuple[ZPair, Fraction], ...]
 
     def __init__(self, entries: tuple[tuple[ZPair, Fraction], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        raw = self.entries.items() if isinstance(self.entries, Mapping) else self.entries
+        raw = entries.items() if isinstance(entries, Mapping) else entries
         index: dict[ZPair, Fraction] = {}
         for z, value in raw:
             value = _fraction(value)
@@ -141,14 +129,11 @@ class CeOperator(Frozen):
 
     def __init__(self, vacuous_rule: VacuousRule, probabilistic_rule: bool = True,
                  credal_extension: bool = False) -> None:
+        if vacuous_rule is None:
+            raise UnsupportedCombination("an operator needs a vacuous rule")
         object.__setattr__(self, "vacuous_rule", vacuous_rule)
         object.__setattr__(self, "probabilistic_rule", probabilistic_rule)
         object.__setattr__(self, "credal_extension", credal_extension)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.vacuous_rule is None:
-            raise UnsupportedCombination("an operator needs a vacuous rule")
 
 
 def gamma_apply(rule: GammaFunction, z: ZPair) -> Fraction:

@@ -354,8 +354,6 @@ def parse_problem(raw: Mapping) -> dict[str, Any]:
         # and every other run refuses the key
         problem["measure"] = (None if space is None
                               else _parse_measure(measure_spec, space, framework))
-    elif space is not None and framework is Framework.PROBABILITY:
-        vacuous(space, framework)  # raises: the default measure is vacuous, no probability
 
     if "operator" not in raw:
         raise ParseError("problem: an operator is required")
@@ -653,7 +651,11 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
     max_size = problem.get("family-max-size", 3)
     work = _check_work(suite, denominator + 1, sizes, max_size)
     if work > MAX_WORK:
-        raise CapExceeded(f"check {suite} on grid k/{denominator} needs at least"
+        try:
+            grid = f"k/{denominator}"
+        except ValueError:  # past the digits str() writes, as `_steps` spells a count
+            grid = f"k/n with n >= {_steps(denominator)}"
+        raise CapExceeded(f"check {suite} on grid {grid} needs at least"
                           f" {_steps(work)} steps of work; the limit is {MAX_WORK:,}")
     op = problem["operator"]
     # no check reads `framework`, yet the block echoes it (ROADMAP.md item 1)

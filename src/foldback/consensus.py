@@ -35,17 +35,13 @@ class ConsensusReport(Frozen):
 
     def __init__(self, act: Act, credal_value: Fraction, belief_value: Fraction,
                  possibility_value: Fraction, agree: bool) -> None:
+        if agree != (credal_value == belief_value == possibility_value):
+            raise ValidationError("agreement flag contradicts the values")
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "credal_value", credal_value)
         object.__setattr__(self, "belief_value", belief_value)
         object.__setattr__(self, "possibility_value", possibility_value)
         object.__setattr__(self, "agree", agree)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        expected = self.credal_value == self.belief_value == self.possibility_value
-        if self.agree != expected:
-            raise ValidationError("agreement flag contradicts the values")
 
 
 class ContaminationFamily(Frozen):
@@ -60,15 +56,10 @@ class ContaminationFamily(Frozen):
     weights: tuple[Fraction, ...]
 
     def __init__(self, base: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "weights", weights)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        base = tuple(Fraction(w) for w in self.base)
+        base = tuple(Fraction(w) for w in base)
         if not base or any(w < 0 for w in base) or sum(base) != 1:
             raise ValidationError("base must be a probability vector")
-        weights = tuple(Fraction(e) for e in self.weights)
+        weights = tuple(Fraction(e) for e in weights)
         if not weights:
             raise ValidationError("at least one contamination weight required")
         if any(not ZERO < e <= ONE for e in weights):
@@ -124,16 +115,13 @@ class ConvergenceReport(Frozen):
 
     def __init__(self, act: Act, rule: GammaFunction, rows: tuple[ConvergenceRow, ...],
                  limit_value: Fraction, bound_satisfied: bool) -> None:
+        if bound_satisfied != all(row.within_bound for row in rows):
+            raise ValidationError("bound flag contradicts the rows")
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "limit_value", limit_value)
         object.__setattr__(self, "bound_satisfied", bound_satisfied)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.bound_satisfied != all(row.within_bound for row in self.rows):
-            raise ValidationError("bound flag contradicts the rows")
 
 
 def consensus_check(rule: GammaFunction, act: Act) -> ConsensusReport:

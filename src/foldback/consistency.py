@@ -104,14 +104,11 @@ class LawReport(Frozen):
     witnesses: tuple[Witness, ...] = ()
 
     def __init__(self, law: LawId, passed: bool, witnesses: tuple[Witness, ...] = ()) -> None:
+        if passed != (len(witnesses) == 0):
+            raise ValidationError("a law passes exactly when it has no witnesses")
         object.__setattr__(self, "law", law)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "witnesses", witnesses)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.passed != (len(self.witnesses) == 0):
-            raise ValidationError("a law passes exactly when it has no witnesses")
 
 
 class ConsistencyVerdict(Frozen):
@@ -127,17 +124,14 @@ class ConsistencyVerdict(Frozen):
     def __init__(self, holds: bool, direct_value: Fraction, folded_value: Fraction,
                  partition: Partition, act: Act,
                  framework: Optional[Framework] = None) -> None:
+        if holds != (direct_value == folded_value):
+            raise ValidationError("verdict flag contradicts its values")
         object.__setattr__(self, "holds", holds)
         object.__setattr__(self, "direct_value", direct_value)
         object.__setattr__(self, "folded_value", folded_value)
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "framework", framework)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.holds != (self.direct_value == self.folded_value):
-            raise ValidationError("verdict flag contradicts its values")
 
     @classmethod
     def _trusted_failure(cls, direct_value: Fraction, folded_value: Fraction,
@@ -162,21 +156,18 @@ class SearchConfig(Frozen):
     def __init__(self, sizes: tuple[int, ...] = (2, 3, 4), denominator: int = 4,
                  frameworks: tuple[Framework, ...] = VACUOUS_FRAMEWORKS,
                  stop_at_first: bool = False) -> None:
+        if denominator < 1:
+            raise ValidationError("grid denominator must be >= 1")
+        if not sizes or any(n < 1 for n in sizes):
+            raise ValidationError("sizes must be positive")
+        if not frameworks:
+            raise ValidationError("at least one framework required")
+        if Framework.PROBABILITY in frameworks:
+            raise ValidationError("the sweep needs frameworks with a vacuous measure")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "frameworks", frameworks)
         object.__setattr__(self, "stop_at_first", stop_at_first)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.denominator < 1:
-            raise ValidationError("grid denominator must be >= 1")
-        if not self.sizes or any(n < 1 for n in self.sizes):
-            raise ValidationError("sizes must be positive")
-        if not self.frameworks:
-            raise ValidationError("at least one framework required")
-        if Framework.PROBABILITY in self.frameworks:
-            raise ValidationError("the sweep needs frameworks with a vacuous measure")
 
 
 def check_sequential(op: CeOperator, measure: PlausibilityMeasure, act: Act,
@@ -627,8 +618,9 @@ def count_lawful_gamma_tables(denominator: int = 4, *,
 
     Without the modulus that is the Catalan number C(denominator + 1).
     """
-    points = len(unit_grid(denominator))
-    return _lawful_trees(points, _reach(lipschitz), 1,
+    if denominator < 1:
+        raise ValidationError(f"grid denominator must be >= 1, got {denominator}")
+    return _lawful_trees(denominator + 1, _reach(lipschitz), 1,
                          lambda root, lo, hi, left, right: left * right, sum)
 
 
@@ -652,15 +644,19 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     """
     reach = _reach(lipschitz)
     grid = unit_grid(denominator)
-    pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
 
     def join(root: int, lo: int, hi: int, left: list, right: list) -> list[dict]:
+        if not (left and right):
+            return []
         # the pairs with an end at the root or one on each side meet there
         split = {(i, j): root for i in range(lo, root + 1) for j in range(root, hi + 1)}
         return [split | left_map | right_map for left_map in left for right_map in right]
 
     maps = _lawful_trees(len(grid), reach, [{}], join,
                          lambda parts: [lca for part in parts for lca in part])
+    if not maps:
+        return []
+    pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
     vectors = sorted(tuple(lca[pair] for pair in pairs) for lca in maps)
     return [Tabulated(tuple((ZPair._trusted(grid[i], grid[j]), grid[k])
                             for (i, j), k in zip(pairs, vector)))

@@ -123,11 +123,7 @@ class ProbabilityMeasure(Frozen):
     weights: tuple[Fraction, ...]
 
     def __init__(self, weights: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "weights", weights)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        weights, image = _validate_weights(self.weights, "probability")
+        weights, image = _validate_weights(weights, "probability")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_ints", image)
 
@@ -179,23 +175,19 @@ class CredalSetMeasure(Frozen):
 
     def __init__(self, space: StateSpace,
                  generators: Optional[tuple[tuple[Fraction, ...], ...]] = None) -> None:
+        if generators is not None:
+            if not generators:
+                raise ValidationError("a credal set needs at least one generator")
+            checked = []
+            for gen in generators:
+                values, _ = _validate_weights(tuple(gen), "credal generator")
+                if len(values) != space.n:
+                    raise SpaceMismatch(
+                        f"generator of length {len(values)} on a space of size {space.n}")
+                checked.append(values)
+            generators = tuple(checked)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "generators", generators)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.generators is None:
-            return
-        if not self.generators:
-            raise ValidationError("a credal set needs at least one generator")
-        checked = []
-        for gen in self.generators:
-            values, _ = _validate_weights(tuple(gen), "credal generator")
-            if len(values) != self.space.n:
-                raise SpaceMismatch(
-                    f"generator of length {len(values)} on a space of size {self.space.n}")
-            checked.append(values)
-        object.__setattr__(self, "generators", tuple(checked))
 
     @classmethod
     def _trusted(cls, space: StateSpace, generators: tuple[tuple[int, ...], ...],
@@ -277,27 +269,22 @@ class BeliefFunctionMeasure(Frozen):
     masses: tuple[tuple[Event, Fraction], ...]
 
     def __init__(self, space: StateSpace, masses: tuple[tuple[Event, Fraction], ...]) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "masses", masses)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        raw = self.masses.items() if isinstance(self.masses, Mapping) else self.masses
+        raw = masses.items() if isinstance(masses, Mapping) else masses
         events: list[Event] = []
-        masses: list[Fraction] = []
+        values: list[Fraction] = []
         for event, mass in raw:
             event = frozenset(event)
             mass = _fraction(mass)
             if not event:
                 raise EmptyEvent("belief functions put no mass on the empty event")
-            if not self.space.contains_event(event):
+            if not space.contains_event(event):
                 raise SpaceMismatch(f"focal element {sorted(event)} leaves the space")
             if mass.numerator < 0:
                 raise ValidationError(f"negative mass {mass}")
             events.append(event)
-            masses.append(mass)
+            values.append(mass)
         # the masses of an event given twice add up, on the integer image
-        numerators, scale = _integer_image(masses)
+        numerators, scale = _integer_image(values)
         combined: dict[Event, int] = {}
         for event, m in zip(events, numerators):
             combined[event] = combined.get(event, 0) + m
@@ -305,7 +292,8 @@ class BeliefFunctionMeasure(Frozen):
         if total != scale:
             raise ValidationError(f"masses must sum to 1, got {Fraction(total, scale)}")
         trusted = BeliefFunctionMeasure._trusted(
-            self.space, {e: m for e, m in combined.items() if m > 0}, scale)
+            space, {e: m for e, m in combined.items() if m > 0}, scale)
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "masses", trusted.masses)
         object.__setattr__(self, "_ints", trusted._ints)
 
@@ -365,11 +353,7 @@ class PossibilityMeasure(Frozen):
     grades: tuple[Fraction, ...]
 
     def __init__(self, grades: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "grades", grades)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        values = tuple(ensure_unit(g, "grade") for g in self.grades)
+        values = tuple(ensure_unit(g, "grade") for g in grades)
         if not values:
             raise ValidationError("a possibility distribution needs at least one state")
         # in lowest terms, the grade 1 is the one whose numerator is its denominator

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foldback import (
+    CapExceeded,
     EngineError,
     ParseError,
     StateSpace,
@@ -755,6 +756,25 @@ def test_refusals_name_every_unread_key(tmp_path, capsys):
         "error: consensus certainty does not read epsilons, framework, sizes/max-states\n")
 
 
+# a probability has no vacuous measure, yet only `evaluate` builds the
+# default one: `check` and `consensus` name the key they do not read
+@pytest.mark.parametrize("run,problem,message", [
+    ("consensus", {"act": ["0", "1"], "framework": "probability", "operator": {"kind": "min"}},
+     "consensus consensus does not read framework"),
+    ("check", {"states": 2, "framework": "probability", "operator": {"kind": "min"},
+               "suite": "gamma-laws"},
+     "check gamma-laws does not read framework, states"),
+    ("evaluate", {"act": ["0", "1"], "framework": "probability", "operator": {"kind": "min"}},
+     "a single probability cannot express ignorance"),
+])
+def test_a_probability_without_a_measure_is_refused_by_its_run(tmp_path, capsys, run,
+                                                                 problem, message):
+    code, captured = _run_main(tmp_path, capsys, run, problem)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # keys a report's `problem` block echoes although its run refuses them;
 # ROADMAP.md item 1 empties this table
 LEGACY_ECHO = {"evaluate": set(), "check": {"framework"}, "consensus": {"framework", "measure"}}
@@ -921,6 +941,20 @@ def test_checks_past_the_digit_limit_are_refused_with_one_line(tmp_path, capsys,
     assert refusal, captured.err
     exponent = int(refusal[1].replace(",", ""))
     assert 10 ** exponent <= work < 10 ** (exponent + 2)
+
+
+# a grid longer than str() writes comes only through the library, since
+# `loads_exact` refuses such a literal; the refusal spells it as `_steps`
+# does a count, by a power of ten it is at least
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_library_grid_past_the_digit_limit_is_refused_by_work(suite):
+    problem = parse_problem({"operator": {"kind": "min"}, "suite": suite,
+                             "grid-denominator": 10 ** 5000})
+    with pytest.raises(CapExceeded) as refused:
+        cmd_check(problem)
+    assert re.fullmatch(rf"check {suite} on grid k/n with n >= 10\^4,999 needs at least"
+                        rf" 10\^[\d,]+ steps of work; the limit is {MAX_WORK:,}",
+                        str(refused.value)), refused.value
 
 
 @pytest.mark.parametrize("given,flags", [

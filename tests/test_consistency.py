@@ -1,6 +1,7 @@
 """Folding-back consistency, the pair-rule laws, and rule synthesis."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from foldback import (
     SearchConfig,
     StateSpace,
     Tabulated,
+    ValidationError,
     ZPair,
     ce,
     check_ev_properties,
@@ -39,8 +41,9 @@ from foldback import (
     tabulate,
     vacuous,
 )
+from foldback import consistency
 from foldback.ce_ops import ce_vacuous
-from foldback.consistency import Probe, Witness
+from foldback.consistency import Probe, Witness, count_lawful_gamma_tables
 from foldback.rationals import unit_grid
 
 F = Fraction
@@ -336,6 +339,22 @@ class TestSynthesis:
         strict = set(enumerate_lawful_gamma_tables(denominator))
         # on k/1 the two anchored tables are the only monotone tables at all
         assert strict == set(relaxed) if denominator == 1 else strict < set(relaxed)
+
+    # a tree on two or more points has an edge of at least one step, so a
+    # modulus below 1 admits no table; each root's pairs were once mapped
+    # before its empty subtree was seen, over 20 s on k/1000
+    @pytest.mark.parametrize("lipschitz", [0, F(1, 2)], ids=str)
+    def test_a_modulus_below_one_finds_no_table_at_once(self, lipschitz):
+        started = time.perf_counter()
+        assert enumerate_lawful_gamma_tables(1000, lipschitz=lipschitz) == []
+        assert count_lawful_gamma_tables(1000, lipschitz=lipschitz) == 0
+        assert time.perf_counter() - started < 5
+
+    def test_counting_lawful_tables_builds_no_grid(self, monkeypatch):
+        monkeypatch.setattr(consistency, "unit_grid", None)
+        assert count_lawful_gamma_tables(4) == 5
+        with pytest.raises(ValidationError, match="grid denominator must be >= 1, got 0"):
+            count_lawful_gamma_tables(0)
 
     # grids past the reference enumerator's reach, with moduli that keep
     # some steep tables and drop others

@@ -127,6 +127,35 @@ def test_script_reports_an_engine_error_like_the_cli(script, args, message):
     assert done.stderr.splitlines() == [message]
 
 
+# runs that overflowed the stack (k/500), counted for 41 s before their
+# refusal (k/400), or went on for minutes with no table to find (a modulus
+# below 1); under a modulus >= 1 the D + 1 anchored tables bound the work
+# before any table is counted
+@pytest.mark.parametrize("args,code,line", [
+    (["--denominator", "500"], 2,
+     "error: at least 501 lawful tables of 125,751 cells on grid k/500 need at least"
+     " 63,001,251 steps of work; the limit is 250,000"),
+    (["--denominator", "400", "--lipschitz", "1000000"], 2,
+     "error: at least 401 lawful tables of 80,601 cells on grid k/400 need at least"
+     " 32,321,001 steps of work; the limit is 250,000"),
+    (["--denominator", "100000000"], 2,
+     "error: at least 100,000,001 lawful tables of 5,000,000,150,000,001 cells on grid"
+     " k/100000000 need at least 500,000,020,000,000,250,000,001 steps of work;"
+     " the limit is 250,000"),
+    (["--lipschitz", "0", "--denominator", "2000", "--quiet"], 0,
+     "0 lawful tables on grid k/2000 (modulus 0)"),
+    (["--lipschitz", "1/2", "--denominator", "600", "--quiet"], 0,
+     "0 lawful tables on grid k/600 (modulus 1/2)"),
+])
+def test_enumerate_tables_settles_a_large_grid_within_seconds(args, code, line):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "enumerate_tables.py"),
+                           *args], capture_output=True, text=True, timeout=20)
+    assert done.returncode == code
+    printed, silent = (done.stderr, done.stdout) if code else (done.stdout, done.stderr)
+    assert [TIMING.sub("", text) for text in printed.splitlines()] == [line]
+    assert silent == ""
+
+
 def test_a_sweep_past_the_digit_limit_is_refused_with_one_line():
     # the run's count of steps on a grid of 3,000 digits has more digits
     # than the interpreter converts to text, so the refusal writes a power
