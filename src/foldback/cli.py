@@ -94,7 +94,7 @@ MAX_STATES = 1000
 
 # The most steps of work one `check` or `consensus limit` run may ask for
 # (`_check_work`, and |epsilons| * states**2 for a limit run, one step per
-# entry of a contaminated member's generators). The suites' work grows as
+# entry of an unbuilt member's generators). The suites' work grows as
 # a power of `grid-denominator`, `sizes` and `family-max-size`, so a
 # problem of a few bytes could ask for hours and gigabytes; it is refused
 # before any work starts. Every suite's default problem is admitted, the
@@ -751,7 +751,7 @@ def cmd_consensus(problem: Mapping[str, Any]) -> ReportFile:
         base = problem.get("base")
         if base is None:
             base = tuple(Fraction(1, act.space.n) for _ in act.space.states)
-        # each epsilon's member holds one generator of n entries per state
+        # a row counts as its member's n generators of n entries, none built
         member = act.space.n ** 2
         if len(epsilons) * member > MAX_WORK:
             raise CapExceeded(f"consensus limit on {act.space.n:,} states needs"

@@ -3,7 +3,8 @@
 Under certainty and under total ignorance, every uncertainty framework
 should value an act identically; and as a contaminated probability
 loses weight on its center, its certainty equivalent should approach
-the ignorant one, within an explicit linear envelope.
+the ignorant one, within an explicit linear envelope. A contaminated
+member's bounds follow from the base and the act, so none is built.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from .plausibility import (
     BeliefFunctionMeasure,
     CredalSetMeasure,
     PossibilityMeasure,
-    expectation_bounds,
+    ZPair,
     vacuous,
 )
-from .rationals import ONE, ZERO, _integer_image
+from .rationals import ONE, ZERO
 
 
 class ConsensusReport(Frozen):
@@ -47,8 +48,8 @@ class ConsensusReport(Frozen):
 class ContaminationFamily(Frozen):
     """Mixtures (1-eps)*base + eps*q over all probability vectors q.
 
-    Each member is represented by its extreme points: the base shifted
-    toward each unit vector. eps=1 is the materialized full simplex;
+    The member at eps is the credal set whose extreme points are the
+    base shifted toward each unit vector: eps=1 is the full simplex, and
     smaller eps shrinks the set toward the base point.
     """
 
@@ -72,22 +73,6 @@ class ContaminationFamily(Frozen):
     @property
     def space(self) -> StateSpace:
         return StateSpace(len(self.base))
-
-    def member(self, epsilon: Fraction) -> CredalSetMeasure:
-        # with epsilon = p/q and the base as b/D, generator s has entry t
-        # ((q - p) * b[t] + p * D * [s == t]) / (q * D), summing to 1
-        epsilon = Fraction(epsilon)
-        p, q = epsilon.numerator, epsilon.denominator
-        base, scale = _integer_image(self.base)
-        generators = tuple(
-            tuple((q - p) * b + (p * scale if s == t else 0) for t, b in enumerate(base))
-            for s in self.space.states)
-        # only an epsilon outside [0, 1] can leave an entry negative
-        negative = next((w for gen in generators for w in gen if w < 0), None)
-        if negative is not None:
-            raise ValidationError(
-                f"credal generator has a negative entry: {Fraction(negative, q * scale)}")
-        return CredalSetMeasure._trusted(self.space, generators, q * scale)
 
 
 class ConvergenceRow(Frozen):
@@ -156,22 +141,25 @@ def limit_check(rule: GammaFunction, act: Act,
                 family: ContaminationFamily) -> ConvergenceReport:
     """Track the ce along a contamination family toward full ignorance.
 
-    Each row values the member as the credal extension does, by the pair
-    rule on its expectation bounds (the median has no such value and is
-    refused), and compares that against the ignorant value; the gap can
-    never exceed the weight remaining on the base point times the act's
-    outcome spread.
+    The member at eps has the expectation bounds (1-eps)*E_base[f] +
+    eps*(min f, max f), Huber's eps-contamination identity. Each row
+    values them by the pair rule, as the credal extension does (the
+    median has no such value and is refused), and compares that against
+    the ignorant value; the gap can never exceed the weight remaining on
+    the base point times the act's outcome spread.
     """
     if family.space != act.space:
         raise SpaceMismatch("family and act live on different spaces")
     limit_value = ce_vacuous(rule, outcome_set(act))
-    spread = max(act.outcomes) - min(act.outcomes)
+    low, high = min(act.outcomes), max(act.outcomes)
+    centre = sum(w * f for w, f in zip(family.base, act.outcomes))
     rows = []
     for epsilon in family.weights:
-        member = family.member(epsilon)
-        bounds = expectation_bounds(member, act)
+        # convex combinations of outcomes: low <= centre <= high in [0, 1]
+        kept = (ONE - epsilon) * centre
+        bounds = ZPair._trusted(kept + epsilon * low, kept + epsilon * high)
         value = gamma_apply(rule, bounds)
-        within = abs(value - limit_value) <= (ONE - epsilon) * spread
+        within = abs(value - limit_value) <= (ONE - epsilon) * (high - low)
         rows.append(ConvergenceRow(epsilon, bounds.lower, bounds.upper, value, within))
     return ConvergenceReport(act, rule, tuple(rows), limit_value,
                              all(row.within_bound for row in rows))

@@ -10,7 +10,6 @@ cell they came from.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -44,7 +43,7 @@ from .plausibility import (
     condition,
     restrict,
 )
-from .rationals import ONE, _integer_image, format_rational, unit_grid
+from .rationals import ONE, _check_denominator, _integer_image, format_rational, unit_grid
 
 DEFAULT_LIPSCHITZ = ONE
 
@@ -585,21 +584,32 @@ def _lawful_trees(points: int, reach: int, empty, join, total):
     right)` folds the trees on lo..hi with that root from the folds of
     its two subtrees, and `total` adds up a range's folds over its
     roots. A subtree's folds depend only on its range and the roots its
-    parent allows, so each is made once per call.
+    parent allows, so each is made once per call, on an explicit stack:
+    a chain of subtrees is as deep as the grid.
     """
-    @functools.cache
-    def trees(lo: int, hi: int, first: int, last: int):
-        """The fold of the trees on lo..hi rooted in first..last."""
-        if lo > hi:
-            return empty
-        parts = []
-        for root in range(max(lo, first), min(hi, last) + 1):
-            near = (root - reach, root + reach)
-            parts.append(join(root, lo, hi, trees(lo, root - 1, *near),
-                              trees(root + 1, hi, *near)))
-        return total(parts)
+    if reach < 1:
+        return total([])  # every tree on a grid's two or more points has an edge
 
-    return trees(0, points - 1, 0, points - 1)
+    top = (0, points - 1, 0, points - 1)
+    folds, stack = {None: empty}, [top]
+    while stack:
+        key = stack.pop()
+        if key in folds:  # pushed by two parents
+            continue
+        lo, hi, first, last = key
+        # each allowed root with its two subtrees, None for an empty one
+        parts = [(root,
+                  (lo, root - 1, max(lo, root - reach), root - 1) if lo < root else None,
+                  (root + 1, hi, root + 1, min(hi, root + reach)) if root < hi else None)
+                 for root in range(first, last + 1)]
+        pending = [tree for _, left, right in parts for tree in (left, right)
+                   if tree not in folds]
+        if pending:  # back once its subtrees are folded
+            stack += key, *pending
+        else:
+            folds[key] = total([join(root, lo, hi, folds[left], folds[right])
+                                for root, left, right in parts])
+    return folds[top]
 
 
 def _reach(lipschitz) -> int:
@@ -618,8 +628,7 @@ def count_lawful_gamma_tables(denominator: int = 4, *,
 
     Without the modulus that is the Catalan number C(denominator + 1).
     """
-    if denominator < 1:
-        raise ValidationError(f"grid denominator must be >= 1, got {denominator}")
+    _check_denominator(denominator)
     return _lawful_trees(denominator + 1, _reach(lipschitz), 1,
                          lambda root, lo, hi, left, right: left * right, sum)
 
@@ -643,7 +652,7 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     Tables come sorted by their cell values, rows by x and then by y.
     """
     reach = _reach(lipschitz)
-    grid = unit_grid(denominator)
+    _check_denominator(denominator)
 
     def join(root: int, lo: int, hi: int, left: list, right: list) -> list[dict]:
         if not (left and right):
@@ -652,10 +661,11 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
         split = {(i, j): root for i in range(lo, root + 1) for j in range(root, hi + 1)}
         return [split | left_map | right_map for left_map in left for right_map in right]
 
-    maps = _lawful_trees(len(grid), reach, [{}], join,
+    maps = _lawful_trees(denominator + 1, reach, [{}], join,
                          lambda parts: [lca for part in parts for lca in part])
     if not maps:
         return []
+    grid = unit_grid(denominator)
     pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
     vectors = sorted(tuple(lca[pair] for pair in pairs) for lca in maps)
     return [Tabulated(tuple((ZPair._trusted(grid[i], grid[j]), grid[k])

@@ -49,10 +49,14 @@ def _integer_image(values, denominator: int = 1) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
-def unit_grid(denominator: int) -> tuple[Fraction, ...]:
-    """All multiples of 1/denominator in [0, 1], in increasing order."""
+def _check_denominator(denominator: int) -> None:
     if denominator < 1:
         raise ValidationError(f"grid denominator must be >= 1, got {denominator}")
+
+
+def unit_grid(denominator: int) -> tuple[Fraction, ...]:
+    """All multiples of 1/denominator in [0, 1], in increasing order."""
+    _check_denominator(denominator)
     return tuple(Fraction(k, denominator) for k in range(denominator + 1))
 
 

@@ -342,13 +342,19 @@ class TestSynthesis:
 
     # a tree on two or more points has an edge of at least one step, so a
     # modulus below 1 admits no table; each root's pairs were once mapped
-    # before its empty subtree was seen, over 20 s on k/1000
+    # before its empty subtree was seen, over 20 s on k/1000, and k/10**6
+    # once built its whole grid and visited every root
+    @pytest.mark.parametrize("denominator", [1000, 10 ** 6])
     @pytest.mark.parametrize("lipschitz", [0, F(1, 2)], ids=str)
-    def test_a_modulus_below_one_finds_no_table_at_once(self, lipschitz):
+    def test_a_modulus_below_one_finds_no_table_at_once(self, lipschitz, denominator):
         started = time.perf_counter()
-        assert enumerate_lawful_gamma_tables(1000, lipschitz=lipschitz) == []
-        assert count_lawful_gamma_tables(1000, lipschitz=lipschitz) == 0
-        assert time.perf_counter() - started < 5
+        assert enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz) == []
+        assert count_lawful_gamma_tables(denominator, lipschitz=lipschitz) == 0
+        assert time.perf_counter() - started < 1
+
+    # a chain of subtrees is as deep as the grid, past Python's recursion limit
+    def test_counting_a_long_grid_needs_no_recursion(self):
+        assert count_lawful_gamma_tables(500) == 501
 
     def test_counting_lawful_tables_builds_no_grid(self, monkeypatch):
         monkeypatch.setattr(consistency, "unit_grid", None)

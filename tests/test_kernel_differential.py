@@ -840,28 +840,13 @@ def test_restrict_and_condition_match_reference(n, data):
         _same(evaluate(conditioned, inner), reference_value(reference, inner))
 
 
-@given(st.sampled_from(SIZES), st.data())
-@settings(max_examples=200, deadline=None)
-def test_contamination_members_match_reference(n, data):
-    base = data.draw(VECTORS[n])
-    family = ContaminationFamily(base, (ONE,))
-    # an epsilon outside [0, 1] may leave a negative entry, which both refuse
-    epsilon = data.draw(st.fractions(min_value=-1, max_value=2, max_denominator=12))
-    member = _outcome(family.member, epsilon)
-    reference = _outcome(reference_member, family, epsilon)
-    _same(member, reference)
-    if not isinstance(reference, tuple):
-        act = data.draw(ACTS[n])
-        _same(expectation_bounds(member, act), reference_expectation(reference, act))
-
-
 def reference_limit_rows(rule, act, family):
     """`limit_check`'s limit value, then each row valued by the `ce` route."""
     op = CeOperator(rule, credal_extension=True)
     ce_vacuous(rule, outcome_set(act))
     rows = []
     for epsilon in family.weights:
-        member = family.member(epsilon)
+        member = reference_member(family, epsilon)
         bounds = expectation_bounds(member, act)
         rows.append((epsilon, bounds.lower, bounds.upper, ce(op, member, act)))
     return rows

@@ -44,6 +44,7 @@ REMOVED_METHODS = [("acts", "Partition", "block_of"), ("acts", "Partition", "is_
                    ("acts", "Act", "at"), ("acts", "Act", "rules"),
                    ("plausibility", "BeliefFunctionMeasure", "mass_of"),
                    ("plausibility", "ZPair", "width"),
+                   ("consensus", "ContaminationFamily", "member"),
                    *(("plausibility", cls, "_value") for cls in (
                        "ProbabilityMeasure", "CredalSetMeasure", "BeliefFunctionMeasure",
                        "PossibilityMeasure"))]
