@@ -16,6 +16,7 @@ expectation bounds when the credal extension is enabled.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Union
@@ -37,7 +38,7 @@ from .plausibility import (
     expectation_bounds,
     is_vacuous,
 )
-from .rationals import ONE, _fraction, _integer_image, ensure_unit
+from .rationals import ONE, _fraction, ensure_unit
 
 
 class Anchored(Frozen):
@@ -77,31 +78,49 @@ class MaxRule(Frozen):
 
 
 class Tabulated(Frozen):
-    """An explicit finite map from pairs to utilities; off-grid is an error."""
+    """An explicit finite map from pairs to utilities; off-grid is an error.
+
+    The pairs are indexed by their bounds as integer numerators over one
+    scale, the lcm of the bounds' denominators, so a lookup hashes two
+    ints rather than two `Fraction`s, and the entries sort on the same
+    keys.
+    """
 
     entries: tuple[tuple[ZPair, Fraction], ...]
 
     def __init__(self, entries: tuple[tuple[ZPair, Fraction], ...]) -> None:
-        raw = entries.items() if isinstance(entries, Mapping) else entries
-        index: dict[ZPair, Fraction] = {}
+        raw = list(entries.items() if isinstance(entries, Mapping) else entries)
+        scale = math.lcm(*(b.denominator for z, _ in raw for b in (z.lower, z.upper)))
+        index: dict[tuple[int, int], Fraction] = {}
+        items = []
         for z, value in raw:
             value = _fraction(value)
-            # one lookup both stores a new pair and finds a repeated one
-            if index.setdefault(z, value) != value:
+            lower, upper = z.lower, z.upper
+            key = (lower.numerator * (scale // lower.denominator),
+                   upper.numerator * (scale // upper.denominator))
+            stored = index.get(key)
+            if stored is None:
+                index[key] = value
+                items.append((key, (z, value)))
+            elif stored != value:
                 raise ValidationError(f"conflicting entries for {z}")
             ensure_unit(value, "table value")
-        # sorted by (lower, upper), compared as numerators over one scale
-        items = list(index.items())
-        bounds, _ = _integer_image([b for z, _ in items for b in (z.lower, z.upper)])
-        ordered = tuple(item for _, _, item in sorted(zip(bounds[::2], bounds[1::2], items)))
-        object.__setattr__(self, "entries", ordered)
+        # the keys are distinct, so the sort never compares two entries
+        object.__setattr__(self, "entries", tuple(item for _, item in sorted(items)))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_scale", scale)
 
     def lookup(self, z: ZPair) -> Fraction:
-        try:
-            return self._index[z]
-        except KeyError:
-            raise NotTabulated(f"pair {z} is not tabulated") from None
+        # a bound whose denominator does not divide the scale is off the table
+        scale = self._scale
+        lower, upper = z.lower, z.upper
+        low, low_rest = divmod(scale, lower.denominator)
+        up, up_rest = divmod(scale, upper.denominator)
+        if not (low_rest or up_rest):
+            value = self._index.get((lower.numerator * low, upper.numerator * up))
+            if value is not None:
+                return value
+        raise NotTabulated(f"pair {z} is not tabulated")
 
 
 GammaFunction = Union[Anchored, Hurwicz, MinRule, MaxRule, Tabulated]

@@ -17,7 +17,7 @@ operator forms one. The blocks of `check` and `consensus` reports are
 not: they echo `framework`, and `consensus` also `measure`, which those
 runs refuse, and a `consensus` block lacks `mode`, `state`, `epsilons`
 and `base`. Mending them changes report bytes, so it waits for a
-re-recorded `perfbench/reference.json` (ROADMAP.md item 1).
+re-recorded `perfbench/reference.json` (ROADMAP.md, "Reports that replay").
 """
 
 from __future__ import annotations
@@ -208,6 +208,40 @@ def _refuse_unread_fields(record: Mapping, reads: Sequence[str], label: str) -> 
         raise ParseError(f"{label}: unexpected fields {sorted(unread)}")
 
 
+def _parse_table(entries: Any) -> Tabulated:
+    """A tabulated rule from its [x, y, value] entries.
+
+    A grid table spells each grid value in many entries, so each distinct
+    literal is parsed once, and kept with its numerator and denominator.
+    Each pair is checked on those integers and built unchecked; the
+    public `ZPair` runs only to raise a bad pair's error.
+    """
+    if not isinstance(entries, list):
+        raise ParseError("operator.entries: expected a list of [x, y, value]")
+    literals: dict[str, tuple[Fraction, int, int]] = {}
+
+    def literal(part: Any, i: int) -> tuple[Fraction, int, int]:
+        if type(part) is str and part in literals:
+            return literals[part]
+        value = _rational(part, f"operator.entries[{i}]")
+        parsed = value, value.numerator, value.denominator
+        if type(part) is str:
+            literals[part] = parsed
+        return parsed
+
+    table = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ParseError(f"operator.entries[{i}]: expected [x, y, value]")
+        (x, xn, xd), (y, yn, yd), (v, _, _) = (literal(part, i) for part in entry)
+        # 0 <= x <= y <= 1, with x <= y cross-multiplied
+        if 0 <= xn and yn <= yd and xn * yd <= yn * xd:
+            table.append((ZPair._trusted(x, y), v))
+        else:
+            table.append((ZPair(x, y), v))  # raises
+    return Tabulated(table)
+
+
 def _parse_operator(record: Any) -> CeOperator:
     if not isinstance(record, Mapping):
         raise ParseError("operator: expected an object")
@@ -230,27 +264,7 @@ def _parse_operator(record: Any) -> CeOperator:
     elif kind == "median":
         rule = MedianRule()
     elif kind == "tabulated":
-        entries = params.pop("entries", None)
-        if not isinstance(entries, list):
-            raise ParseError("operator.entries: expected a list of [x, y, value]")
-        # a grid table spells each grid value in many entries; parse it once
-        literals: dict[str, Fraction] = {}
-
-        def rational(part: Any, label: str) -> Fraction:
-            if type(part) is not str:
-                return _rational(part, label)
-            if part not in literals:
-                literals[part] = _rational(part, label)
-            return literals[part]
-
-        table = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ParseError(f"operator.entries[{i}]: expected [x, y, value]")
-            label = f"operator.entries[{i}]"
-            x, y, v = (rational(part, label) for part in entry)
-            table.append((ZPair(x, y), v))
-        rule = Tabulated(tuple(table))
+        rule = _parse_table(params.pop("entries", None))
     else:
         raise ParseError(f"operator.kind: unknown kind {kind!r}")
     _refuse_unread_fields(params, (), "operator")
@@ -431,8 +445,14 @@ def encode_rule(rule: VacuousRule) -> dict:
     if isinstance(rule, MedianRule):
         return {"kind": "median"}
     if isinstance(rule, Tabulated):
+        # a grid table holds few distinct values, each mostly one shared
+        # object; key by identity, since hashing a Fraction costs more
+        # than formatting it
+        rows = [(z.lower, z.upper, v) for z, v in rule.entries]
+        distinct = {id(value): value for row in rows for value in row}
+        text = {key: _enc(value) for key, value in distinct.items()}
         return {"kind": "tabulated", "entries": [
-            [_enc(z.lower), _enc(z.upper), _enc(v)] for z, v in rule.entries]}
+            [text[id(x)], text[id(y)], text[id(v)]] for x, y, v in rows]}
     raise ValidationError(f"cannot encode rule {rule!r}")
 
 
@@ -658,7 +678,8 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
         raise CapExceeded(f"check {suite} on grid {grid} needs at least"
                           f" {_steps(work)} steps of work; the limit is {MAX_WORK:,}")
     op = problem["operator"]
-    # no check reads `framework`, yet the block echoes it (ROADMAP.md item 1)
+    # no check reads `framework`, yet the block echoes it (ROADMAP.md,
+    # "Reports that replay")
     echo = {"framework": "credal-set", "operator": encode_operator(op), "suite": suite,
             "grid-denominator": denominator}
 
@@ -730,7 +751,7 @@ def cmd_consensus(problem: Mapping[str, Any]) -> ReportFile:
         "engine-version": __version__,
         "mode": mode,
         # no consensus run reads `framework` or `measure`, yet the block
-        # echoes them (ROADMAP.md item 1)
+        # echoes them (ROADMAP.md, "Reports that replay")
         "problem": {"states": act.space.n, "act": encode_act(act), "framework": "credal-set",
                     "measure": {"kind": "credal-set"},
                     "operator": encode_operator(problem["operator"])},

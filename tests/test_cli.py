@@ -666,6 +666,18 @@ class TestMain:
             "error: a result is too long to write: its numerator or denominator has more"
             " digits than the interpreter converts to text"]
 
+    def test_an_off_table_pair_is_a_usage_error(self, tmp_path, capsys):
+        # the act's (min, max) = (0, 1/3) is off the k/2 grid of the table
+        grid = ["0", "1/2", "1"]
+        entries = [[x, y, y] for i, x in enumerate(grid) for y in grid[i:]]
+        path = self.write_problem(tmp_path, {
+            "act": ["0", "1/3"], "operator": {"kind": "tabulated", "entries": entries}})
+        assert main(["evaluate", "--problem", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: pair ZPair(lower=Fraction(0, 1), upper=Fraction(1, 3)) is not tabulated"]
+
     def test_states_at_the_bound_parse(self):
         problem = parse_problem({"states": MAX_STATES, "framework": "possibility",
                                  "operator": {"kind": "min"}})
@@ -776,7 +788,7 @@ def test_a_probability_without_a_measure_is_refused_by_its_run(tmp_path, capsys,
 
 
 # keys a report's `problem` block echoes although its run refuses them;
-# ROADMAP.md item 1 empties this table
+# the ROADMAP.md item "Reports that replay" empties this table
 LEGACY_ECHO = {"evaluate": set(), "check": {"framework"}, "consensus": {"framework", "measure"}}
 
 

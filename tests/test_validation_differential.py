@@ -21,6 +21,7 @@ from foldback import (
     BeliefFunctionMeasure,
     CredalSetMeasure,
     Hurwicz,
+    NotTabulated,
     ParseError,
     PossibilityMeasure,
     ProbabilityMeasure,
@@ -29,6 +30,7 @@ from foldback import (
     ValidationError,
     ZPair,
 )
+from foldback.cli import _parse_operator, _rational
 from foldback.rationals import ONE, ZERO, parse_rational
 
 F = Fraction
@@ -50,7 +52,7 @@ def _outcome(function, *args):
     """What a call returns, or the type and message of what it raises."""
     try:
         return "value", function(*args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, NotTabulated) as exc:
         return type(exc), str(exc)
 
 
@@ -263,3 +265,90 @@ GRID_PAIRS = st.sampled_from([ZPair(F(i, 4), F(j, 4)) for i in range(5) for j in
 def test_tabulated_matches_the_fraction_checks(entries):
     got = _outcome(lambda: Tabulated(tuple(entries)).entries)
     assert got == _outcome(reference_table, entries)
+
+
+# -- tabulated rules: the integer index and the CLI parse --------------------
+
+
+def reference_lookup(entries, z):
+    """The pair's value from an index keyed by `ZPair`s, as before the integer keys."""
+    try:
+        return dict(entries)[z]
+    except KeyError:
+        raise NotTabulated(f"pair {z} is not tabulated") from None
+
+
+def _pair(x, y):
+    return ZPair(min(x, y), max(x, y))
+
+
+# bounds on a k/4 grid and off it, with a denominator past any machine word
+TABLE_BOUNDS = st.sampled_from([F(k, 4) for k in range(5)]
+                               + [F(1, 3), F(2, 3), F(1, 10 ** 20), F(7, 12)])
+TABLE_PAIRS = st.builds(_pair, TABLE_BOUNDS, TABLE_BOUNDS)
+# probe bounds: values spelled over unreduced denominators such as 2/8, which
+# Fraction reduces, and values whose denominator divides no table's scale
+PROBE_BOUNDS = st.builds(F, st.integers(0, 24), st.sampled_from([1, 2, 4, 8, 24])).filter(
+    lambda f: f <= 1) | st.sampled_from([F(1, 5), F(3, 7), F(1, 10 ** 20), F(1, 10 ** 21),
+                                         F(1, 3 * 10 ** 20)])
+PROBE_PAIRS = st.builds(_pair, PROBE_BOUNDS, PROBE_BOUNDS) | TABLE_PAIRS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(TABLE_PAIRS, st.sampled_from([F(k, 4) for k in range(5)]), max_size=8),
+       st.lists(PROBE_PAIRS, min_size=1, max_size=8))
+@example({}, [ZPair(F(0), F(1))])
+@example({ZPair(F(0), F(1, 2)): F(1, 4)}, [ZPair(F(0), F(2, 4)), ZPair(F(0), F(1, 3))])
+def test_tabulated_lookup_matches_a_pair_keyed_index(table, probes):
+    rule = Tabulated(tuple(table.items()))
+    for z in probes + list(table):
+        assert _outcome(rule.lookup, z) == _outcome(reference_lookup, table.items(), z)
+
+
+def reference_parse_table(entries):
+    """The CLI's tabulated branch before the integer checks: a public ZPair per entry."""
+    if not isinstance(entries, list):
+        raise ParseError("operator.entries: expected a list of [x, y, value]")
+    literals = {}
+
+    def rational(part, label):
+        if type(part) is not str:
+            return _rational(part, label)
+        if part not in literals:
+            literals[part] = _rational(part, label)
+        return literals[part]
+
+    table = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ParseError(f"operator.entries[{i}]: expected [x, y, value]")
+        label = f"operator.entries[{i}]"
+        x, y, v = (rational(part, label) for part in entry)
+        table.append((ZPair(x, y), v))
+    return Tabulated(tuple(table))
+
+
+# unit literals, some spelled unreduced, then literals out of range or malformed
+TABLE_LITERALS = st.sampled_from(["0", "1", "1/2", "2/4", "1/4", "3/4", "1/3", 0, 1]) | \
+    st.sampled_from(["-1/2", "3/2", "5/4", "1/0", "0.5", "x", "", 2, -1, True, None, 0.5])
+TABLE_ENTRIES = st.lists(
+    st.lists(TABLE_LITERALS, min_size=3, max_size=3)
+    | st.sampled_from(["0", 1, None, ["0", "1"], ["0", "1", "1/2", "1"], {"x": "0"}]),
+    max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TABLE_ENTRIES | st.sampled_from([None, "entries", {"0": "1"}]))
+@example([["0", "1", "1/2"], ["0", "1/0", "0"]])  # a bad literal
+@example([["0", "1", "1/2"], "0"])  # an entry that is not a list
+@example([["0", "1", "1/2"], ["-1/2", "1", "0"]])  # a bound out of range
+@example([["0", "1", "1/2"], ["0", "3/2", "0"]])  # a bound out of range
+@example([["0", "1", "1/2"], ["1", "1/2", "0"]])  # a pair out of order
+@example([["0", "1", "1/2"], ["0", "1", "1/4"]])  # conflicting entries
+@example([["0", "1", "1/2"], ["0", "2/4", "3/2"]])  # a value out of range
+@example([["0", "1", "1/2"], ["0", "2/2", "2/4"], ["1/2", "1/2", "1/2"]])  # repeats
+@example([["0", "1", "1/4"], ["0", "1", "1/2"], ["1", "0", "0"]])  # pair error first
+def test_the_cli_table_parse_matches_the_public_pair_loop(entries):
+    got = _outcome(lambda: _parse_operator({"kind": "tabulated", "entries": entries}
+                                           ).vacuous_rule)
+    assert got == _outcome(reference_parse_table, entries)
