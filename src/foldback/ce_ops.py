@@ -38,7 +38,7 @@ from .plausibility import (
     expectation_bounds,
     is_vacuous,
 )
-from .rationals import ONE, _fraction, ensure_unit
+from .rationals import _fraction, ensure_unit
 
 
 class Anchored(Frozen):
@@ -164,7 +164,13 @@ def gamma_apply(rule: GammaFunction, z: ZPair) -> Fraction:
             return z.lower
         return rule.anchor
     if isinstance(rule, Hurwicz):
-        return rule.alpha * z.lower + (ONE - rule.alpha) * z.upper
+        # alpha * lower + (1 - alpha) * upper over one common denominator,
+        # normalised once: for a/b on (p/q, r/s), (a p s + (b - a) r q) / (b q s)
+        alpha, lower, upper = rule.alpha, z.lower, z.upper
+        a, b = alpha.numerator, alpha.denominator
+        p, q = lower.numerator, lower.denominator
+        r, s = upper.numerator, upper.denominator
+        return Fraction(a * p * s + (b - a) * r * q, b * q * s)
     if isinstance(rule, MinRule):
         return z.lower
     if isinstance(rule, MaxRule):

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, Optional
@@ -451,8 +451,8 @@ def encode_rule(rule: VacuousRule) -> dict:
         rows = [(z.lower, z.upper, v) for z, v in rule.entries]
         distinct = {id(value): value for row in rows for value in row}
         text = {key: _enc(value) for key, value in distinct.items()}
-        return {"kind": "tabulated", "entries": [
-            [text[id(x)], text[id(y)], text[id(v)]] for x, y, v in rows]}
+        return {"kind": "tabulated", "entries": Records(_write_rows, (
+            [text[id(x)], text[id(y)], text[id(v)]] for x, y, v in rows))}
     raise ValidationError(f"cannot encode rule {rule!r}")
 
 
@@ -479,38 +479,62 @@ def encode_measure(measure: PlausibilityMeasure) -> dict:
     raise ValidationError(f"cannot encode measure {measure!r}")
 
 
-def encode_probe(probe: Probe) -> dict:
+def _rational_text(value: Fraction, encoded: dict) -> str:
+    """`_enc(value)`, made once per id in `encoded`."""
+    text = encoded.get(id(value))
+    if text is None:
+        text = encoded[id(value)] = _enc(value)
+    return text
+
+
+def encode_probe(probe: Probe, encoded: dict) -> dict:
+    """A probe's record, each of its values encoded once per id in `encoded`."""
     record: dict[str, Any] = {
-        "outcomes": [_enc(u) for u in probe.outcomes],
+        "outcomes": [_rational_text(u, encoded) for u in probe.outcomes],
         "framework": probe.framework.value,
     }
     if probe.weights is not None:
-        record["weights"] = [_enc(w) for w in probe.weights]
+        record["weights"] = [_rational_text(w, encoded) for w in probe.weights]
     return record
 
 
-def encode_witness(witness) -> dict:
-    return {
-        "inputs": list(witness.inputs),
-        "left": _enc(witness.left),
-        "right": _enc(witness.right),
-        "probe-left": encode_probe(witness.probe_left),
-        "probe-right": encode_probe(witness.probe_right),
-    }
+class Records(list):
+    """A list of items of one fixed shape, with the writer that knows it.
+
+    To every reader but `_write` it is a plain list; `_write` hands a
+    nonempty one to `write(records, indent, out, texts)`, which writes
+    the items by their fixed keys or places instead of walking each one.
+    """
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[Records, str, list, dict], None],
+                 items: Iterable = ()) -> None:
+        super().__init__(items)
+        self.write = write
 
 
-def encode_law_report(report: LawReport) -> dict:
-    return {
-        "law": report.law.value,
-        "passed": report.passed,
-        "witnesses": [encode_witness(w) for w in report.witnesses],
-    }
+def encode_law_report(report: LawReport, encoded: dict) -> dict:
+    """A law report's record, its witnesses written by `_write_witnesses`.
 
-
-class VerdictRecords(list):
-    """Records of `encode_verdict`; a plain list to every reader but `_write`."""
-
-    __slots__ = ()
+    `encoded` maps ids to encodings for one report, as for
+    `encode_verdict`: witnesses that share a probe or a value (as the
+    laws of one check share their grid probes) hold one dict or string.
+    """
+    witnesses = Records(_write_witnesses)
+    for witness in report.witnesses:
+        probe_left, probe_right = witness.probe_left, witness.probe_right
+        for probe in (probe_left, probe_right):
+            if id(probe) not in encoded:
+                encoded[id(probe)] = encode_probe(probe, encoded)
+        witnesses.append({
+            "inputs": list(witness.inputs),
+            "left": _rational_text(witness.left, encoded),
+            "right": _rational_text(witness.right, encoded),
+            "probe-left": encoded[id(probe_left)],
+            "probe-right": encoded[id(probe_right)],
+        })
+    return {"law": report.law.value, "passed": report.passed, "witnesses": witnesses}
 
 
 def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
@@ -524,20 +548,15 @@ def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
     verdicts must stay alive while the map is in use.
     """
     act, partition = verdict.act, verdict.partition
-    direct, folded = verdict.direct_value, verdict.folded_value
     if id(act) not in encoded:
         encoded[id(act)] = encode_act(act)
     if id(partition) not in encoded:
         encoded[id(partition)] = encode_partition(partition)
-    if id(direct) not in encoded:
-        encoded[id(direct)] = _enc(direct)
-    if id(folded) not in encoded:
-        encoded[id(folded)] = _enc(folded)
     record = {
         "act": encoded[id(act)],
         "partition": encoded[id(partition)],
-        "direct": encoded[id(direct)],
-        "folded": encoded[id(folded)],
+        "direct": _rational_text(verdict.direct_value, encoded),
+        "folded": _rational_text(verdict.folded_value, encoded),
         "holds": verdict.holds,
     }
     if verdict.framework is not None:
@@ -678,6 +697,7 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
         raise CapExceeded(f"check {suite} on grid {grid} needs at least"
                           f" {_steps(work)} steps of work; the limit is {MAX_WORK:,}")
     op = problem["operator"]
+    encoded: dict = {}
     # no check reads `framework`, yet the block echoes it (ROADMAP.md,
     # "Reports that replay")
     echo = {"framework": "credal-set", "operator": encode_operator(op), "suite": suite,
@@ -689,8 +709,8 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
         failures = check_sequential_exhaustive(op, cfg)
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first
-        encoded: dict = {}
-        key, entries = "failures", VerdictRecords(encode_verdict(v, encoded) for v in failures)
+        key, entries = "failures", Records(_write_verdicts,
+                                           (encode_verdict(v, encoded) for v in failures))
         violations = len(failures)
     else:
         if suite == "gamma-laws":
@@ -703,7 +723,7 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
             family = default_set_family(denominator, max_size)
             reports = check_set_order_conditions(op.vacuous_rule, family)
             echo["family-max-size"] = max_size
-        key, entries = "reports", [encode_law_report(r) for r in reports]
+        key, entries = "reports", [encode_law_report(r, encoded) for r in reports]
         violations = sum(len(r.witnesses) for r in reports)
     payload = {
         "command": "check",
@@ -790,13 +810,15 @@ def cmd_consensus(problem: Mapping[str, Any]) -> ReportFile:
 # -- emission and entry point --------------------------------------------
 
 
-def _write(value: Any, indent: str, out: list) -> None:
+def _write(value: Any, indent: str, out: list, texts: dict) -> None:
     """Append the pieces of `json.dumps(value, indent=2)`, nested at `indent`.
 
     Only the types reports are built from are accepted: dicts with
     string keys, lists, strings, ints, bools and None. A string inside
     a container is written with its separator as one piece, as the
     `json` encoder does, so the pieces held before the join stay few.
+    `texts`, kept for one report, is where the writers of `Records`
+    keep the text of each shared part they have made, by indent and id.
     """
     if isinstance(value, str):
         out.append(_quote(value))
@@ -810,8 +832,8 @@ def _write(value: Any, indent: str, out: list) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, list):
         # plain lists, the most of any report, pay one test here
-        if type(value) is VerdictRecords and value:
-            _write_verdicts(value, indent, out)
+        if type(value) is Records and value:
+            value.write(value, indent, out, texts)
             return
         if not value:
             out.append("[]")
@@ -823,7 +845,7 @@ def _write(value: Any, indent: str, out: list) -> None:
                 out.append(separator + _quote(item))
             else:
                 out.append(separator)
-                _write(item, inner, out)
+                _write(item, inner, out, texts)
             separator = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(value, dict):
@@ -837,14 +859,22 @@ def _write(value: Any, indent: str, out: list) -> None:
                 out.append(separator + _quote(key) + ": " + _quote(item))
             else:
                 out.append(separator + _quote(key) + ": ")
-                _write(item, inner, out)
+                _write(item, inner, out, texts)
             separator = ",\n" + inner
         out.append("\n" + indent + "}")
     else:
         raise TypeError(f"cannot write {type(value).__name__} into a report")
 
 
-def _write_verdicts(records: VerdictRecords, indent: str, out: list) -> None:
+def _strings(items: list, indent: str) -> str:
+    """The text of a list of strings nested at `indent`, as `_write` writes it."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(map(_quote, items)) + "\n" + indent + "]"
+
+
+def _write_verdicts(records: Records, indent: str, out: list, texts: dict) -> None:
     """`_write` for a nonempty list of `encode_verdict`'s records.
 
     A run of records of one cell, equal in their first five keys (act,
@@ -856,7 +886,7 @@ def _write_verdicts(records: VerdictRecords, indent: str, out: list) -> None:
     fields = inner + "  "
     comma = ",\n" + fields
     close = "\n" + inner + "}"
-    texts: dict = {}
+    known = texts.setdefault(indent, {})
     separator = "[\n" + inner
     last = None
     for record in records:
@@ -865,12 +895,12 @@ def _write_verdicts(records: VerdictRecords, indent: str, out: list) -> None:
         if cell != last:
             last = act, partition, direct, folded, holds = cell
             for value in (act, partition):
-                if id(value) not in texts:
+                if id(value) not in known:
                     pieces: list = []
-                    _write(value, fields, pieces)
-                    texts[id(value)] = "".join(pieces)
-            head = ("{\n" + fields + '"act": ' + texts[id(act)]
-                    + comma + '"partition": ' + texts[id(partition)]
+                    _write(value, fields, pieces, texts)
+                    known[id(value)] = "".join(pieces)
+            head = ("{\n" + fields + '"act": ' + known[id(act)]
+                    + comma + '"partition": ' + known[id(partition)]
                     + comma + '"direct": ' + _quote(direct) + comma + '"folded": '
                     + _quote(folded) + comma + '"holds": ' + ("true" if holds else "false"))
         framework = record.get("framework")
@@ -880,10 +910,54 @@ def _write_verdicts(records: VerdictRecords, indent: str, out: list) -> None:
     out.append("\n" + indent + "]")
 
 
+def _probe_text(probe: dict, indent: str) -> str:
+    """The text of an `encode_probe` record nested at `indent`, by its keys."""
+    inner = indent + "  "
+    text = ("{\n" + inner + '"outcomes": ' + _strings(probe["outcomes"], inner)
+            + ",\n" + inner + '"framework": ' + _quote(probe["framework"]))
+    if "weights" in probe:
+        text += ",\n" + inner + '"weights": ' + _strings(probe["weights"], inner)
+    return text + "\n" + indent + "}"
+
+
+def _write_witnesses(records: Records, indent: str, out: list, texts: dict) -> None:
+    """`_write` for a nonempty list of `encode_law_report`'s witness records.
+
+    Each record is one piece, written by its five keys. Each probe
+    record's text is made once per report and indent, and kept by id.
+    """
+    inner = indent + "  "
+    fields = inner + "  "
+    comma = ",\n" + fields
+    close = "\n" + inner + "}"
+    known = texts.setdefault(indent, {})
+    separator = "[\n" + inner
+    for record in records:
+        left, right = record["probe-left"], record["probe-right"]
+        for probe in (left, right):
+            if id(probe) not in known:
+                known[id(probe)] = _probe_text(probe, fields)
+        out.append(separator + "{\n" + fields + '"inputs": ' + _strings(record["inputs"], fields)
+                   + comma + '"left": ' + _quote(record["left"])
+                   + comma + '"right": ' + _quote(record["right"])
+                   + comma + '"probe-left": ' + known[id(left)]
+                   + comma + '"probe-right": ' + known[id(right)] + close)
+        separator = ",\n" + inner
+    out.append("\n" + indent + "]")
+
+
+def _write_rows(rows: Records, indent: str, out: list, texts: dict) -> None:
+    """`_write` for a nonempty list of lists of strings, such as a table's
+    [x, y, value] entries: the whole list as one piece."""
+    inner = indent + "  "
+    out.append("[\n" + inner + (",\n" + inner).join([_strings(row, inner) for row in rows])
+               + "\n" + indent + "]")
+
+
 def emit_report(report: ReportFile) -> str:
     """The report as indented JSON, byte for byte `json.dumps(payload, indent=2)`."""
     out: list = []
-    _write(report.payload, "", out)
+    _write(report.payload, "", out, {})
     return "".join(out)
 
 

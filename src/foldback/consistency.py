@@ -301,13 +301,15 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     return failures
 
 
-def _pair_probe(x: Fraction, y: Fraction) -> Probe:
-    return Probe((x, y))
-
-
 def _constant_probe(c: Fraction) -> Probe:
     # a point-mass probability reproduces the constant independently of the rule
     return Probe((c,), Framework.PROBABILITY, (ONE,))
+
+
+def _grid_probes(grid: tuple[Fraction, ...]) -> _Memo:
+    """The pair probe of each grid index pair (i, j), built on first use,
+    so the witnesses of one call that probe the same pair share it."""
+    return _Memo(lambda pair: Probe((grid[pair[0]], grid[pair[1]])))
 
 
 def _fmt(value: Fraction) -> str:
@@ -318,11 +320,12 @@ def _fmt_set(values) -> str:
     return "{" + ", ".join(_fmt(v) for v in sorted(values)) + "}"
 
 
-def _pair_witness(grid, label, a, b, left: Fraction, right: Fraction) -> Witness:
-    """Witness that the grid pairs at index pairs a and b compare badly."""
+def _pair_witness(probe, label, a, b, left: Fraction, right: Fraction) -> Witness:
+    """Witness that the grid pairs at index pairs a and b compare badly;
+    `probe` is the call's `_grid_probes`."""
     (i, j), (i2, j2) = a, b
     return Witness((label[i], label[j], label[i2], label[j2]), left, right,
-                   _pair_probe(grid[i], grid[j]), _pair_probe(grid[i2], grid[j2]))
+                   probe[a], probe[b])
 
 
 def _report(law: LawId, witnesses) -> LawReport:
@@ -377,43 +380,43 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     # pairs are already valued, any other pair is valued on first use
     applied = _Memo(lambda pair: gamma_apply(rule, ZPair(fraction[pair[0]], fraction[pair[1]])))
     applied.update(((i * unit, j * unit), v) for (i, j), v in value.items())
+    probe = _grid_probes(grid)
 
     idempotence: list[Witness] = []
     for k, c in enumerate(grid):
         if value[k, k] != c:
             idempotence.append(Witness((label[k],), value[k, k], c,
-                                       _pair_probe(c, c), _constant_probe(c)))
+                                       probe[k, k], _constant_probe(c)))
 
     monotone: list[Witness] = []
     for a, b in neighbors:
         if level[a] < level[b]:
-            monotone.append(_pair_witness(grid, label, a, b, value[a], value[b]))
+            monotone.append(_pair_witness(probe, label, a, b, value[a], value[b]))
 
     iteration: list[Witness] = []
     for i, j in pairs:
-        x, y = grid[i], grid[j]
         g, gxx, gyy = value[i, j], value[i, i], value[j, j]
         if level[i, i] <= level[i, j]:
             via_lower = applied[level[i, i], level[i, j]]
             if via_lower != g:
                 iteration.append(Witness(
                     (label[i], label[j], "via-lower"), via_lower, g,
-                    _pair_probe(gxx, g), _pair_probe(x, y)))
+                    Probe((gxx, g)), probe[i, j]))
         else:
             # the inner pair is out of order, so the law cannot even be formed
             iteration.append(Witness(
                 (label[i], label[j], "via-lower", "inner-pair-out-of-order"),
-                gxx, g, _pair_probe(x, x), _pair_probe(x, y)))
+                gxx, g, probe[i, i], probe[i, j]))
         if level[i, j] <= level[j, j]:
             via_upper = applied[level[i, j], level[j, j]]
             if via_upper != g:
                 iteration.append(Witness(
                     (label[i], label[j], "via-upper"), via_upper, g,
-                    _pair_probe(g, gyy), _pair_probe(x, y)))
+                    Probe((g, gyy)), probe[i, j]))
         else:
             iteration.append(Witness(
                 (label[i], label[j], "via-upper", "inner-pair-out-of-order"),
-                g, gyy, _pair_probe(x, y), _pair_probe(y, y)))
+                g, gyy, probe[i, j], probe[j, j]))
 
     # the modulus times one grid step, in levels, floored: an integer
     # gap exceeds a rational exactly when it exceeds its floor
@@ -421,7 +424,7 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     lipped: list[Witness] = []
     for a, b in neighbors:
         if abs(level[a] - level[b]) > limit:
-            lipped.append(_pair_witness(grid, label, a, b, value[a], value[b]))
+            lipped.append(_pair_witness(probe, label, a, b, value[a], value[b]))
 
     return [
         _report(LawId.GAMMA_IDEMPOTENCE, idempotence),
@@ -444,6 +447,7 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     label = [_fmt(x) for x in grid]
     # outcome sets as bitmasks over grid indices
     value = _Memo(_grid_valuation(rule, grid))
+    probe = _grid_probes(grid)
 
     unanimity: list[Witness] = []
     for k, c in enumerate(grid):
@@ -461,8 +465,7 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
             if full != extremes:
                 range_law.append(Witness(
                     ("{" + ", ".join(label[k] for k in combo) + "}",), full, extremes,
-                    Probe(tuple(grid[k] for k in combo)),
-                    _pair_probe(grid[lo], grid[hi])))
+                    Probe(tuple(grid[k] for k in combo)), probe[lo, hi]))
 
     pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
     pair_value = {(i, j): value[1 << i | 1 << j] for i, j in pairs}
@@ -477,10 +480,10 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     for i, j, va in rows:
         for i2, j2, vb in rows:
             if va < vb and i >= i2 and j >= j2:
-                mono.append(_pair_witness(grid, label, (i, j), (i2, j2),
+                mono.append(_pair_witness(probe, label, (i, j), (i2, j2),
                                           pair_value[i, j], pair_value[i2, j2]))
             if abs(va - vb) > limit[abs(i - i2) + abs(j - j2)]:
-                lipped.append(_pair_witness(grid, label, (i, j), (i2, j2),
+                lipped.append(_pair_witness(probe, label, (i, j), (i2, j2),
                                             pair_value[i, j], pair_value[i2, j2]))
 
     return [
@@ -521,10 +524,11 @@ def check_set_order_conditions(rule: VacuousRule,
     base_rank = [rank[value[base]] for base in sets]
     row_rank = [[rank[value[s]] for s in row] for row in grown]
     set_text = _Memo(_fmt_set)
+    # each set's probe built on first use, keyed as its value is
+    probe = _Memo(lambda outcomes: Probe(tuple(sorted(outcomes))))
 
     def witness(inputs: tuple, worse: frozenset, better: frozenset) -> Witness:
-        return Witness(inputs, value[worse], value[better],
-                       Probe(tuple(sorted(worse))), Probe(tuple(sorted(better))))
+        return Witness(inputs, value[worse], value[better], probe[worse], probe[better])
 
     cond_i: list[Witness] = []
     for base, row, ranks in zip(sets, grown, row_rank):

@@ -76,8 +76,9 @@ def announce(number: int, ok: bool, detail: str) -> None:
 
 
 def record_law_reports(op: CeOperator, reports) -> None:
+    encoded: dict = {}
     RECORDED_REPORTS.append(
-        (encode_operator(op), [encode_law_report(r) for r in reports], []))
+        (encode_operator(op), [encode_law_report(r, encoded) for r in reports], []))
 
 
 def test_criterion_01_clamp_family_folds_exactly_everywhere():

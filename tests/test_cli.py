@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foldback import (
+    Anchored,
     CapExceeded,
     EngineError,
     ParseError,
@@ -23,6 +24,7 @@ from foldback import (
     ValidationError,
     default_set_family,
     enumerate_partitions,
+    tabulate,
 )
 from foldback.cli import (
     MAX_STATES,
@@ -30,12 +32,16 @@ from foldback.cli import (
     MODES,
     RUNS,
     SUITES,
+    Records,
     ReportFile,
-    VerdictRecords,
+    _write_rows,
+    _write_verdicts,
+    _write_witnesses,
     cmd_check,
     cmd_consensus,
     cmd_evaluate,
     emit_report,
+    encode_rule,
     loads_exact,
     main,
     parse_problem,
@@ -69,27 +75,63 @@ JSON_TREES = st.recursive(
     max_leaves=20)
 
 
+TEXTS = st.text(max_size=4) | st.sampled_from(["", "\"", "\\", "\n\x1f", "é 𝄞 \u2028"])
+
+
 @st.composite
 def verdict_records(draw):
     """Sweep-shaped records: cells drawn from a few shared acts, partitions
     and values, each a run of zero to three records with a framework or
     one record without."""
-    texts = st.text(max_size=4) | st.sampled_from(["", "\"", "\\", "\n\x1f", "é 𝄞 \u2028"])
-    acts = draw(st.lists(st.lists(texts, max_size=3), min_size=1, max_size=3))
+    acts = draw(st.lists(st.lists(TEXTS, max_size=3), min_size=1, max_size=3))
     partitions = draw(st.lists(st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3),
                                min_size=1, max_size=3))
-    values = draw(st.lists(texts, min_size=1, max_size=3))
-    records = VerdictRecords()
+    values = draw(st.lists(TEXTS, min_size=1, max_size=3))
+    records = Records(_write_verdicts)
     for _ in range(draw(st.integers(0, 5))):
         head = {"act": draw(st.sampled_from(acts)),
                 "partition": draw(st.sampled_from(partitions)),
                 "direct": draw(st.sampled_from(values)),
                 "folded": draw(st.sampled_from(values)),
                 "holds": draw(st.booleans())}
-        frameworks = draw(st.lists(texts, max_size=3) | st.just([None]))
+        frameworks = draw(st.lists(TEXTS, max_size=3) | st.just([None]))
         for framework in frameworks:
             records.append(dict(head) if framework is None else dict(head, framework=framework))
     return records
+
+
+# probe records, their keys in the order `encode_probe` gives them
+PROBES = st.builds(
+    lambda outcomes, framework, weights: dict(
+        {"outcomes": outcomes, "framework": framework},
+        **({} if weights is None else {"weights": weights})),
+    st.lists(TEXTS, max_size=3), TEXTS, st.none() | st.lists(TEXTS, max_size=3))
+
+
+@st.composite
+def witness_records(draw):
+    """Law-report-shaped witness records: probes drawn from a few shared
+    probe dicts and values from a few shared strings, so that records
+    share them."""
+    probes = draw(st.lists(PROBES, min_size=1, max_size=3))
+    values = draw(st.lists(TEXTS, min_size=1, max_size=3))
+    records = Records(_write_witnesses)
+    for _ in range(draw(st.integers(0, 6))):
+        records.append({"inputs": draw(st.lists(TEXTS, max_size=4)),
+                        "left": draw(st.sampled_from(values)),
+                        "right": draw(st.sampled_from(values)),
+                        "probe-left": draw(st.sampled_from(probes)),
+                        "probe-right": draw(st.sampled_from(probes))})
+    return records
+
+
+@st.composite
+def table_rows(draw):
+    """Table-shaped rows: mostly [x, y, value] from a few shared strings,
+    some of other lengths, the empty row among them."""
+    cells = st.sampled_from(draw(st.lists(TEXTS, min_size=1, max_size=4)))
+    return Records(_write_rows, draw(st.lists(
+        st.lists(cells, min_size=3, max_size=3) | st.lists(TEXTS, max_size=4), max_size=6)))
 
 
 def walk_no_floats(value):
@@ -414,7 +456,7 @@ class TestReportRoundTrip:
 
     @settings(max_examples=150)
     @given(verdict_records(), JSON_TREES)
-    @example(VerdictRecords(), [])
+    @example(Records(_write_verdicts), [])
     def test_verdict_records_are_written_as_json_dumps_writes_them(self, records, tree):
         # one list of records at four indents, once as a plain list, inside any tree
         payload = {"failures": records, "tree": [tree, {"deeper": records}],
@@ -423,6 +465,39 @@ class TestReportRoundTrip:
         assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
         assert emit_report(ReportFile(records, 0)) == json.dumps(records, indent=2)
         assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
+
+    @settings(max_examples=150)
+    @given(witness_records(), JSON_TREES)
+    @example(Records(_write_witnesses), [])
+    def test_witness_records_are_written_as_json_dumps_writes_them(self, records, tree):
+        # two law reports holding the same records, and the records at
+        # four more indents, once as a plain list, inside any tree
+        payload = {"reports": [{"law": "L", "witnesses": records}, {"witnesses": records}],
+                   "tree": [tree, {"deeper": records}], "loose": list(records),
+                   "nested": [records, {"again": [records]}], "last": records}
+        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
+        assert emit_report(ReportFile(records, 0)) == json.dumps(records, indent=2)
+        assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
+
+    @settings(max_examples=150)
+    @given(table_rows(), JSON_TREES)
+    @example(Records(_write_rows), [])
+    @example(Records(_write_rows, [[]]), [])
+    def test_table_rows_are_written_as_json_dumps_writes_them(self, rows, tree):
+        payload = {"operator": {"kind": "tabulated", "entries": rows},
+                   "tree": [tree, {"deeper": rows}], "loose": list(rows),
+                   "nested": [rows, {"again": [rows]}], "last": rows}
+        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
+        assert emit_report(ReportFile(rows, 0)) == json.dumps(rows, indent=2)
+        assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
+
+    def test_an_echoed_table_is_written_as_json_dumps_writes_it(self):
+        entries = encode_rule(tabulate(Anchored(F(1, 3)), 8))["entries"]
+        assert type(entries) is Records and len(entries) == 45
+        report = cmd_evaluate(parse_problem(evaluate_problem(
+            operator={"kind": "tabulated", "entries": entries})))
+        assert report.payload["problem"]["operator"]["entries"] == entries
+        assert emit_report(report) == json.dumps(report.payload, indent=2)
 
     @pytest.mark.parametrize("stop_at_first", [True, False])
     def test_sweep_reports_are_written_as_json_dumps_writes_them(self, stop_at_first):
@@ -448,6 +523,35 @@ class TestReportRoundTrip:
         assert len({id(f["partition"]) for f in first[:3]}) == 1
         assert emit_report(report) == json.dumps(report.payload, indent=2)
 
+    def test_law_witnesses_share_their_probe_and_value_records(self):
+        report = cmd_check(parse_problem(
+            {"operator": {"kind": "median"}, "suite": "set-order", "grid-denominator": 4}))
+        witnesses = [w for r in report.payload["reports"] for w in r["witnesses"]]
+        assert len(witnesses) == report.payload["summary"]["violations"] == 277
+        probes = [w[side] for w in witnesses for side in ("probe-left", "probe-right")]
+        values = [w[side] for w in witnesses for side in ("left", "right")]
+        # one record per distinct probe and one string per distinct value,
+        # across the three laws of the report
+        assert len({id(p) for p in probes}) == len({json.dumps(p) for p in probes}) == 29
+        assert len({id(v) for v in values}) == len(set(values))
+        assert emit_report(report) == json.dumps(report.payload, indent=2)
+
+    def test_gamma_law_witnesses_share_their_grid_pair_probes(self):
+        report = cmd_check(parse_problem(
+            {"operator": {"kind": "hurwicz", "alpha": "2/3"}, "suite": "gamma-laws",
+             "grid-denominator": 16}))
+        assert report.payload["summary"]["violations"] == 272
+        by_pair: dict = {}
+        for law in report.payload["reports"]:
+            for witness in law["witnesses"]:
+                by_pair.setdefault(tuple(witness["inputs"][:2]), []).append(witness)
+        shared = [ws for ws in by_pair.values() if len(ws) == 2]
+        assert shared
+        for via_lower, via_upper in shared:
+            # both iteration witnesses of a grid pair probe it with one record
+            assert via_lower["probe-right"] is via_upper["probe-right"]
+        assert emit_report(report) == json.dumps(report.payload, indent=2)
+
     @pytest.mark.parametrize("value", [F(1, 2), 0.5, (1, 2), {1: "one"}],
                              ids=["fraction", "float", "tuple", "int-key"])
     def test_emission_refuses_types_reports_never_hold(self, value):
@@ -459,6 +563,38 @@ class TestReportRoundTrip:
         text = render_table(report.payload)
         assert "ce: 1/2" in text
         assert "problem.operator.kind: anchored" in text
+
+
+def _floored_midpoint_table(denominator: int) -> dict:
+    """A table on the grid k/denominator that breaks the iteration law:
+    each pair's midpoint, floored onto the grid."""
+    grid = [F(k, denominator) for k in range(denominator + 1)]
+    return {"kind": "tabulated", "entries": [
+        [str(x), str(y), str(F(math.floor((x + y) / 2 * denominator), denominator))]
+        for x in grid for y in grid if x <= y]}
+
+
+CHECK_RULES = {
+    "anchored": lambda d: {"kind": "anchored", "anchor": "1/3"},
+    "min": lambda d: {"kind": "min"},
+    "max": lambda d: {"kind": "max"},
+    "hurwicz": lambda d: {"kind": "hurwicz", "alpha": "1/3"},
+    "median": lambda d: {"kind": "median"},
+    "tabulated": _floored_midpoint_table,
+}
+
+
+@pytest.mark.parametrize("denominator", [2, 3, 4])
+@pytest.mark.parametrize("suite,kind", [
+    (suite, kind) for suite in SUITES for kind in CHECK_RULES
+    if not (suite == "gamma-laws" and kind == "median")])
+def test_every_check_report_is_written_as_json_dumps_writes_it(suite, kind, denominator):
+    problem = {"operator": CHECK_RULES[kind](denominator), "suite": suite,
+               "grid-denominator": denominator}
+    if suite == "sequential":
+        problem["sizes"] = [2, 3]
+    report = cmd_check(parse_problem(problem))
+    assert emit_report(report) == json.dumps(report.payload, indent=2)
 
 
 class TestWitnessReplay:

@@ -438,6 +438,20 @@ class TestReportShapes:
         with pytest.raises(ValueError):
             LawReport(LawId.RANGE, False, ())
 
+    @pytest.mark.parametrize("check", [
+        lambda: check_gamma_laws(Hurwicz(F(1, 3)), 8, lipschitz=0),
+        lambda: check_ev_properties(MedianRule(), 4, lipschitz=0),
+        lambda: check_set_order_conditions(MedianRule(), default_set_family(4, 3)),
+    ], ids=["gamma-laws", "ev-properties", "set-order"])
+    def test_witnesses_that_probe_one_pair_or_set_share_its_probe(self, check):
+        # every probe of a grid pair or a family set is built once per call;
+        # the iteration law's probes of two rule values are built per witness
+        probes = [probe for report in check() if report.law is not LawId.GAMMA_ITERATION
+                  for witness in report.witnesses
+                  for probe in (witness.probe_left, witness.probe_right)]
+        assert len(probes) > len(set(probes))
+        assert len({id(probe) for probe in probes}) == len(set(probes))
+
     def test_verdict_flag_must_match_values(self):
         space = StateSpace(2)
         partition = Partition(space, (space.full_event(),))

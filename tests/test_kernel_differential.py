@@ -928,3 +928,33 @@ def test_consonant_focal_elements_are_nested():
     focal = sorted((e for e, _ in belief.masses), key=len)
     for smaller, larger in zip(focal, focal[1:]):
         assert smaller < larger
+
+
+# -- pair rules ------------------------------------------------------------
+
+
+def reference_hurwicz(alpha: Fraction, z: ZPair) -> Fraction:
+    """Hurwicz's mix of the bounds in `Fraction` arithmetic."""
+    return alpha * z.lower + (1 - alpha) * z.upper
+
+
+def _unit_fractions_over(denominators):
+    return denominators.flatmap(lambda d: st.integers(0, d).map(lambda k: F(k, d)))
+
+
+# small grids, large denominators, and large ones sharing factors, so the
+# integer route's one normalisation meets every kind of common factor
+HURWICZ_POINTS = st.one_of(
+    UNIT_FRACTIONS,
+    _unit_fractions_over(st.integers(1, 2 ** 200)),
+    _unit_fractions_over(st.builds(lambda a, b: a * b, st.integers(1, 2 ** 70),
+                                   st.sampled_from([6, 2 ** 64, 3 ** 40, 10 ** 20]))))
+
+
+@given(HURWICZ_POINTS, HURWICZ_POINTS, HURWICZ_POINTS)
+@settings(max_examples=500)
+def test_hurwicz_matches_fraction_arithmetic(alpha, x, y):
+    z = ZPair(min(x, y), max(x, y))
+    got = gamma_apply(Hurwicz(alpha), z)
+    assert type(got) is Fraction
+    _same(got, reference_hurwicz(alpha, z))
