@@ -8,11 +8,11 @@ next to the anchored rule it coincides with. Under the default
 Lipschitz modulus 1 the tables on k/D are exactly the D + 1 anchored
 (clamp) tables. Without the modulus (a huge --lipschitz) the lawful
 class is larger: the Catalan number C(D + 1) of tables, 42 on k/4.
-The tables are counted first, and a run whose tables hold more cells
-in all than the CLI's work limit (`foldback.cli.MAX_WORK`) is refused
-before any is built. Under a modulus of at least 1 the D + 1 anchored
-tables alone can pass the limit, and then the run is refused before
-the tables are counted.
+`enumerate_lawful_gamma_tables` refuses a grid whose tables hold more
+cells in all than the work limit (`foldback.consistency.MAX_WORK`)
+before it builds any: under a modulus of at least 1 by the D + 1
+anchored tables alone, before the tables are counted, and otherwise
+by their count.
 
 Example:
     python3 scripts/enumerate_tables.py --denominator 4
@@ -26,16 +26,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from foldback import (
-    Anchored,
-    CapExceeded,
-    ZPair,
-    enumerate_lawful_gamma_tables,
-    gamma_apply,
-    tabulate,
-)
-from foldback.cli import MAX_WORK, run_entry_point
-from foldback.consistency import count_lawful_gamma_tables
+from foldback import Anchored, ZPair, enumerate_lawful_gamma_tables, gamma_apply, tabulate
+from foldback.cli import run_entry_point
 from foldback.rationals import format_rational, parse_rational, unit_grid
 
 
@@ -65,21 +57,6 @@ def main() -> int:
     args = parser.parse_args()
 
     modulus = parse_rational(args.lipschitz)
-    # a step is one cell of one table
-    pairs = (args.denominator + 1) * (args.denominator + 2) // 2
-    # under a modulus >= 1 the D + 1 anchored tables are lawful: a bound
-    # that refuses a large grid before its tables are counted
-    anchored = (args.denominator + 1) * pairs
-    if modulus >= 1 and anchored > MAX_WORK:
-        raise CapExceeded(
-            f"at least {args.denominator + 1:,} lawful tables of {pairs:,} cells on grid"
-            f" k/{args.denominator} need at least {anchored:,} steps of work;"
-            f" the limit is {MAX_WORK:,}")
-    tables = count_lawful_gamma_tables(args.denominator, lipschitz=modulus)
-    if tables * pairs > MAX_WORK:
-        raise CapExceeded(
-            f"{tables:,} lawful tables of {pairs:,} cells on grid k/{args.denominator}"
-            f" need {tables * pairs:,} steps of work; the limit is {MAX_WORK:,}")
     started = time.perf_counter()
     survivors = enumerate_lawful_gamma_tables(args.denominator, lipschitz=modulus)
     elapsed = time.perf_counter() - started

@@ -54,6 +54,7 @@ from .consensus import (
     limit_check,
 )
 from .consistency import (
+    MAX_WORK,
     ConsistencyVerdict,
     LawReport,
     Probe,
@@ -76,7 +77,7 @@ from .plausibility import (
     ZPair,
     vacuous,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import _grid_name, _steps, format_rational, parse_rational
 
 if TYPE_CHECKING:
     import argparse  # imported by `_build_parser`, which only `main` calls
@@ -92,9 +93,9 @@ MODES = ("consensus", "certainty", "limit")
 # has 20 states.
 MAX_STATES = 1000
 
-# The most steps of work one `check` or `consensus limit` run may ask for
-# (`_check_work`, and |epsilons| * states**2 for a limit run, one step per
-# entry of an unbuilt member's generators). The suites' work grows as
+# `MAX_WORK` (consistency.py) also bounds one `check` or `consensus limit`
+# run: `_check_work`, and |epsilons| * states**2 for a limit run, one step
+# per entry of an unbuilt member's generators. The suites' work grows as
 # a power of `grid-denominator`, `sizes` and `family-max-size`, so a
 # problem of a few bytes could ask for hours and gigabytes; it is refused
 # before any work starts. Every suite's default problem is admitted, the
@@ -102,7 +103,6 @@ MAX_STATES = 1000
 # runs are those whose every step adds a witness or a failing cell to the
 # report: Hurwicz(1/3) on gamma-laws k/406 takes about 15 s and 600 MB,
 # and on a sequential sweep of k/10 about 9 s.
-MAX_WORK = 250_000
 
 _SUITE = "operator suite grid-denominator"
 _CONSENSUS = "states act operator mode"
@@ -642,14 +642,6 @@ def _check_work(suite: str, points: int, sizes: Sequence[int], max_size: int) ->
     return sum(points ** n * _bell(n) for n in sizes if 0 < n <= PARTITION_CAP)
 
 
-def _steps(count: int) -> str:
-    """`count` with separators; past the digits str() writes, a power of ten it is at least."""
-    try:
-        return f"{count:,}"
-    except ValueError:  # 2 ** (bits - 1) <= count, and 0.30102 < log10(2)
-        return f"10^{(count.bit_length() - 1) * 30102 // 100_000:,}"
-
-
 def cmd_evaluate(problem: Mapping[str, Any]) -> ReportFile:
     """Certainty equivalent of one act; with a partition, the fold too."""
     _refuse_unread(problem, "evaluate")
@@ -690,11 +682,7 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
     max_size = problem.get("family-max-size", 3)
     work = _check_work(suite, denominator + 1, sizes, max_size)
     if work > MAX_WORK:
-        try:
-            grid = f"k/{denominator}"
-        except ValueError:  # past the digits str() writes, as `_steps` spells a count
-            grid = f"k/n with n >= {_steps(denominator)}"
-        raise CapExceeded(f"check {suite} on grid {grid} needs at least"
+        raise CapExceeded(f"check {suite} on grid {_grid_name(denominator)} needs at least"
                           f" {_steps(work)} steps of work; the limit is {MAX_WORK:,}")
     op = problem["operator"]
     encoded: dict = {}
@@ -709,9 +697,22 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
         failures = check_sequential_exhaustive(op, cfg)
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first
-        key, entries = "failures", Records(_write_verdicts,
-                                           (encode_verdict(v, encoded) for v in failures))
-        violations = len(failures)
+        # a cell's verdicts come in a row, one per framework, holding the
+        # same act, partition and values: the first is encoded, and each
+        # later one is a copy of the record before it with its own framework
+        entries = Records(_write_verdicts)
+        name = {fw: fw.value for fw in Framework}  # `.value` is a slower property read
+        cell = record = None
+        for v in failures:
+            if (cell is None or v.act is not cell.act or v.partition is not cell.partition
+                    or v.direct_value is not cell.direct_value
+                    or v.folded_value is not cell.folded_value):
+                cell, record = v, encode_verdict(v, encoded)
+            else:
+                record = record.copy()
+                record["framework"] = name[v.framework]
+            entries.append(record)
+        key, violations = "failures", len(failures)
     else:
         if suite == "gamma-laws":
             if isinstance(op.vacuous_rule, MedianRule):
@@ -877,23 +878,28 @@ def _strings(items: list, indent: str) -> str:
 def _write_verdicts(records: Records, indent: str, out: list, texts: dict) -> None:
     """`_write` for a nonempty list of `encode_verdict`'s records.
 
-    A run of records of one cell, equal in their first five keys (act,
-    partition, direct, folded, holds), writes those keys once, each act's
-    and partition's text made once and kept by id; each record then adds
-    its `framework` line.
+    A run of records of one cell, holding the same act, partition, direct
+    and folded objects and the same `holds` (as `cmd_check` makes them),
+    writes those five keys once, each act's and partition's text made
+    once and kept by id. Records that are only equal start a new run,
+    which writes the same text. Each record then adds its `framework`
+    line and closing brace, whose text is made once per framework.
     """
     inner = indent + "  "
     fields = inner + "  "
     comma = ",\n" + fields
     close = "\n" + inner + "}"
     known = texts.setdefault(indent, {})
+    tails: dict = {}
     separator = "[\n" + inner
-    last = None
+    act = partition = direct = folded = holds = object()  # held by no record
     for record in records:
-        cell = (record["act"], record["partition"], record["direct"], record["folded"],
+        if (record["act"] is not act or record["partition"] is not partition
+                or record["direct"] is not direct or record["folded"] is not folded
+                or record["holds"] is not holds):
+            act, partition, direct, folded, holds = (
+                record["act"], record["partition"], record["direct"], record["folded"],
                 record["holds"])
-        if cell != last:
-            last = act, partition, direct, folded, holds = cell
             for value in (act, partition):
                 if id(value) not in known:
                     pieces: list = []
@@ -904,7 +910,10 @@ def _write_verdicts(records: Records, indent: str, out: list, texts: dict) -> No
                     + comma + '"direct": ' + _quote(direct) + comma + '"folded": '
                     + _quote(folded) + comma + '"holds": ' + ("true" if holds else "false"))
         framework = record.get("framework")
-        tail = close if framework is None else comma + '"framework": ' + _quote(framework) + close
+        tail = tails.get(framework)
+        if tail is None:
+            tail = tails[framework] = (close if framework is None else
+                                       comma + '"framework": ' + _quote(framework) + close)
         out.append(separator + head + tail)
         separator = ",\n" + inner
     out.append("\n" + indent + "]")

@@ -43,9 +43,22 @@ from .plausibility import (
     condition,
     restrict,
 )
-from .rationals import ONE, _check_denominator, _integer_image, format_rational, unit_grid
+from .rationals import (
+    ONE,
+    _check_denominator,
+    _grid_name,
+    _integer_image,
+    _steps,
+    format_rational,
+    unit_grid,
+)
 
 DEFAULT_LIPSCHITZ = ONE
+
+# The most steps of work one run may ask for. A lawful-table enumeration
+# counts one step per cell of each table it would build; the CLI bounds a
+# `check` or `consensus limit` run by the same number.
+MAX_WORK = 250_000
 
 
 class LawId(enum.Enum):
@@ -133,15 +146,21 @@ class ConsistencyVerdict(Frozen):
         object.__setattr__(self, "framework", framework)
 
     @classmethod
-    def _trusted_failure(cls, direct_value: Fraction, folded_value: Fraction,
-                         partition: Partition, act: Act,
-                         framework: Framework) -> ConsistencyVerdict:
-        """A failing verdict whose values the engine knows differ, unchecked."""
-        verdict = object.__new__(cls)
-        vars(verdict).update(holds=False, direct_value=direct_value,
-                             folded_value=folded_value, partition=partition,
-                             act=act, framework=framework)
-        return verdict
+    def _trusted_failures(cls, direct_value: Fraction, folded_value: Fraction,
+                          partition: Partition, act: Act,
+                          frameworks: tuple[Framework, ...]) -> list[ConsistencyVerdict]:
+        """One cell's failing verdicts, one per framework in order, whose
+        values the engine knows differ: unchecked, each filled from one
+        field dict."""
+        fields = {"holds": False, "direct_value": direct_value, "folded_value": folded_value,
+                  "partition": partition, "act": act, "framework": None}
+        verdicts = []
+        for framework in frameworks:
+            fields["framework"] = framework
+            verdict = object.__new__(cls)
+            verdict.__dict__.update(fields)
+            verdicts.append(verdict)
+        return verdicts
 
 
 class SearchConfig(Frozen):
@@ -246,7 +265,8 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     folded) is that of `check_sequential`, so a rule that raises does so
     on the same input. A failing cell's act is made of grid points and
     its two values are distinct interned values, so its act and verdicts
-    are built trusted.
+    are built trusted; the act and its direct value are made once per
+    act, and all of a cell's verdicts at once.
     """
     if max(cfg.sizes) > PARTITION_CAP:
         raise CapExceeded(
@@ -268,6 +288,8 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     def value(bit: int) -> Fraction:
         return interned[bit.bit_length() - 1]
 
+    # with stop-at-first only the first failure is reported
+    frameworks = cfg.frameworks[:1] if cfg.stop_at_first else cfg.frameworks
     failures: list[ConsistencyVerdict] = []
     for n in cfg.sizes:
         # each block as the bitmask of its states
@@ -292,12 +314,11 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
                     continue
                 if act is None:
                     act = Act._trusted(tuple(grid[k] for k in act_index))
-                direct_value, folded_value = value(direct), value(folded)
-                for fw in cfg.frameworks:
-                    failures.append(ConsistencyVerdict._trusted_failure(
-                        direct_value, folded_value, H, act, fw))
-                    if cfg.stop_at_first:
-                        return failures
+                    direct_value = value(direct)
+                failures += ConsistencyVerdict._trusted_failures(
+                    direct_value, value(folded), H, act, frameworks)
+                if cfg.stop_at_first:
+                    return failures
     return failures
 
 
@@ -377,10 +398,16 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     unit = scale // denominator
     fraction = dict(zip(level.values(), value.values()))
     # the rule on pairs of levels, as the iteration law forms them: grid
-    # pairs are already valued, any other pair is valued on first use
-    applied = _Memo(lambda pair: gamma_apply(rule, ZPair(fraction[pair[0]], fraction[pair[1]])))
+    # pairs are already valued, any other pair is valued on first use. The
+    # law asks only for pairs whose order it has checked on levels, and
+    # both values are rule outputs in [0, 1], so each pair is built trusted
+    applied = _Memo(lambda pair: gamma_apply(
+        rule, ZPair._trusted(fraction[pair[0]], fraction[pair[1]])))
     applied.update(((i * unit, j * unit), v) for (i, j), v in value.items())
     probe = _grid_probes(grid)
+    # the iteration law's probe of each pair of levels, keyed as `applied`
+    # and built on first use, so the witnesses that probe one pair share it
+    level_probe = _Memo(lambda pair: Probe((fraction[pair[0]], fraction[pair[1]])))
 
     idempotence: list[Witness] = []
     for k, c in enumerate(grid):
@@ -397,22 +424,24 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     for i, j in pairs:
         g, gxx, gyy = value[i, j], value[i, i], value[j, j]
         if level[i, i] <= level[i, j]:
-            via_lower = applied[level[i, i], level[i, j]]
+            lower = level[i, i], level[i, j]
+            via_lower = applied[lower]
             if via_lower != g:
                 iteration.append(Witness(
                     (label[i], label[j], "via-lower"), via_lower, g,
-                    Probe((gxx, g)), probe[i, j]))
+                    level_probe[lower], probe[i, j]))
         else:
             # the inner pair is out of order, so the law cannot even be formed
             iteration.append(Witness(
                 (label[i], label[j], "via-lower", "inner-pair-out-of-order"),
                 gxx, g, probe[i, i], probe[i, j]))
         if level[i, j] <= level[j, j]:
-            via_upper = applied[level[i, j], level[j, j]]
+            upper = level[i, j], level[j, j]
+            via_upper = applied[upper]
             if via_upper != g:
                 iteration.append(Witness(
                     (label[i], label[j], "via-upper"), via_upper, g,
-                    Probe((g, gyy)), probe[i, j]))
+                    level_probe[upper], probe[i, j]))
         else:
             iteration.append(Witness(
                 (label[i], label[j], "via-upper", "inner-pair-out-of-order"),
@@ -654,9 +683,28 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     that give the anchored tables.
 
     Tables come sorted by their cell values, rows by x and then by y.
+
+    A grid whose tables hold more than `MAX_WORK` cells in all is refused
+    with CapExceeded before any is built: under a modulus of at least 1
+    first by its D + 1 anchored tables, which are lawful, so that a large
+    grid is refused before its tables are counted; then by
+    `count_lawful_gamma_tables`.
     """
-    reach = _reach(lipschitz)
     _check_denominator(denominator)
+    reach = _reach(lipschitz)
+    pairs = (denominator + 1) * (denominator + 2) // 2  # a step is one cell of one table
+    anchored = (denominator + 1) * pairs
+    if reach >= 1 and anchored > MAX_WORK:
+        raise CapExceeded(
+            f"at least {_steps(denominator + 1)} lawful tables of {_steps(pairs)} cells on grid"
+            f" {_grid_name(denominator)} need at least {_steps(anchored)} steps of work;"
+            f" the limit is {MAX_WORK:,}")
+    tables = count_lawful_gamma_tables(denominator, lipschitz=lipschitz)
+    if tables * pairs > MAX_WORK:
+        raise CapExceeded(
+            f"{_steps(tables)} lawful tables of {_steps(pairs)} cells on grid"
+            f" {_grid_name(denominator)} need {_steps(tables * pairs)} steps of work;"
+            f" the limit is {MAX_WORK:,}")
 
     def join(root: int, lo: int, hi: int, left: list, right: list) -> list[dict]:
         if not (left and right):

@@ -54,6 +54,22 @@ def _check_denominator(denominator: int) -> None:
         raise ValidationError(f"grid denominator must be >= 1, got {denominator}")
 
 
+def _steps(count: int) -> str:
+    """`count` with separators; past the digits str() writes, a power of ten it is at least."""
+    try:
+        return f"{count:,}"
+    except ValueError:  # 2 ** (bits - 1) <= count, and 0.30102 < log10(2)
+        return f"10^{(count.bit_length() - 1) * 30102 // 100_000:,}"
+
+
+def _grid_name(denominator: int) -> str:
+    """`k/denominator`; past the digits str() writes, a bound spelt as `_steps` spells it."""
+    try:
+        return f"k/{denominator}"
+    except ValueError:
+        return f"k/n with n >= {_steps(denominator)}"
+
+
 def unit_grid(denominator: int) -> tuple[Fraction, ...]:
     """All multiples of 1/denominator in [0, 1], in increasing order."""
     _check_denominator(denominator)

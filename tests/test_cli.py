@@ -78,11 +78,24 @@ JSON_TREES = st.recursive(
 TEXTS = st.text(max_size=4) | st.sampled_from(["", "\"", "\\", "\n\x1f", "é 𝄞 \u2028"])
 
 
+def equal_copy(value):
+    """An equal copy of a record's value, made of distinct objects wherever
+    Python makes them (strings of two or more characters, and lists)."""
+    if isinstance(value, dict):
+        return {key: equal_copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [equal_copy(item) for item in value]
+    if isinstance(value, str):
+        return value[:1] + value[1:]
+    return value
+
+
 @st.composite
 def verdict_records(draw):
     """Sweep-shaped records: cells drawn from a few shared acts, partitions
     and values, each a run of zero to three records with a framework or
-    one record without."""
+    one record without. A run's records hold the cell's objects, or equal
+    copies of them, as records that were encoded apart would."""
     acts = draw(st.lists(st.lists(TEXTS, max_size=3), min_size=1, max_size=3))
     partitions = draw(st.lists(st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3),
                                min_size=1, max_size=3))
@@ -94,10 +107,18 @@ def verdict_records(draw):
                 "direct": draw(st.sampled_from(values)),
                 "folded": draw(st.sampled_from(values)),
                 "holds": draw(st.booleans())}
+        copy = equal_copy if draw(st.booleans()) else dict
         frameworks = draw(st.lists(TEXTS, max_size=3) | st.just([None]))
         for framework in frameworks:
-            records.append(dict(head) if framework is None else dict(head, framework=framework))
+            record = copy(head)
+            if framework is not None:
+                record["framework"] = framework
+            records.append(record)
     return records
+
+
+CELL = {"act": ["0", "1/2"], "partition": [[0], [1]], "direct": "1/2", "folded": "1/4",
+        "holds": False}
 
 
 # probe records, their keys in the order `encode_probe` gives them
@@ -457,6 +478,10 @@ class TestReportRoundTrip:
     @settings(max_examples=150)
     @given(verdict_records(), JSON_TREES)
     @example(Records(_write_verdicts), [])
+    # equal records that share no list or string of two or more characters
+    @example(Records(_write_verdicts, [equal_copy(dict(CELL, framework=framework))
+                                       for framework in ("credal-set", "possibility", "x")]),
+             [])
     def test_verdict_records_are_written_as_json_dumps_writes_them(self, records, tree):
         # one list of records at four indents, once as a plain list, inside any tree
         payload = {"failures": records, "tree": [tree, {"deeper": records}],
@@ -523,6 +548,25 @@ class TestReportRoundTrip:
         assert len({id(f["partition"]) for f in first[:3]}) == 1
         assert emit_report(report) == json.dumps(report.payload, indent=2)
 
+    def test_a_sweep_cell_is_one_record_per_framework_holding_its_objects(self):
+        report = cmd_check(parse_problem(
+            {"operator": dict(HURWICZ_HALF), "suite": "sequential", "sizes": [3],
+             "grid-denominator": 2}))
+        failures = report.payload["failures"]
+        assert len(failures) % 3 == 0
+        cells = [failures[k:k + 3] for k in range(0, len(failures), 3)]
+        for cell in cells:
+            assert [record["framework"] for record in cell] == \
+                ["credal-set", "belief-function", "possibility"]
+            # distinct dicts, holding the cell's act, partition and values
+            assert len({id(record) for record in cell}) == 3
+            for key in ("act", "partition", "direct", "folded"):
+                assert len({id(record[key]) for record in cell}) == 1
+        # consecutive cells differ in their partition or their act
+        for one, two in zip(cells, cells[1:]):
+            assert (one[0]["act"], one[0]["partition"]) != (two[0]["act"], two[0]["partition"])
+        assert emit_report(report) == json.dumps(report.payload, indent=2)
+
     def test_law_witnesses_share_their_probe_and_value_records(self):
         report = cmd_check(parse_problem(
             {"operator": {"kind": "median"}, "suite": "set-order", "grid-denominator": 4}))
@@ -550,6 +594,19 @@ class TestReportRoundTrip:
         for via_lower, via_upper in shared:
             # both iteration witnesses of a grid pair probe it with one record
             assert via_lower["probe-right"] is via_upper["probe-right"]
+        assert emit_report(report) == json.dumps(report.payload, indent=2)
+
+    def test_gamma_law_witnesses_share_their_level_pair_probes(self):
+        report = cmd_check(parse_problem(
+            {"operator": {"kind": "hurwicz", "alpha": "2/3"}, "suite": "gamma-laws",
+             "grid-denominator": 16}))
+        [iteration] = [law for law in report.payload["reports"]
+                       if law["law"] == "GammaIteration-(iii)"]
+        probes = [witness["probe-left"] for witness in iteration["witnesses"]]
+        # the iteration law's off-grid probes, one per pair of levels: the
+        # witnesses that probe one pair hold one record
+        assert len(probes) == 272
+        assert len({id(p) for p in probes}) == len({json.dumps(p) for p in probes}) == 259
         assert emit_report(report) == json.dumps(report.payload, indent=2)
 
     @pytest.mark.parametrize("value", [F(1, 2), 0.5, (1, 2), {1: "one"}],

@@ -41,7 +41,7 @@ from foldback import (
     tabulate,
     vacuous,
 )
-from foldback import consistency
+from foldback import cli, consistency
 from foldback.ce_ops import ce_vacuous
 from foldback.consistency import Probe, Witness, count_lawful_gamma_tables
 from foldback.rationals import unit_grid
@@ -355,6 +355,35 @@ class TestSynthesis:
     # a chain of subtrees is as deep as the grid, past Python's recursion limit
     def test_counting_a_long_grid_needs_no_recursion(self):
         assert count_lawful_gamma_tables(500) == 501
+
+    # the library refuses the grids enumerate_tables.py refuses, with the
+    # same messages: under a modulus >= 1 by the D + 1 anchored tables,
+    # before the tables are counted, and otherwise by their count
+    @pytest.mark.parametrize("denominator,lipschitz,message", [
+        (500, F(10 ** 6), "at least 501 lawful tables of 125,751 cells on grid k/500 need at"
+                          " least 63,001,251 steps of work; the limit is 250,000"),
+        (120, 1, "at least 121 lawful tables of 7,381 cells on grid k/120 need at least"
+                 " 893,101 steps of work; the limit is 250,000"),
+        (9, F(10 ** 6), "16,796 lawful tables of 55 cells on grid k/9 need 923,780 steps of"
+                        " work; the limit is 250,000"),
+        (10 ** 5000, 1, "at least 10^4,999 lawful tables of 10^9,999 cells on grid k/n with"
+                        " n >= 10^4,999 need at least 10^14,998 steps of work;"
+                        " the limit is 250,000"),
+    ], ids=["k/500-unbounded", "k/120", "k/9-unbounded", "past-the-digits"])
+    def test_a_grid_past_the_work_limit_is_refused_at_once(
+            self, denominator, lipschitz, message, monkeypatch):
+        if "at least" in message:
+            monkeypatch.setattr(consistency, "count_lawful_gamma_tables", None)
+        started = time.perf_counter()
+        with pytest.raises(CapExceeded) as refused:
+            enumerate_lawful_gamma_tables(denominator, lipschitz=lipschitz)
+        assert str(refused.value) == message
+        assert time.perf_counter() - started < 1
+
+    def test_the_work_limit_is_the_library_s_and_admits_the_grids_in_use(self):
+        assert cli.MAX_WORK is consistency.MAX_WORK == 250_000
+        assert len(enumerate_lawful_gamma_tables(16)) == 17
+        assert len(enumerate_lawful_gamma_tables(8, lipschitz=F(10 ** 6))) == 4862
 
     def test_counting_lawful_tables_builds_no_grid(self, monkeypatch):
         monkeypatch.setattr(consistency, "unit_grid", None)

@@ -15,7 +15,9 @@ included, building every result by public, validating construction.
 The kernels must give equal results with equal hashes and reprs.
 """
 
+import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -74,6 +76,8 @@ from foldback import (
     tabulate,
     vacuous,
 )
+from foldback import cli
+from foldback.cli import cmd_check, emit_report, encode_verdict
 from foldback.consistency import (
     DEFAULT_LIPSCHITZ,
     Probe,
@@ -81,6 +85,7 @@ from foldback.consistency import (
     _grid_valuation,
     count_lawful_gamma_tables,
 )
+from foldback.plausibility import VACUOUS_FRAMEWORKS
 from foldback.rationals import ONE, ZERO, format_rational, unit_grid
 
 F = Fraction
@@ -583,6 +588,47 @@ def test_uncovered_table_raises_at_the_same_first_miss():
     assert str(got.value) == str(expected.value)
 
 
+# every rule kind; Hurwicz(1/2)'s values on k/1 to k/3 and on pairs of
+# them lie on k/48, so its table covers every pair these sweeps ask for
+SWEEP_RULES = {name: RULES[name] for name in ("anchored-1/3", "min", "max", "hurwicz-1/4",
+                                               "median")}
+SWEEP_RULES["table-hurwicz-1/2"] = tabulate(Hurwicz(F(1, 2)), 48)
+
+
+@rules(SWEEP_RULES)
+@pytest.mark.parametrize("denominator", [1, 2, 3])
+@pytest.mark.parametrize("frameworks,stop_at_first", [
+    ((Framework.BELIEF_FUNCTION,), False),
+    (VACUOUS_FRAMEWORKS, False),
+    (REVERSED, False),
+    (VACUOUS_FRAMEWORKS, True),
+], ids=["one-framework", "three-frameworks", "three-reversed", "stop-at-first"])
+def test_sweep_records_match_encode_verdict(rule, denominator, frameworks, stop_at_first,
+                                            monkeypatch):
+    # `cmd_check` encodes one verdict per cell and copies its record for
+    # the cell's other frameworks; the reference encodes every verdict
+    # alone, with a map of its own
+    op = CeOperator(rule)
+    cfg = SearchConfig(sizes=(1, 2, 3, 4), denominator=denominator, frameworks=frameworks,
+                       stop_at_first=stop_at_first)
+    expected = [encode_verdict(v, {}) for v in check_sequential_exhaustive(op, cfg)]
+    # the CLI sweeps the three vacuous frameworks in their order; here it
+    # sweeps those of the case
+    monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig,
+                                                               frameworks=frameworks))
+    report = cmd_check({"operator": op, "suite": "sequential", "grid-denominator": denominator,
+                        "sizes": (1, 2, 3, 4), "stop-at-first": stop_at_first})
+    failures = report.payload["failures"]
+    assert [list(record.items()) for record in failures] == \
+        [list(record.items()) for record in expected]
+    assert report.payload["summary"]["violations"] == len(expected)
+    # the anchored family folds, and so does the median on 0/1 acts
+    folds = isinstance(rule, (Anchored, MinRule, MaxRule)) or (
+        isinstance(rule, MedianRule) and denominator == 1)
+    assert bool(expected) != folds
+    assert emit_report(report) == json.dumps(report.payload, indent=2)
+
+
 # -- grid valuation --------------------------------------------------------
 
 
@@ -893,14 +939,15 @@ def test_limit_refuses_the_median_at_full_contamination(outcomes, base):
      BeliefFunctionMeasure(StateSpace(2), ((frozenset({0, 1}), F(1, 3)),
                                            (frozenset({1}), F(2, 3))))),
     (PossibilityMeasure._trusted((4, 2), 4), PossibilityMeasure((ONE, F(1, 2)))),
-    (ConsistencyVerdict._trusted_failure(
+    *zip(ConsistencyVerdict._trusted_failures(
         F(1, 2), F(1, 4), Partition(StateSpace(2), (frozenset({0}), frozenset({1}))),
-        Act((F(0), ONE)), Framework.POSSIBILITY),
-     ConsistencyVerdict(False, F(1, 2), F(1, 4),
-                        Partition(StateSpace(2), (frozenset({0}), frozenset({1}))),
-                        Act((F(0), ONE)), Framework.POSSIBILITY)),
+        Act((F(0), ONE)), (Framework.POSSIBILITY, Framework.CREDAL_SET)),
+         [ConsistencyVerdict(False, F(1, 2), F(1, 4),
+                             Partition(StateSpace(2), (frozenset({0}), frozenset({1}))),
+                             Act((F(0), ONE)), fw)
+          for fw in (Framework.POSSIBILITY, Framework.CREDAL_SET)]),
 ], ids=["pair", "act", "probability", "credal-set", "belief-function", "possibility",
-        "failing-verdict"])
+        "failing-verdict", "later-failing-verdict"])
 def test_trusted_construction_is_indistinguishable(trusted, validated):
     _same(trusted, validated)
     # the space is built once per object and cached beside the fields, so

@@ -107,8 +107,9 @@ SAMPLES = {
         check_sequential(CeOperator(MinRule()), vacuous(SPACE, Framework.POSSIBILITY),
                          ACT, PARTITION),
         ConsistencyVerdict(False, F(0), F(1), PARTITION, ACT, Framework.CREDAL_SET),
-        ConsistencyVerdict._trusted_failure(F(0), F(1), PARTITION, ACT,
-                                            Framework.CREDAL_SET)],
+        # both verdicts of one cell, filled from one field dict
+        *ConsistencyVerdict._trusted_failures(F(0), F(1), PARTITION, ACT,
+                                              (Framework.CREDAL_SET, Framework.POSSIBILITY))],
     SearchConfig: [SearchConfig(), SearchConfig((2,), 2, (Framework.POSSIBILITY,), True)],
     # a dict payload leaves the report unhashable
     ReportFile: [ReportFile({"value": "1/2"}, 0), ReportFile({}, 1)],
