@@ -5,7 +5,7 @@ Runs `foldback check`'s sequential and ev-properties suites for a family
 of anchored rules and a few interpolating ones, and prints one summary
 line per rule with its first counterexample, if any. Each run is the
 CLI's own, from its problem parser to its report, so a sweep the CLI
-refuses (past its work limit, say) is refused here too.
+refuses (past the library's work limit, say) is refused here too.
 
 Example:
     python3 scripts/sweep_rules.py --max-states 4 --denominator 4
@@ -19,17 +19,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from foldback import Anchored, CapExceeded, CeOperator, Hurwicz, MaxRule, MedianRule, MinRule
-from foldback.cli import (
-    MAX_WORK,
-    _check_work,
-    _steps,
-    cmd_check,
-    encode_operator,
-    parse_problem,
-    run_entry_point,
-)
+from foldback.cli import cmd_check, encode_operator, parse_problem, run_entry_point
+from foldback.consistency import MAX_WORK, _ev_work, _sweep_work
 from foldback.plausibility import VACUOUS_FRAMEWORKS
-from foldback.rationals import format_rational, parse_rational, unit_grid
+from foldback.rationals import _steps, format_rational, parse_rational, unit_grid
 
 
 def describe(rule) -> str:
@@ -87,14 +80,11 @@ def main() -> int:
     args = parser.parse_args()
 
     # the rules share every flag, so a flag the problem parser refuses for
-    # one is refused here, and so is a run past the CLI's work limit in
-    # all, before any rule is built or the header printed
+    # one is refused here, and so is a run past the library's work limit
+    # in all, before any rule is built or the header printed
     sequential, _ = problems(MinRule(), args)
     count = args.anchor_denominator + 1 + 4  # the anchors, min, max, Hurwicz, median
-    points = args.denominator + 1
-    # only `sequential` reads the sizes, and only `set-order` the family size
-    per_rule = (_check_work("sequential", points, sequential["sizes"], 0)
-                + _check_work("ev-properties", points, (), 0))
+    per_rule = _sweep_work(args.denominator, sequential["sizes"]) + _ev_work(args.denominator)
     if count * per_rule > MAX_WORK:
         raise CapExceeded(f"{count:,} rules of {_steps(per_rule)} steps each on grid"
                           f" k/{args.denominator} need {_steps(count * per_rule)} steps of"

@@ -22,9 +22,7 @@ re-recorded `perfbench/reference.json` (ROADMAP.md, "Reports that replay").
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -54,7 +52,6 @@ from .consensus import (
     limit_check,
 )
 from .consistency import (
-    MAX_WORK,
     ConsistencyVerdict,
     LawReport,
     Probe,
@@ -77,32 +74,13 @@ from .plausibility import (
     ZPair,
     vacuous,
 )
-from .rationals import _grid_name, _steps, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 
 if TYPE_CHECKING:
     import argparse  # imported by `_build_parser`, which only `main` calls
 
 SUITES = ("gamma-laws", "ev-properties", "sequential", "set-order")
 MODES = ("consensus", "certainty", "limit")
-
-# The most states a problem may declare with `states`. A vacuous measure
-# is built from that count alone, one entry per state, so an unchecked
-# count such as 10**9 would be an allocation of that size. Acts, weights
-# and partitions are lists in the problem itself, so their sizes are paid
-# for by its length. The largest problem in the tests and the benchmark
-# has 20 states.
-MAX_STATES = 1000
-
-# `MAX_WORK` (consistency.py) also bounds one `check` or `consensus limit`
-# run: `_check_work`, and |epsilons| * states**2 for a limit run, one step
-# per entry of an unbuilt member's generators. The suites' work grows as
-# a power of `grid-denominator`, `sizes` and `family-max-size`, so a
-# problem of a few bytes could ask for hours and gigabytes; it is refused
-# before any work starts. Every suite's default problem is admitted, the
-# largest being set-order's at 149,769 steps. At the limit the slowest
-# runs are those whose every step adds a witness or a failing cell to the
-# report: Hurwicz(1/3) on gamma-laws k/406 takes about 15 s and 600 MB,
-# and on a sequential sweep of k/10 about 9 s.
 
 _SUITE = "operator suite grid-denominator"
 _CONSENSUS = "states act operator mode"
@@ -328,18 +306,17 @@ def parse_problem(raw: Mapping) -> dict[str, Any]:
         space = problem["act"].space
 
     if "states" in raw:
-        states = _integer(raw["states"], "states")
-        if states > MAX_STATES:
-            raise ValidationError(f"states must be at most {MAX_STATES}, got {states}")
-        declared = StateSpace(states)
+        # the state space is the act's: `states` only checks it, so nothing
+        # is built from a count alone
+        declared = StateSpace(_integer(raw["states"], "states"))
         if space is not None and declared != space:
             raise ValidationError(
                 f"states={declared.n} but the act has {space.n} outcomes")
-        problem["states"] = space = declared
+        problem["states"] = declared
 
     if "partition" in raw:
         if space is None:
-            raise ValidationError("a partition needs a state space")
+            raise ValidationError("a partition needs an act")
         blocks = raw["partition"]
         if not isinstance(blocks, list):
             raise ParseError("partition: expected a list of blocks")
@@ -364,8 +341,8 @@ def parse_problem(raw: Mapping) -> dict[str, Any]:
                               f" {measure_spec['kind']!r}")
 
     if "measure" in raw:
-        # without a state space no run reads it: evaluate needs an act,
-        # and every other run refuses the key
+        # without an act no run reads it: evaluate needs an act, and every
+        # other run refuses the key
         problem["measure"] = (None if space is None
                               else _parse_measure(measure_spec, space, framework))
 
@@ -606,42 +583,6 @@ def _refuse_unread(problem: Mapping[str, Any], run: str) -> Optional[int]:
     return grid
 
 
-def _bell(n: int) -> int:
-    """The number of partitions of an n-element set."""
-    row = [1]
-    for _ in range(n - 1):
-        row = list(itertools.accumulate(row, initial=row[-1]))
-    return row[-1]
-
-
-def _check_work(suite: str, points: int, sizes: Sequence[int], max_size: int) -> int:
-    """Steps of work a check suite does on a grid of `points` points.
-
-    A step is one value of the rule, one comparison of two values or one
-    sweep cell (an act and a partition), whichever the suite repeats.
-    """
-    pairs = points * (points + 1) // 2
-    if suite == "gamma-laws":
-        # every pair is valued, and the iteration law values at most two more
-        return 3 * pairs
-    if suite == "ev-properties":
-        # the range law values the sets of up to four points; monotonicity
-        # and the modulus compare every two pairs
-        return sum(math.comb(points, size) for size in range(1, 5)) + pairs ** 2
-    if suite == "set-order":
-        # strong independence compares every two family sets at every
-        # point of the grid, which is the family's union
-        family = 0
-        for size in range(1, min(max_size, points) + 1):
-            family += math.comb(points, size)
-            if family > MAX_WORK:
-                break  # the count is past the limit already
-        return family ** 2 * points
-    # every act on the grid with every partition of its states; the sweep
-    # refuses a size above PARTITION_CAP itself, before any work
-    return sum(points ** n * _bell(n) for n in sizes if 0 < n <= PARTITION_CAP)
-
-
 def cmd_evaluate(problem: Mapping[str, Any]) -> ReportFile:
     """Certainty equivalent of one act; with a partition, the fold too."""
     _refuse_unread(problem, "evaluate")
@@ -680,10 +621,8 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
     denominator = problem.get("grid-denominator", default)
     sizes = problem.get("sizes", (2, 3, 4))
     max_size = problem.get("family-max-size", 3)
-    work = _check_work(suite, denominator + 1, sizes, max_size)
-    if work > MAX_WORK:
-        raise CapExceeded(f"check {suite} on grid {_grid_name(denominator)} needs at least"
-                          f" {_steps(work)} steps of work; the limit is {MAX_WORK:,}")
+    # each checker refuses a problem past `consistency.MAX_WORK` steps of
+    # work with CapExceeded before it builds anything
     op = problem["operator"]
     encoded: dict = {}
     # no check reads `framework`, yet the block echoes it (ROADMAP.md,
@@ -793,12 +732,6 @@ def cmd_consensus(problem: Mapping[str, Any]) -> ReportFile:
         base = problem.get("base")
         if base is None:
             base = tuple(Fraction(1, act.space.n) for _ in act.space.states)
-        # a row counts as its member's n generators of n entries, none built
-        member = act.space.n ** 2
-        if len(epsilons) * member > MAX_WORK:
-            raise CapExceeded(f"consensus limit on {act.space.n:,} states needs"
-                              f" {len(epsilons) * member:,} steps of work, {member:,}"
-                              f" per epsilon; the limit is {MAX_WORK:,}")
         family = ContaminationFamily(base, epsilons)
         payload["base"] = [_enc(w) for w in family.base]
         convergence = limit_check(rule, act, family)

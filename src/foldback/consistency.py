@@ -55,10 +55,42 @@ from .rationals import (
 
 DEFAULT_LIPSCHITZ = ONE
 
-# The most steps of work one run may ask for. A lawful-table enumeration
-# counts one step per cell of each table it would build; the CLI bounds a
-# `check` or `consensus limit` run by the same number.
+# The most steps of work one call may ask for. Each checker whose work
+# grows as a power of its grid counts its steps and refuses more with
+# CapExceeded before it builds anything. A step is one value of the rule,
+# one comparison of two values, one sweep cell (an act and a partition),
+# one set of a family or one cell of a table. At the limit a step that
+# adds a witness costs the most: Hurwicz(1/3) on gamma-laws k/406 takes
+# about 15 s and 600 MB.
 MAX_WORK = 250_000
+
+# Bell(n), the partitions of an n-element set, for n <= PARTITION_CAP
+_BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+
+
+def _refuse_work(work: int, task: str) -> None:
+    if work > MAX_WORK:
+        raise CapExceeded(f"{task} needs at least {_steps(work)} steps of work;"
+                          f" the limit is {MAX_WORK:,}")
+
+
+def _grid_pairs(denominator: int) -> int:
+    """The pairs x <= y of the grid k/denominator; a denominator below 1 is refused."""
+    _check_denominator(denominator)
+    return (denominator + 1) * (denominator + 2) // 2
+
+
+def _ev_work(denominator: int) -> int:
+    """Steps of `check_ev_properties`: the range law values the sets of up
+    to four points; monotonicity and the modulus compare every two pairs."""
+    pairs = _grid_pairs(denominator)
+    return sum(math.comb(denominator + 1, size) for size in range(1, 5)) + pairs ** 2
+
+
+def _sweep_work(denominator: int, sizes: tuple[int, ...]) -> int:
+    """Steps of `check_sequential_exhaustive`: every act on the grid with
+    every partition of its states, over the sizes it does not refuse."""
+    return sum((denominator + 1) ** n * _BELL[n] for n in sizes if n <= PARTITION_CAP)
 
 
 class LawId(enum.Enum):
@@ -268,6 +300,8 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     are built trusted; the act and its direct value are made once per
     act, and all of a cell's verdicts at once.
     """
+    _refuse_work(_sweep_work(cfg.denominator, cfg.sizes),
+                 f"check sequential on grid {_grid_name(cfg.denominator)}")
     if max(cfg.sizes) > PARTITION_CAP:
         raise CapExceeded(
             f"sweep capped at n <= {PARTITION_CAP}, asked for {max(cfg.sizes)}")
@@ -385,6 +419,9 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     equivalent, and the Lipschitz modulus standing in for continuity.
     """
     _check_modulus(lipschitz)
+    # every pair is valued, and the iteration law values at most two more
+    _refuse_work(3 * _grid_pairs(denominator),
+                 f"check gamma-laws on grid {_grid_name(denominator)}")
     grid = unit_grid(denominator)
     label = [_fmt(x) for x in grid]
     pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
@@ -472,6 +509,8 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     dominating pairs.
     """
     _check_modulus(lipschitz)
+    _refuse_work(_ev_work(denominator),
+                 f"check ev-properties on grid {_grid_name(denominator)}")
     grid = unit_grid(denominator)
     label = [_fmt(x) for x in grid]
     # outcome sets as bitmasks over grid indices
@@ -538,6 +577,9 @@ def check_set_order_conditions(rule: VacuousRule,
     """
     sets = [frozenset(member) for member in family]
     pool = sorted(set().union(*sets)) if sets else []
+    # strong independence compares every two sets at every pool point
+    _refuse_work(len(sets) ** 2 * len(pool), f"check set-order on a family of"
+                 f" {len(sets):,} sets over {len(pool):,} points")
     # every family set with each pool point adjoined, pool points ascending
     grown = [[base | {x} for x in pool] for base in sets]
     # valued up front in the order the loops below first read the sets
@@ -593,6 +635,16 @@ def check_set_order_conditions(rule: VacuousRule,
 
 def default_set_family(denominator: int = 8, max_size: int = 3) -> list[frozenset]:
     """All non-empty subsets of the grid up to a size, in canonical order."""
+    _check_denominator(denominator)
+    points, sets = denominator + 1, 0
+    for size in range(1, min(max_size, points) + 1):
+        sets += math.comb(points, size)
+        if sets > MAX_WORK:
+            break  # counted past the limit already
+    _refuse_work(sets, f"a family of the sets of up to {_steps(max_size)} points"
+                 f" on grid {_grid_name(denominator)}")
+    if not sets:
+        return []  # so no grid is built either
     grid = unit_grid(denominator)
     family = []
     for size in range(1, max_size + 1):
@@ -603,6 +655,7 @@ def default_set_family(denominator: int = 8, max_size: int = 3) -> list[frozense
 
 def tabulate(rule: GammaFunction, denominator: int) -> Tabulated:
     """Freeze a pair rule's values on the grid into an explicit table."""
+    _refuse_work(_grid_pairs(denominator), f"tabulate on grid {_grid_name(denominator)}")
     grid = unit_grid(denominator)
     entries = tuple(
         (ZPair(x, y), gamma_apply(rule, ZPair(x, y)))
@@ -692,7 +745,7 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
     """
     _check_denominator(denominator)
     reach = _reach(lipschitz)
-    pairs = (denominator + 1) * (denominator + 2) // 2  # a step is one cell of one table
+    pairs = _grid_pairs(denominator)  # a step is one cell of one table
     anchored = (denominator + 1) * pairs
     if reach >= 1 and anchored > MAX_WORK:
         raise CapExceeded(

@@ -22,6 +22,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {number:02d} {status} {detail}")
 
+def assert_same_text(got: str, want: str) -> None:
+    """Fail unless two texts are identical, naming the first offset where
+    they differ with a short window around it.
+
+    A plain `assert got == want` makes pytest diff the two texts when it
+    fails, which takes minutes on reports of a few megabytes; this fails
+    in the time a scan takes, and is just as strict.
+    """
+    if got == want:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    window = slice(max(0, at - 40), at + 40)
+    raise AssertionError(f"texts differ at offset {at:,} (lengths {len(got):,} and"
+                         f" {len(want):,}): got {got[window]!r}, want {want[window]!r}")
+
+
 from foldback import (
     Act,
     BeliefFunctionMeasure,

@@ -14,21 +14,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_text
 from foldback import (
     Anchored,
     CapExceeded,
+    ContaminationFamily,
     EngineError,
     ParseError,
     StateSpace,
     UnknownSuite,
     ValidationError,
-    default_set_family,
     enumerate_partitions,
+    limit_check,
     tabulate,
 )
 from foldback.cli import (
-    MAX_STATES,
-    MAX_WORK,
     MODES,
     RUNS,
     SUITES,
@@ -49,6 +49,8 @@ from foldback.cli import (
     render_table,
     verdict_problem,
 )
+from foldback.consistency import MAX_WORK
+from foldback.rationals import format_rational
 
 F = Fraction
 
@@ -322,7 +324,7 @@ class TestEvaluateCommand:
             raw["partition"] = partition
         text = emit_report(cmd_evaluate(parse_problem(raw)))
         echo = loads_exact(text)["problem"]
-        assert emit_report(cmd_evaluate(parse_problem(echo))) == text
+        assert_same_text(emit_report(cmd_evaluate(parse_problem(echo))), text)
 
     def test_echo_resolves_the_vacuous_measure(self):
         report = cmd_evaluate(parse_problem(evaluate_problem()))
@@ -472,8 +474,8 @@ class TestReportRoundTrip:
     @given(JSON_TREES)
     def test_emission_is_json_dumps_with_indent_2(self, tree):
         payload = {"tree": tree, "empty-list": [], "empty-object": {}}
-        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
-        assert emit_report(ReportFile(tree, 0)) == json.dumps(tree, indent=2)
+        assert_same_text(emit_report(ReportFile(payload, 0)), json.dumps(payload, indent=2))
+        assert_same_text(emit_report(ReportFile(tree, 0)), json.dumps(tree, indent=2))
 
     @settings(max_examples=150)
     @given(verdict_records(), JSON_TREES)
@@ -487,8 +489,8 @@ class TestReportRoundTrip:
         payload = {"failures": records, "tree": [tree, {"deeper": records}],
                    "loose": list(records), "nested": [records, {"again": [records]}],
                    "last": records}
-        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
-        assert emit_report(ReportFile(records, 0)) == json.dumps(records, indent=2)
+        assert_same_text(emit_report(ReportFile(payload, 0)), json.dumps(payload, indent=2))
+        assert_same_text(emit_report(ReportFile(records, 0)), json.dumps(records, indent=2))
         assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
 
     @settings(max_examples=150)
@@ -500,8 +502,8 @@ class TestReportRoundTrip:
         payload = {"reports": [{"law": "L", "witnesses": records}, {"witnesses": records}],
                    "tree": [tree, {"deeper": records}], "loose": list(records),
                    "nested": [records, {"again": [records]}], "last": records}
-        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
-        assert emit_report(ReportFile(records, 0)) == json.dumps(records, indent=2)
+        assert_same_text(emit_report(ReportFile(payload, 0)), json.dumps(payload, indent=2))
+        assert_same_text(emit_report(ReportFile(records, 0)), json.dumps(records, indent=2))
         assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
 
     @settings(max_examples=150)
@@ -512,8 +514,8 @@ class TestReportRoundTrip:
         payload = {"operator": {"kind": "tabulated", "entries": rows},
                    "tree": [tree, {"deeper": rows}], "loose": list(rows),
                    "nested": [rows, {"again": [rows]}], "last": rows}
-        assert emit_report(ReportFile(payload, 0)) == json.dumps(payload, indent=2)
-        assert emit_report(ReportFile(rows, 0)) == json.dumps(rows, indent=2)
+        assert_same_text(emit_report(ReportFile(payload, 0)), json.dumps(payload, indent=2))
+        assert_same_text(emit_report(ReportFile(rows, 0)), json.dumps(rows, indent=2))
         assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
 
     def test_an_echoed_table_is_written_as_json_dumps_writes_it(self):
@@ -522,7 +524,7 @@ class TestReportRoundTrip:
         report = cmd_evaluate(parse_problem(evaluate_problem(
             operator={"kind": "tabulated", "entries": entries})))
         assert report.payload["problem"]["operator"]["entries"] == entries
-        assert emit_report(report) == json.dumps(report.payload, indent=2)
+        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
     @pytest.mark.parametrize("stop_at_first", [True, False])
     def test_sweep_reports_are_written_as_json_dumps_writes_them(self, stop_at_first):
@@ -534,7 +536,7 @@ class TestReportRoundTrip:
         for record in failures:
             assert list(record) == ["act", "partition", "direct", "folded", "holds",
                                     "framework"]
-        assert emit_report(report) == json.dumps(report.payload, indent=2)
+        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
     def test_sweep_failures_share_their_act_and_partition(self):
         report = cmd_check(parse_problem(
@@ -546,7 +548,7 @@ class TestReportRoundTrip:
         # one record per framework of the same cell, holding the same lists
         assert len({id(f["act"]) for f in first}) == 1
         assert len({id(f["partition"]) for f in first[:3]}) == 1
-        assert emit_report(report) == json.dumps(report.payload, indent=2)
+        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
     def test_a_sweep_cell_is_one_record_per_framework_holding_its_objects(self):
         report = cmd_check(parse_problem(
@@ -565,7 +567,7 @@ class TestReportRoundTrip:
         # consecutive cells differ in their partition or their act
         for one, two in zip(cells, cells[1:]):
             assert (one[0]["act"], one[0]["partition"]) != (two[0]["act"], two[0]["partition"])
-        assert emit_report(report) == json.dumps(report.payload, indent=2)
+        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
     def test_law_witnesses_share_their_probe_and_value_records(self):
         report = cmd_check(parse_problem(
@@ -578,7 +580,7 @@ class TestReportRoundTrip:
         # across the three laws of the report
         assert len({id(p) for p in probes}) == len({json.dumps(p) for p in probes}) == 29
         assert len({id(v) for v in values}) == len(set(values))
-        assert emit_report(report) == json.dumps(report.payload, indent=2)
+        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
     def test_gamma_law_witnesses_share_their_grid_pair_probes(self):
         report = cmd_check(parse_problem(
@@ -594,7 +596,7 @@ class TestReportRoundTrip:
         for via_lower, via_upper in shared:
             # both iteration witnesses of a grid pair probe it with one record
             assert via_lower["probe-right"] is via_upper["probe-right"]
-        assert emit_report(report) == json.dumps(report.payload, indent=2)
+        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
     def test_gamma_law_witnesses_share_their_level_pair_probes(self):
         report = cmd_check(parse_problem(
@@ -607,7 +609,7 @@ class TestReportRoundTrip:
         # witnesses that probe one pair hold one record
         assert len(probes) == 272
         assert len({id(p) for p in probes}) == len({json.dumps(p) for p in probes}) == 259
-        assert emit_report(report) == json.dumps(report.payload, indent=2)
+        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
     @pytest.mark.parametrize("value", [F(1, 2), 0.5, (1, 2), {1: "one"}],
                              ids=["fraction", "float", "tuple", "int-key"])
@@ -651,7 +653,7 @@ def test_every_check_report_is_written_as_json_dumps_writes_it(suite, kind, deno
     if suite == "sequential":
         problem["sizes"] = [2, 3]
     report = cmd_check(parse_problem(problem))
-    assert emit_report(report) == json.dumps(report.payload, indent=2)
+    assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
 
 class TestWitnessReplay:
@@ -806,15 +808,28 @@ class TestMain:
         assert captured.out == ""
         assert key in captured.err
 
-    @pytest.mark.parametrize("states", [MAX_STATES + 1, 10 ** 6, 10 ** 9])
-    def test_states_above_the_bound_are_refused(self, tmp_path, capsys, states):
-        path = self.write_problem(
-            tmp_path, {"states": states, "framework": "possibility",
-                       "operator": {"kind": "min"}})
+    # the state space is the act's, so a count of states alone builds nothing
+    @pytest.mark.parametrize("act,message", [
+        (None, "evaluate needs an act and a measure"),
+        (["0", "1/2", "1"], "states=1000000000 but the act has 3 outcomes"),
+    ], ids=["no-act", "three-outcomes"])
+    def test_states_only_check_the_act(self, tmp_path, capsys, act, message):
+        problem = {"states": 10 ** 9, "framework": "possibility",
+                   "measure": {"kind": "vacuous"}, "operator": {"kind": "min"}}
+        if act is not None:
+            problem["act"] = act
+        path = self.write_problem(tmp_path, problem)
+        started = time.perf_counter()
         assert main(["evaluate", "--problem", path]) == 2
+        assert time.perf_counter() - started < 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"states must be at most {MAX_STATES}" in captured.err
+        assert captured.err == f"error: {message}\n"
+
+    def test_a_partition_needs_an_act(self):
+        with pytest.raises(ValidationError, match="a partition needs an act"):
+            parse_problem({"states": 10 ** 9, "partition": [[0]],
+                           "operator": {"kind": "min"}})
 
     # one digit past the interpreter's default limit on int conversion;
     # the texts are written by hand, as json.dumps would refuse the ints
@@ -871,10 +886,11 @@ class TestMain:
         assert captured.err.splitlines() == [
             "error: pair ZPair(lower=Fraction(0, 1), upper=Fraction(1, 3)) is not tabulated"]
 
-    def test_states_at_the_bound_parse(self):
-        problem = parse_problem({"states": MAX_STATES, "framework": "possibility",
-                                 "operator": {"kind": "min"}})
-        assert problem["states"].n == MAX_STATES
+    def test_states_without_an_act_parse_to_no_measure(self):
+        problem = parse_problem({"states": 10 ** 9, "framework": "possibility",
+                                 "measure": {"kind": "vacuous"}, "operator": {"kind": "min"}})
+        assert problem["states"].n == 10 ** 9
+        assert problem["measure"] is None
 
     @pytest.mark.parametrize("verb", ["evaluate", "consensus"])
     def test_stop_at_first_refused_for_evaluate_and_consensus(self, tmp_path, capsys, verb):
@@ -1017,7 +1033,7 @@ def test_a_check_report_replays_without_its_legacy_keys(suite, keys):
     echo = loads_exact(text)["problem"]
     for key in LEGACY_ECHO["check"]:
         del echo[key]
-    assert emit_report(cmd_check(parse_problem(echo))) == text
+    assert_same_text(emit_report(cmd_check(parse_problem(echo))), text)
 
 
 # -- given values are used or refused, never swapped for defaults ----------
@@ -1091,13 +1107,9 @@ def test_a_closed_stdout_exits_two_without_a_traceback(tmp_path, fmt):
     ({"suite": "ev-properties", "grid-denominator": 192},
      sum(math.comb(193, size) for size in range(1, 5)) + (193 * 194 // 2) ** 2),
     ({"suite": "gamma-laws", "grid-denominator": 407}, 3 * (408 * 409 // 2)),
-    ({"suite": "set-order", "family-max-size": 4}, len(default_set_family(8, 4)) ** 2 * 9),
-    # counting stops once the family alone passes the limit
-    ({"suite": "set-order", "grid-denominator": 10 ** 6, "family-max-size": 10 ** 6},
-     (10 ** 6 + 1) ** 3),
     ({"suite": "sequential", "sizes": [2, 6]},
      sum(5 ** n * len(enumerate_partitions(StateSpace(n))) for n in (2, 6))),
-], ids=["ev-properties", "gamma-laws", "set-order", "set-order-huge", "sequential"])
+], ids=["ev-properties", "gamma-laws", "sequential"])
 def test_checks_past_the_work_limit_are_refused_before_they_start(tmp_path, capsys,
                                                                    settings, work):
     assert work > MAX_WORK
@@ -1113,6 +1125,30 @@ def test_checks_past_the_work_limit_are_refused_before_they_start(tmp_path, caps
                             f" {work:,} steps of work; the limit is {MAX_WORK:,}\n")
 
 
+# set-order builds its family, then checks it: a family too large to build
+# is refused by its count of sets, which stops once it passes the limit,
+# and one too large to check by its sets and their points
+@pytest.mark.parametrize("settings,message", [
+    ({"family-max-size": 4}, "check set-order on a family of 255 sets over 9 points needs at"
+                             " least 585,225 steps of work"),
+    ({"grid-denominator": 10 ** 6, "family-max-size": 10 ** 6},
+     "a family of the sets of up to 1,000,000 points on grid k/1000000 needs at least"
+     " 1,000,001 steps of work"),
+    ({"grid-denominator": 10 ** 4000 - 1},
+     f"a family of the sets of up to 3 points on grid k/{10 ** 4000 - 1} needs at least"
+     f" {10 ** 4000:,} steps of work"),
+], ids=["set-order", "set-order-huge", "set-order-digits"])
+def test_set_order_past_the_work_limit_is_refused_before_it_starts(tmp_path, capsys,
+                                                                   settings, message):
+    started = time.perf_counter()
+    code, captured = _run_main(tmp_path, capsys, "check",
+                               dict(settings, suite="set-order", operator={"kind": "min"}))
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}; the limit is {MAX_WORK:,}\n"
+
+
 def test_a_gamma_law_check_at_the_work_limit_runs():
     # 3 * (407 * 408 / 2) = 249,084 steps, the last grid under the limit
     report = cmd_check(parse_problem({"operator": {"kind": "min"}, "suite": "gamma-laws",
@@ -1120,18 +1156,16 @@ def test_a_gamma_law_check_at_the_work_limit_runs():
     assert report.exit_code == 0
 
 
-# a grid of 4,000 digits parses, but each suite's count of steps on it
-# has more digits than the interpreter converts to text, so the refusal
+# a grid of 4,000 digits parses, but each grid suite's count of steps on
+# it has more digits than the interpreter converts to text, so the refusal
 # writes a power of ten the count is at least
-@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("suite", [suite for suite in SUITES if suite != "set-order"])
 def test_checks_past_the_digit_limit_are_refused_with_one_line(tmp_path, capsys, suite):
     denominator = 10 ** 4000 - 1
     points = denominator + 1
     pairs = points * (points + 1) // 2
     work = {"gamma-laws": 3 * pairs,
             "ev-properties": sum(math.comb(points, size) for size in range(1, 5)) + pairs ** 2,
-            # the family count stops at its first size, one past the limit
-            "set-order": points ** 3,
             "sequential": sum(points ** n * len(enumerate_partitions(StateSpace(n)))
                               for n in (2, 3, 4))}[suite]
     started = time.perf_counter()
@@ -1157,7 +1191,9 @@ def test_a_library_grid_past_the_digit_limit_is_refused_by_work(suite):
                              "grid-denominator": 10 ** 5000})
     with pytest.raises(CapExceeded) as refused:
         cmd_check(problem)
-    assert re.fullmatch(rf"check {suite} on grid k/n with n >= 10\^4,999 needs at least"
+    task = ("a family of the sets of up to 3 points" if suite == "set-order"
+            else f"check {suite}")
+    assert re.fullmatch(rf"{task} on grid k/n with n >= 10\^4,999 needs at least"
                         rf" 10\^[\d,]+ steps of work; the limit is {MAX_WORK:,}",
                         str(refused.value)), refused.value
 
@@ -1179,22 +1215,21 @@ def _limit_problem(states: int, epsilons: int) -> dict:
             "mode": "limit", "epsilons": [f"1/{k}" for k in range(1, epsilons + 1)]}
 
 
-def test_a_limit_run_past_the_work_limit_is_refused_before_it_starts(tmp_path, capsys):
-    # each of the 4 members would hold 251 generators of 251 entries
-    started = time.perf_counter()
-    code, captured = _run_main(tmp_path, capsys, "consensus", _limit_problem(251, 4))
-    assert time.perf_counter() - started < 1
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == ("error: consensus limit on 251 states needs 252,004 steps of"
-                            " work, 63,001 per epsilon; the limit is 250,000\n")
-
-
-def test_a_limit_run_at_the_work_limit_runs(tmp_path, capsys):
-    # 4 * 250 ** 2 = 250,000 steps
-    code, captured = _run_main(tmp_path, capsys, "consensus", _limit_problem(250, 4))
+# a limit run builds no member: it costs O(n) once and O(1) per epsilon,
+# so no count of states refuses it
+@pytest.mark.parametrize("states", [250, 251, 1000])
+def test_a_limit_run_writes_the_library_s_rows(tmp_path, capsys, states):
+    problem = _limit_problem(states, 4)
+    code, captured = _run_main(tmp_path, capsys, "consensus", problem)
     assert code in (0, 1), captured.err
-    assert len(json.loads(captured.out)["rows"]) == 4
+    parsed = parse_problem(problem)
+    family = ContaminationFamily((F(1, states),) * states, parsed["epsilons"])
+    report = limit_check(parsed["operator"].vacuous_rule, parsed["act"], family)
+    assert json.loads(captured.out)["rows"] == [
+        {"epsilon": format_rational(row.epsilon), "lower": format_rational(row.lower),
+         "upper": format_rational(row.upper), "value": format_rational(row.value),
+         "within-bound": row.within_bound} for row in report.rows]
+    assert len(report.rows) == 4
 
 
 # stdout is block-buffered unless PYTHONUNBUFFERED is set: a buffered write

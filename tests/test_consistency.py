@@ -37,11 +37,13 @@ from foldback import (
     check_set_order_conditions,
     default_set_family,
     enumerate_lawful_gamma_tables,
+    enumerate_partitions,
     gamma_apply,
     tabulate,
     vacuous,
 )
-from foldback import cli, consistency
+from foldback import consistency
+from foldback.acts import PARTITION_CAP
 from foldback.ce_ops import ce_vacuous
 from foldback.consistency import Probe, Witness, count_lawful_gamma_tables
 from foldback.rationals import unit_grid
@@ -381,7 +383,7 @@ class TestSynthesis:
         assert time.perf_counter() - started < 1
 
     def test_the_work_limit_is_the_library_s_and_admits_the_grids_in_use(self):
-        assert cli.MAX_WORK is consistency.MAX_WORK == 250_000
+        assert consistency.MAX_WORK == 250_000
         assert len(enumerate_lawful_gamma_tables(16)) == 17
         assert len(enumerate_lawful_gamma_tables(8, lipschitz=F(10 ** 6))) == 4862
 
@@ -434,6 +436,93 @@ class TestSynthesis:
         assert check_sequential_exhaustive(CeOperator(table), cfg) == []
         reports = {r.law: r for r in check_gamma_laws(table, 3)}
         assert not reports[LawId.GAMMA_MONOTONE].passed
+
+
+class Admitted(Exception):
+    """Raised by the first thing an admitted call builds."""
+
+
+def _admit(*args):
+    raise Admitted(args)
+
+
+# each library entry point whose work grows as a power of its grid, on a
+# grid one step past the work limit, with its refusal, and on the last
+# grid under it, with the name of the first thing it builds once admitted
+MIN_SWEEP = CeOperator(MinRule())
+FAMILY_K8, FAMILY_K9 = default_set_family(8, 3), default_set_family(9, 3)
+PAST_THE_LIMIT = {
+    "gamma-laws": (lambda: check_gamma_laws(MinRule(), 407),
+                   "check gamma-laws on grid k/407 needs at least 250,308 steps of work"),
+    "ev-properties": (lambda: check_ev_properties(MinRule(), 30),
+                      "check ev-properties on grid k/30 needs at least 282,472 steps of work"),
+    "set-order": (lambda: check_set_order_conditions(MinRule(), FAMILY_K9),
+                  "check set-order on a family of 175 sets over 10 points needs at least"
+                  " 306,250 steps of work"),
+    "set-family": (lambda: default_set_family(114, 3),
+                   "a family of the sets of up to 3 points on grid k/114 needs at least"
+                   " 253,575 steps of work"),
+    "sequential": (lambda: check_sequential_exhaustive(
+                       MIN_SWEEP, SearchConfig(sizes=(2, 3, 4), denominator=11)),
+                   "check sequential on grid k/11 needs at least 319,968 steps of work"),
+    "tabulate": (lambda: tabulate(MinRule(), 706),
+                 "tabulate on grid k/706 needs at least 250,278 steps of work"),
+}
+UNDER_THE_LIMIT = {
+    "gamma-laws": (lambda: check_gamma_laws(MinRule(), 406), "unit_grid"),
+    "ev-properties": (lambda: check_ev_properties(MinRule(), 29), "unit_grid"),
+    "set-order": (lambda: check_set_order_conditions(MinRule(), FAMILY_K8), "ce_vacuous"),
+    "set-family": (lambda: default_set_family(113, 3), "unit_grid"),
+    "sequential": (lambda: check_sequential_exhaustive(
+                       MIN_SWEEP, SearchConfig(sizes=(2, 3, 4), denominator=10)), "unit_grid"),
+    "tabulate": (lambda: tabulate(MinRule(), 705), "unit_grid"),
+}
+
+
+class TestWorkLimit:
+    @pytest.mark.parametrize("call,message", PAST_THE_LIMIT.values(), ids=PAST_THE_LIMIT)
+    def test_a_grid_past_the_limit_is_refused_before_anything_is_built(
+            self, monkeypatch, call, message):
+        monkeypatch.setattr(consistency, "unit_grid", None)
+        monkeypatch.setattr(consistency, "ce_vacuous", None)
+        started = time.perf_counter()
+        with pytest.raises(CapExceeded) as refused:
+            call()
+        assert time.perf_counter() - started < 1
+        assert str(refused.value) == message + "; the limit is 250,000"
+
+    @pytest.mark.parametrize("call,first_built", UNDER_THE_LIMIT.values(), ids=UNDER_THE_LIMIT)
+    def test_the_last_grid_under_the_limit_is_admitted(self, monkeypatch, call, first_built):
+        monkeypatch.setattr(consistency, first_built, _admit)
+        with pytest.raises(Admitted):
+            call()
+
+    def test_a_huge_family_is_refused_while_it_is_counted(self):
+        started = time.perf_counter()
+        with pytest.raises(CapExceeded, match="needs at least 1,000,001 steps"):
+            default_set_family(10 ** 6, 10 ** 6)
+        assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize("call", [lambda: default_set_family(0, 3),
+                                      lambda: default_set_family(-10 ** 9, 0),
+                                      lambda: check_gamma_laws(MinRule(), -10 ** 9),
+                                      lambda: check_ev_properties(MinRule(), -1),
+                                      lambda: tabulate(MinRule(), -10 ** 9)],
+                             ids=["family", "family-empty", "gamma-laws", "ev-properties",
+                                  "tabulate"])
+    def test_a_grid_below_one_is_invalid_before_it_is_counted(self, call):
+        with pytest.raises(ValidationError, match="grid denominator must be >= 1"):
+            call()
+
+    # the sweep's count takes the partitions of each size from a table
+    @pytest.mark.parametrize("n", range(1, PARTITION_CAP + 1))
+    def test_the_sweep_counts_every_partition(self, n):
+        assert consistency._sweep_work(2, (n,)) == 3 ** n * len(
+            enumerate_partitions(StateSpace(n)))
+
+    def test_a_family_of_no_size_builds_no_grid(self, monkeypatch):
+        monkeypatch.setattr(consistency, "unit_grid", None)
+        assert default_set_family(10 ** 9, 0) == []
 
 
 class TestGridScaleCharacterization:

@@ -626,7 +626,7 @@ def test_sweep_records_match_encode_verdict(rule, denominator, frameworks, stop_
     folds = isinstance(rule, (Anchored, MinRule, MaxRule)) or (
         isinstance(rule, MedianRule) and denominator == 1)
     assert bool(expected) != folds
-    assert emit_report(report) == json.dumps(report.payload, indent=2)
+    cst.assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
 
 # -- grid valuation --------------------------------------------------------
