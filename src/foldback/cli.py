@@ -56,12 +56,11 @@ from .consistency import (
     LawReport,
     Probe,
     SearchConfig,
+    _check_default_set_order,
     check_ev_properties,
     check_gamma_laws,
     check_sequential,
     check_sequential_exhaustive,
-    check_set_order_conditions,
-    default_set_family,
 )
 from .errors import CapExceeded, EngineError, ParseError, UnknownSuite, ValidationError
 from .plausibility import (
@@ -660,8 +659,7 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
         elif suite == "ev-properties":
             reports = check_ev_properties(op.vacuous_rule, denominator)
         else:
-            family = default_set_family(denominator, max_size)
-            reports = check_set_order_conditions(op.vacuous_rule, family)
+            reports = _check_default_set_order(op.vacuous_rule, denominator, max_size)
             echo["family-max-size"] = max_size
         key, entries = "reports", [encode_law_report(r, encoded) for r in reports]
         violations = sum(len(r.witnesses) for r in reports)

@@ -81,8 +81,10 @@ def _grid_pairs(denominator: int) -> int:
 
 
 def _ev_work(denominator: int) -> int:
-    """Steps of `check_ev_properties`: the range law values the sets of up
-    to four points; monotonicity and the modulus compare every two pairs."""
+    """Steps of `check_ev_properties` at worst: the range law values the
+    sets of up to four points, and monotonicity or the modulus, once some
+    one-step move breaks it, compares every two pairs. A rule that obeys
+    both costs its pairs instead of their square."""
     pairs = _grid_pairs(denominator)
     return sum(math.comb(denominator + 1, size) for size in range(1, 5)) + pairs ** 2
 
@@ -274,11 +276,12 @@ def _grid_valuation(rule: VacuousRule, grid: tuple[Fraction, ...]):
         def value(mask: int) -> Fraction:
             members = _members(mask)
             return grid[members[(len(members) - 1) // 2]]
-    else:
-        def value(mask: int) -> Fraction:
-            return gamma_apply(rule, ZPair._trusted(
-                grid[(mask & -mask).bit_length() - 1], grid[mask.bit_length() - 1]))
-    return value
+        return value
+    # a pair rule sees only the extremes, so it is applied once per mask
+    # of the two extreme bits, and the sets that share them share a value
+    on_ends = _Memo(lambda ends: gamma_apply(rule, ZPair._trusted(
+        grid[(ends & -ends).bit_length() - 1], grid[ends.bit_length() - 1])))
+    return lambda mask: on_ends[(mask & -mask) | (1 << (mask.bit_length() - 1))]
 
 
 def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[ConsistencyVerdict]:
@@ -507,6 +510,12 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     Unanimity on constants; Range (only the extremes matter) on sets of
     up to four grid points; Monotonicity and the Lipschitz surrogate on
     dominating pairs.
+
+    Monotonicity and the modulus are first decided on the one-step moves
+    (i - 1, j) and (i, j - 1). The moves generate the dominance order and
+    join any two pairs by a shortest path, so a law that no move breaks
+    has no witness. Only a law that some move breaks is scanned over
+    every two pairs, in row order, so its witnesses are a full scan's.
     """
     _check_modulus(lipschitz)
     _refuse_work(_ev_work(denominator),
@@ -542,15 +551,23 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     # steps, as a limit on the gap between levels, floored as in the gamma
     # laws' Lipschitz check
     limit = [lipschitz * d * scale // denominator for d in range(2 * len(grid) - 1)]
-    rows = [(i, j, level[i, j]) for i, j in pairs]
+    # one-step moves generate the dominance order, any two pairs are joined
+    # by a shortest path of moves within i <= j, and d * limit[1] <=
+    # limit[d]: a law no move breaks holds for every two pairs, and a move
+    # that breaks one is itself a witness, so only a broken law is scanned
+    moves = [(level[i, j], level[i2, j2]) for i, j in pairs
+             for i2, j2 in ((i - 1, j), (i, j - 1)) if 0 <= i2 <= j2]
+    scan_mono = any(va < vb for va, vb in moves)
+    scan_lipped = any(abs(va - vb) > limit[1] for va, vb in moves)
+    rows = [(i, j, level[i, j]) for i, j in pairs] if scan_mono or scan_lipped else []
     mono: list[Witness] = []
     lipped: list[Witness] = []
     for i, j, va in rows:
         for i2, j2, vb in rows:
-            if va < vb and i >= i2 and j >= j2:
+            if scan_mono and va < vb and i >= i2 and j >= j2:
                 mono.append(_pair_witness(probe, label, (i, j), (i2, j2),
                                           pair_value[i, j], pair_value[i2, j2]))
-            if abs(va - vb) > limit[abs(i - i2) + abs(j - j2)]:
+            if scan_lipped and abs(va - vb) > limit[abs(i - i2) + abs(j - j2)]:
                 lipped.append(_pair_witness(probe, label, (i, j), (i2, j2),
                                             pair_value[i, j], pair_value[i2, j2]))
 
@@ -574,12 +591,18 @@ def check_set_order_conditions(rule: VacuousRule,
     One set strictly disprefers another (`np_prefer`) when its value is
     lower; each distinct set is valued once, and only the order of the
     values matters, so the loops compare their dense ranks.
+
+    Strong independence scans the right sets of a left set only when its
+    row of ranks falls below its ceiling at some pool point. The ceiling
+    of a rank holds, at each pool point, the highest row rank of the sets
+    valued at most that high, so any other left set has no witness. The check's work is counted as every two
+    sets at every pool point, the cost of a rule that breaks the law from
+    every set; for a rule that never does, the law costs about the
+    family's sets times its pool.
     """
     sets = [frozenset(member) for member in family]
     pool = sorted(set().union(*sets)) if sets else []
-    # strong independence compares every two sets at every pool point
-    _refuse_work(len(sets) ** 2 * len(pool), f"check set-order on a family of"
-                 f" {len(sets):,} sets over {len(pool):,} points")
+    _refuse_set_order(len(sets), len(pool))
     # every family set with each pool point adjoined, pool points ascending
     grown = [[base | {x} for x in pool] for base in sets]
     # valued up front in the order the loops below first read the sets
@@ -609,8 +632,19 @@ def check_set_order_conditions(rule: VacuousRule,
                     cond_i.append(witness(
                         (set_text[base], _fmt(pool[p]), _fmt(pool[q])), row[p], row[q]))
 
+    # the ceiling of a base rank: at each pool point, the highest row rank
+    # of the sets at or below it, which are the right sets a left set of
+    # that rank is compared with
+    ceiling: dict = {}
+    top = [-1] * len(pool)
+    for k in sorted(range(len(sets)), key=base_rank.__getitem__):
+        top = ceiling[base_rank[k]] = list(map(max, top, row_rank[k]))
     cond_si: list[Witness] = []
     for left, left_row, left_rank, left_ranks in zip(sets, grown, base_rank, row_rank):
+        # the ceiling takes in the left set's own row, so a row that meets
+        # its ceiling at every point is never below a right set's
+        if left_ranks == ceiling[left_rank]:
+            continue
         for right, right_row, right_rank, right_ranks in zip(sets, grown, base_rank, row_rank):
             if left_rank < right_rank:
                 continue
@@ -633,8 +667,15 @@ def check_set_order_conditions(rule: VacuousRule,
     ]
 
 
-def default_set_family(denominator: int = 8, max_size: int = 3) -> list[frozenset]:
-    """All non-empty subsets of the grid up to a size, in canonical order."""
+def _refuse_set_order(sets: int, points: int) -> None:
+    # strong independence compares every two sets at every pool point
+    _refuse_work(sets ** 2 * points,
+                 f"check set-order on a family of {sets:,} sets over {points:,} points")
+
+
+def _family_sets(denominator: int, max_size: int) -> int:
+    """The sets `default_set_family` builds, counted without building them
+    and refused past the limit; the count stops once it passes it."""
     _check_denominator(denominator)
     points, sets = denominator + 1, 0
     for size in range(1, min(max_size, points) + 1):
@@ -643,7 +684,21 @@ def default_set_family(denominator: int = 8, max_size: int = 3) -> list[frozense
             break  # counted past the limit already
     _refuse_work(sets, f"a family of the sets of up to {_steps(max_size)} points"
                  f" on grid {_grid_name(denominator)}")
-    if not sets:
+    return sets
+
+
+def _check_default_set_order(rule: VacuousRule, denominator: int,
+                             max_size: int) -> list[LawReport]:
+    """`check_set_order_conditions` on `default_set_family(denominator,
+    max_size)`, refused before the family is built: a non-empty family's
+    pool is the whole grid."""
+    _refuse_set_order(_family_sets(denominator, max_size), denominator + 1)
+    return check_set_order_conditions(rule, default_set_family(denominator, max_size))
+
+
+def default_set_family(denominator: int = 8, max_size: int = 3) -> list[frozenset]:
+    """All non-empty subsets of the grid up to a size, in canonical order."""
+    if not _family_sets(denominator, max_size):
         return []  # so no grid is built either
     grid = unit_grid(denominator)
     family = []

@@ -1125,9 +1125,10 @@ def test_checks_past_the_work_limit_are_refused_before_they_start(tmp_path, caps
                             f" {work:,} steps of work; the limit is {MAX_WORK:,}\n")
 
 
-# set-order builds its family, then checks it: a family too large to build
-# is refused by its count of sets, which stops once it passes the limit,
-# and one too large to check by its sets and their points
+# set-order counts its family, then the work of checking it, before it
+# builds the family: a family too large to build is refused by its count
+# of sets, which stops once it passes the limit, and one too large to
+# check by its sets and their points
 @pytest.mark.parametrize("settings,message", [
     ({"family-max-size": 4}, "check set-order on a family of 255 sets over 9 points needs at"
                              " least 585,225 steps of work"),
@@ -1137,7 +1138,10 @@ def test_checks_past_the_work_limit_are_refused_before_they_start(tmp_path, caps
     ({"grid-denominator": 10 ** 4000 - 1},
      f"a family of the sets of up to 3 points on grid k/{10 ** 4000 - 1} needs at least"
      f" {10 ** 4000:,} steps of work"),
-], ids=["set-order", "set-order-huge", "set-order-digits"])
+    ({"grid-denominator": 113},
+     "check set-order on a family of 247,019 sets over 114 points needs at least"
+     " 6,956,096,045,154 steps of work"),
+], ids=["set-order", "set-order-huge", "set-order-digits", "set-order-k113"])
 def test_set_order_past_the_work_limit_is_refused_before_it_starts(tmp_path, capsys,
                                                                    settings, message):
     started = time.perf_counter()

@@ -706,6 +706,107 @@ def test_ev_properties_match_reference_for_any_modulus(rule, denominator, lipsch
     assert _run(check_ev_properties, rule, denominator, lipschitz=lipschitz) == expected
 
 
+@st.composite
+def grid_tables(draw):
+    """A grid k/2 to k/4 and a table of it whose values are twelfths drawn
+    from a range (a one-value range is constant), monotone when a drawn
+    flag asks for each cell's running maximum over its lower neighbors."""
+    denominator = draw(st.integers(2, 4))
+    grid = unit_grid(denominator)
+    low = draw(st.integers(0, 12))
+    high = draw(st.integers(low, 12))
+    cells = {(i, j): draw(st.integers(low, high))
+             for i in range(len(grid)) for j in range(i, len(grid))}
+    if draw(st.booleans()):
+        for i, j in sorted(cells):  # each cell after its lower neighbors
+            cells[i, j] = max(cells.get(pair, low) for pair in ((i, j), (i - 1, j), (i, j - 1)))
+    return denominator, Tabulated(tuple((ZPair(grid[i], grid[j]), F(v, 12))
+                                        for (i, j), v in cells.items()))
+
+
+@given(grid_tables())
+@settings(max_examples=200, deadline=None)
+def test_ev_properties_match_reference_on_random_tables(table):
+    denominator, rule = table
+    for lipschitz in (F(0), F(1, 2), 1, 2):
+        assert check_ev_properties(rule, denominator, lipschitz=lipschitz) == \
+            reference_ev_properties(rule, denominator, lipschitz=lipschitz)
+
+
+@given(grid_tables(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_set_order_matches_reference_on_random_tables(table, max_size):
+    denominator, rule = table
+    family = default_set_family(denominator, max_size)
+    assert check_set_order_conditions(rule, family) == \
+        reference_set_order_conditions(rule, family)
+
+
+def _retabulated(rule, denominator, cells):
+    """The rule's table on k/denominator with the cells at the given grid
+    index pairs replaced."""
+    grid = unit_grid(denominator)
+    entries = dict(tabulate(rule, denominator).entries)
+    entries.update({ZPair(grid[i], grid[j]): value for (i, j), value in cells.items()})
+    return Tabulated(entries)
+
+
+def _broken_moves(rule, denominator, breaks):
+    """The one-step moves (i, j) -> (i - 1, j), (i, j - 1) whose two values
+    break a law, given as a test on the higher pair's value and the lower's."""
+    grid = unit_grid(denominator)
+    value = {(i, j): gamma_apply(rule, ZPair(grid[i], grid[j]))
+             for i in range(len(grid)) for j in range(i, len(grid))}
+    return [(a, b) for a in value for b in ((a[0] - 1, a[1]), (a[0], a[1] - 1))
+            if b in value and breaks(value[a], value[b])]
+
+
+def test_ev_properties_scan_every_pair_for_a_law_one_move_breaks():
+    # min on k/3 with its top corner lowered to 0: only the move from
+    # (1, 1) to (2/3, 1) breaks monotonicity, but the corner is below
+    # every pair it dominates that min values above 0
+    rule = _retabulated(MinRule(), 3, {(3, 3): F(0)})
+    assert len(_broken_moves(rule, 3, lambda high, low: high < low)) == 1
+    reports = check_ev_properties(rule, 3, lipschitz=2)
+    assert reports == reference_ev_properties(rule, 3, lipschitz=2)
+    mono, lipped = reports[2:]
+    assert (mono.law, len(mono.witnesses)) == (LawId.MONOTONICITY, 5)
+    assert lipped.passed
+
+
+def test_ev_properties_scan_only_the_modulus_when_no_move_breaks_monotonicity():
+    # 0 on k/2 but for 1 at (1, 1): monotone, with one jump of a whole
+    # unit over half a grid step
+    rule = _retabulated(MinRule(), 2, {(1, 1): F(0), (1, 2): F(0)})
+    assert not _broken_moves(rule, 2, lambda high, low: high < low)
+    reports = check_ev_properties(rule, 2)
+    assert reports == reference_ev_properties(rule, 2)
+    mono, lipped = reports[2:]
+    assert mono.passed
+    assert lipped.law is LawId.LIPSCHITZ_CONTINUITY and lipped.witnesses
+
+
+def test_set_order_scans_the_one_left_set_below_its_ceiling():
+    # {1/2} and {0, 1} are both valued 1/2; adjoining 0 lowers {1/2} to 0
+    # and leaves {0, 1} at 1/2, and no point lowers {0, 1} below {1/2}, so
+    # {1/2} is the one left set whose row falls below its ceiling, and
+    # only at a right set of its own rank
+    rule = _retabulated(MinRule(), 2, {(0, 2): F(1, 2)})
+    family = [{F(0)}, {F(1, 2)}, {F(0), F(1)}]
+    reports = check_set_order_conditions(rule, family)
+    assert reports == reference_set_order_conditions(rule, family)
+    strong = reports[1]
+    assert strong.law is LawId.CONDITION_SI
+    assert [w.inputs for w in strong.witnesses] == [("{1/2}", "{0, 1}", "0")]
+
+
+def test_grid_valuation_shares_a_pair_rules_value_between_sets_with_the_same_extremes():
+    value = _grid_valuation(Hurwicz(F(1, 3)), unit_grid(4))
+    assert value(0b10001) is value(0b11011) is value(0b10101)
+    assert value(0b10001) == F(2, 3)
+    assert value(0b00011) is not value(0b10001)
+
+
 @pytest.mark.parametrize("check", [
     lambda lipschitz: check_gamma_laws(Hurwicz(F(1, 2)), 3, lipschitz=lipschitz),
     lambda lipschitz: check_ev_properties(Hurwicz(F(1, 2)), 3, lipschitz=lipschitz),
