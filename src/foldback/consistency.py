@@ -551,10 +551,8 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     # steps, as a limit on the gap between levels, floored as in the gamma
     # laws' Lipschitz check
     limit = [lipschitz * d * scale // denominator for d in range(2 * len(grid) - 1)]
-    # one-step moves generate the dominance order, any two pairs are joined
-    # by a shortest path of moves within i <= j, and d * limit[1] <=
-    # limit[d]: a law no move breaks holds for every two pairs, and a move
-    # that breaks one is itself a witness, so only a broken law is scanned
+    # the shortest path of moves between two pairs stays in i <= j, and
+    # d * limit[1] <= limit[d], so a modulus no move breaks holds for all
     moves = [(level[i, j], level[i2, j2]) for i, j in pairs
              for i2, j2 in ((i - 1, j), (i, j - 1)) if 0 <= i2 <= j2]
     scan_mono = any(va < vb for va, vb in moves)
@@ -595,10 +593,10 @@ def check_set_order_conditions(rule: VacuousRule,
     Strong independence scans the right sets of a left set only when its
     row of ranks falls below its ceiling at some pool point. The ceiling
     of a rank holds, at each pool point, the highest row rank of the sets
-    valued at most that high, so any other left set has no witness. The check's work is counted as every two
-    sets at every pool point, the cost of a rule that breaks the law from
-    every set; for a rule that never does, the law costs about the
-    family's sets times its pool.
+    valued at most that high, so any other left set has no witness. The
+    work is counted as every two sets at every pool point, the cost of a
+    rule that breaks the law from every set; for a rule that never does,
+    the law costs about the family's sets times its pool.
     """
     sets = [frozenset(member) for member in family]
     pool = sorted(set().union(*sets)) if sets else []
@@ -632,9 +630,7 @@ def check_set_order_conditions(rule: VacuousRule,
                     cond_i.append(witness(
                         (set_text[base], _fmt(pool[p]), _fmt(pool[q])), row[p], row[q]))
 
-    # the ceiling of a base rank: at each pool point, the highest row rank
-    # of the sets at or below it, which are the right sets a left set of
-    # that rank is compared with
+    # the right sets of a left set are those at or below its base rank
     ceiling: dict = {}
     top = [-1] * len(pool)
     for k in sorted(range(len(sets)), key=base_rank.__getitem__):
