@@ -82,9 +82,9 @@ def _grid_pairs(denominator: int) -> int:
 
 def _ev_work(denominator: int) -> int:
     """Steps of `check_ev_properties` at worst: the range law values the
-    sets of up to four points, and monotonicity or the modulus, once some
-    one-step move breaks it, compares every two pairs. A rule that obeys
-    both costs its pairs instead of their square."""
+    median's sets of up to four points, and monotonicity or the modulus,
+    once some one-step move breaks it, compares every two pairs. A pair
+    rule that obeys both costs its pairs instead of their square."""
     pairs = _grid_pairs(denominator)
     return sum(math.comb(denominator + 1, size) for size in range(1, 5)) + pairs ** 2
 
@@ -263,14 +263,15 @@ def _members(mask: int) -> list[int]:
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def _grid_valuation(rule: VacuousRule, grid: tuple[Fraction, ...]):
-    """The rule on grid outcome sets given as non-empty bitmasks of indices.
+def _grid_valuation(rule: VacuousRule, grid: tuple[Fraction, ...], pair=ZPair._trusted):
+    """The rule on outcome sets given as non-empty bitmasks of grid indices.
 
     Each value is the one `ce_vacuous` gives the set of grid points, got
-    without building the set: grid points lie in [0, 1] and rise with
-    their index, so the lowest and highest set bits are the set's min
-    and max, the pair they make is valid by construction, and the
-    members in bit order are the set in sorted order.
+    without building the set: grid points rise with their index, so the
+    lowest and highest set bits are the set's min and max, and the
+    members in bit order are the set in sorted order. `pair` makes the
+    pair of the extremes: trusted on grids in [0, 1], or the validating
+    `ZPair` where a point may lie outside, refused as by `ce_vacuous`.
     """
     if isinstance(rule, MedianRule):
         def value(mask: int) -> Fraction:
@@ -279,7 +280,7 @@ def _grid_valuation(rule: VacuousRule, grid: tuple[Fraction, ...]):
         return value
     # a pair rule sees only the extremes, so it is applied once per mask
     # of the two extreme bits, and the sets that share them share a value
-    on_ends = _Memo(lambda ends: gamma_apply(rule, ZPair._trusted(
+    on_ends = _Memo(lambda ends: gamma_apply(rule, pair(
         grid[(ends & -ends).bit_length() - 1], grid[ends.bit_length() - 1])))
     return lambda mask: on_ends[(mask & -mask) | (1 << (mask.bit_length() - 1))]
 
@@ -372,10 +373,6 @@ def _grid_probes(grid: tuple[Fraction, ...]) -> _Memo:
 
 def _fmt(value: Fraction) -> str:
     return format_rational(value)
-
-
-def _fmt_set(values) -> str:
-    return "{" + ", ".join(_fmt(v) for v in sorted(values)) + "}"
 
 
 def _pair_witness(probe, label, a, b, left: Fraction, right: Fraction) -> Witness:
@@ -508,7 +505,8 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     """The evaluation-model properties on outcome sets over the grid.
 
     Unanimity on constants; Range (only the extremes matter) on sets of
-    up to four grid points; Monotonicity and the Lipschitz surrogate on
+    up to four grid points, valued for the median only, since a pair rule
+    sees only the extremes; Monotonicity and the Lipschitz surrogate on
     dominating pairs.
 
     Monotonicity and the modulus are first decided on the one-step moves
@@ -533,12 +531,19 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
             unanimity.append(Witness(
                 (label[k],), got, c, Probe((c,)), _constant_probe(c)))
 
+    # a pair rule has no witness, so only the median's sets are scanned,
+    # each grown from a smaller one, in lexicographic order; for a pair
+    # rule the pairs below then meet the off-diagonal pairs first, in the
+    # scan's order, so a table missing a pair raises on the same one
     range_law: list[Witness] = []
+    sets = [(1 << k, (k,)) for k in range(len(grid))] if isinstance(rule, MedianRule) else []
     for size in range(1, 5):
-        for combo in itertools.combinations(range(len(grid)), size):
+        if size > 1:
+            sets = [(mask | 1 << k, combo + (k,))
+                    for mask, combo in sets for k in range(combo[-1] + 1, len(grid))]
+        for mask, combo in sets:
             lo, hi = combo[0], combo[-1]
-            full = value[sum(1 << k for k in combo)]
-            extremes = value[1 << lo | 1 << hi]
+            full, extremes = value[mask], value[1 << lo | 1 << hi]
             if full != extremes:
                 range_law.append(Witness(
                     ("{" + ", ".join(label[k] for k in combo) + "}",), full, extremes,
@@ -590,6 +595,12 @@ def check_set_order_conditions(rule: VacuousRule,
     lower; each distinct set is valued once, and only the order of the
     values matters, so the loops compare their dense ranks.
 
+    Sets are bitmasks over the family's sorted pool, valued by
+    `_grid_valuation` as the sweep values grid sets, with a validating
+    pair, so a point outside [0, 1] is refused on the same set as by
+    `ce_vacuous`. Adjoining a point is an or, a subset test is a mask
+    test, and each set's text and probe are made once, keyed by mask.
+
     Strong independence scans the right sets of a left set only when its
     row of ranks falls below its ceiling at some pool point. The ceiling
     of a rank holds, at each pool point, the highest row rank of the sets
@@ -598,28 +609,34 @@ def check_set_order_conditions(rule: VacuousRule,
     rule that breaks the law from every set; for a rule that never does,
     the law costs about the family's sets times its pool.
     """
-    sets = [frozenset(member) for member in family]
-    pool = sorted(set().union(*sets)) if sets else []
-    _refuse_set_order(len(sets), len(pool))
+    outcome_sets = [frozenset(member) for member in family]
+    pool = sorted(set().union(*outcome_sets)) if outcome_sets else []
+    _refuse_set_order(len(outcome_sets), len(pool))
+    on_mask = _grid_valuation(rule, pool, ZPair)
+    # the empty set is 0, refused as `ce_vacuous` refuses it
+    bit = {x: 1 << k for k, x in enumerate(pool)}
+    sets = [sum(map(bit.__getitem__, outcomes)) for outcomes in outcome_sets]
+    value = _Memo(lambda mask: on_mask(mask) if mask else ce_vacuous(rule, ()))
     # every family set with each pool point adjoined, pool points ascending
-    grown = [[base | {x} for x in pool] for base in sets]
+    grown = [[base | x for x in bit.values()] for base in sets]
     # valued up front in the order the loops below first read the sets
     # (each row from its second entry on, then the family, each set
     # before its row), so a rule that raises does so on the same set
-    value: dict = {}
-    for outcomes in itertools.chain(
+    for mask in itertools.chain(
             (s for row in grown if len(row) > 1 for s in (row[1], row[0], *row[2:])),
             (s for base, row in zip(sets, grown) for s in (base, *row))):
-        if outcomes not in value:
-            value[outcomes] = ce_vacuous(rule, outcomes)
-    rank = {v: r for r, v in enumerate(sorted(set(value.values())))}
-    base_rank = [rank[value[base]] for base in sets]
-    row_rank = [[rank[value[s]] for s in row] for row in grown]
-    set_text = _Memo(_fmt_set)
+        value[mask]
+    # dense ranks, taken on the values' exact integer images
+    level = _levels(value)[1]
+    rank = {v: r for r, v in enumerate(sorted(set(level.values())))}
+    base_rank = [rank[level[base]] for base in sets]
+    row_rank = [[rank[level[s]] for s in row] for row in grown]
+    label = _Memo(lambda k: _fmt(pool[k]))
+    set_text = _Memo(lambda mask: "{" + ", ".join(label[k] for k in _members(mask)) + "}")
     # each set's probe built on first use, keyed as its value is
-    probe = _Memo(lambda outcomes: Probe(tuple(sorted(outcomes))))
+    probe = _Memo(lambda mask: Probe(tuple(pool[k] for k in _members(mask))))
 
-    def witness(inputs: tuple, worse: frozenset, better: frozenset) -> Witness:
+    def witness(inputs: tuple, worse: int, better: int) -> Witness:
         return Witness(inputs, value[worse], value[better], probe[worse], probe[better])
 
     cond_i: list[Witness] = []
@@ -628,7 +645,7 @@ def check_set_order_conditions(rule: VacuousRule,
             for q in range(p):
                 if with_x < ranks[q]:
                     cond_i.append(witness(
-                        (set_text[base], _fmt(pool[p]), _fmt(pool[q])), row[p], row[q]))
+                        (set_text[base], label[p], label[q]), row[p], row[q]))
 
     # the right sets of a left set are those at or below its base rank
     ceiling: dict = {}
@@ -647,13 +664,14 @@ def check_set_order_conditions(rule: VacuousRule,
             for p, (left_x, right_x) in enumerate(zip(left_ranks, right_ranks)):
                 if left_x < right_x:
                     cond_si.append(witness(
-                        (set_text[left], set_text[right], _fmt(pool[p])),
+                        (set_text[left], set_text[right], label[p]),
                         left_row[p], right_row[p]))
 
     cond_m: list[Witness] = []
     for small, small_rank in zip(sets, base_rank):
         for big, big_rank in zip(sets, base_rank):
-            if big_rank < small_rank and small < big:
+            # sets of different ranks differ, so a subset is a proper one
+            if big_rank < small_rank and small & big == small:
                 cond_m.append(witness((set_text[small], set_text[big]), big, small))
 
     return [

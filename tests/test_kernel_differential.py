@@ -839,6 +839,17 @@ def test_set_order_matches_reference_on_fine_grids(rule, denominator, max_size):
         reference_set_order_conditions(rule, family)
 
 
+def _missing(table, *cells):
+    """The table without the pairs at the given grid points."""
+    return Tabulated(tuple((pair, value) for pair, value in table.entries
+                           if (pair.lower, pair.upper) not in cells))
+
+
+# Anchored(1/2) on k/3 without two pairs, so that the message of the
+# first miss tells which set was valued first
+GAPPY_THIRDS = _missing(tabulate(Anchored(F(1, 2)), 3), (F(1, 3), F(2, 3)), (F(0), F(2, 3)))
+
+
 @pytest.mark.parametrize("family", [
     [],
     [{F(1, 2)}],
@@ -847,11 +858,21 @@ def test_set_order_matches_reference_on_fine_grids(rule, denominator, max_size):
     [set(), {F(1, 2)}, {F(1, 2)}],
     [{F(1, 3)}, {F(2, 7), F(1, 3)}, set()],
     [{F(1, 3)}, {F(1, 5), F(2, 7)}],
+    [{F(1, 3)}, {F(0), F(1)}, {F(-1, 2)}],
+    [{F(0), F(3, 2)}],
+    [{F(3, 2)}, {F(1, 3)}, {F(-1, 2), F(1, 3)}],
+    [{F(1, 3)}, {F(-1, 2)}, {F(3, 2)}],
+    [{F(1)}, {F(0)}, {F(2, 3)}, {F(1, 3)}],
+    [{F(1, 3)}, {F(0), F(2, 3)}],
 ], ids=["empty", "single", "off-grid", "with-empty-set", "empty-set-first",
-        "off-grid-then-empty", "off-grid-rows"])
+        "off-grid-then-empty", "off-grid-rows", "below-zero-after-valid-sets", "above-one",
+        "above-one-first", "below-zero-first", "thirds", "thirds-rows"])
 @rules({"hurwicz-1/2": Hurwicz(F(1, 2)), "median": MedianRule(),
-        "anchored-1/2": Anchored(F(1, 2)), "table-thirds": tabulate(Anchored(F(1, 2)), 3)})
+        "anchored-1/2": Anchored(F(1, 2)), "min": MinRule(),
+        "table-thirds": tabulate(Anchored(F(1, 2)), 3), "table-missing-pairs": GAPPY_THIRDS})
 def test_set_order_matches_reference_on_odd_families(rule, family):
+    # points outside [0, 1] are refused by a pair rule's pair, not by the
+    # median, and a message names the bound and the pair that failed
     def outcome(checker):
         try:
             return checker(rule, family)
@@ -859,6 +880,23 @@ def test_set_order_matches_reference_on_odd_families(rule, family):
             return ("raised", type(exc), str(exc))
 
     assert outcome(check_set_order_conditions) == outcome(reference_set_order_conditions)
+
+
+THIRDS = unit_grid(3)
+THIRD_PAIRS = [(x, y) for x in THIRDS for y in THIRDS if x <= y]
+
+
+@pytest.mark.parametrize("cells", [
+    cells for size in (1, 2) for cells in itertools.combinations(THIRD_PAIRS, size)],
+    ids=lambda cells: " ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in cells))
+@rules({"table-thirds": tabulate(Anchored(F(1, 2)), 3),
+        "table-hurwicz-1/2": tabulate(Hurwicz(F(1, 2)), 3)})
+def test_ev_properties_match_reference_on_tables_missing_pairs(rule, cells):
+    # a pair rule skips the range law's sets, so its first lookup of an
+    # off-diagonal pair comes from the pairs it compares: the same pair,
+    # met in the same order, must be the first to raise
+    rule = _missing(rule, *cells)
+    assert _run(check_ev_properties, rule, 3) == _run(reference_ev_properties, rule, 3)
 
 
 @pytest.mark.parametrize("denominator,lipschitz", [
