@@ -11,6 +11,11 @@ gave, its parsed value, and fills in no default. Each `cmd_*` refuses
 the keys its run does not read (`RUNS`), fills in its own defaults and
 writes its report's `problem` block, defaults filled in.
 
+A report's payload is JSON-native except inside a `Records` list, which
+holds what its writer reads: the engine's own `Witness`es, verdict dicts
+or table rows. `emit_report` is the one text stage, and `--format table`
+renders the machine text parsed back.
+
 The `problem` block of an `evaluate` report is a valid problem that
 replays to the same report, and every witness probe with its report's
 operator forms one. The blocks of `check` and `consensus` reports are
@@ -105,6 +110,9 @@ _MEASURE_FIELDS = {"vacuous": (), "probability": ("weights",), "credal-set": ("g
 
 
 class ReportFile(Frozen):
+    """A report's payload and its exit code. The payload is JSON-native
+    except inside a `Records`, which holds what its writer reads."""
+
     payload: dict
     exit_code: int
 
@@ -397,12 +405,8 @@ def parse_problem(raw: Mapping) -> dict[str, Any]:
 # -- encoding -------------------------------------------------------------
 
 
-def _enc(value: Fraction) -> str:
-    return format_rational(value)
-
-
 def encode_act(act: Act) -> list:
-    return [_enc(u) for u in act.outcomes]
+    return [format_rational(u) for u in act.outcomes]
 
 
 def encode_partition(partition: Partition) -> list:
@@ -411,9 +415,9 @@ def encode_partition(partition: Partition) -> list:
 
 def encode_rule(rule: VacuousRule) -> dict:
     if isinstance(rule, Anchored):
-        return {"kind": "anchored", "anchor": _enc(rule.anchor)}
+        return {"kind": "anchored", "anchor": format_rational(rule.anchor)}
     if isinstance(rule, Hurwicz):
-        return {"kind": "hurwicz", "alpha": _enc(rule.alpha)}
+        return {"kind": "hurwicz", "alpha": format_rational(rule.alpha)}
     if isinstance(rule, MinRule):
         return {"kind": "min"}
     if isinstance(rule, MaxRule):
@@ -426,7 +430,7 @@ def encode_rule(rule: VacuousRule) -> dict:
         # than formatting it
         rows = [(z.lower, z.upper, v) for z, v in rule.entries]
         distinct = {id(value): value for row in rows for value in row}
-        text = {key: _enc(value) for key, value in distinct.items()}
+        text = {key: format_rational(value) for key, value in distinct.items()}
         return {"kind": "tabulated", "entries": Records(_write_rows, (
             [text[id(x)], text[id(y)], text[id(v)]] for x, y, v in rows))}
     raise ValidationError(f"cannot encode rule {rule!r}")
@@ -441,45 +445,37 @@ def encode_operator(op: CeOperator) -> dict:
 
 def encode_measure(measure: PlausibilityMeasure) -> dict:
     if isinstance(measure, ProbabilityMeasure):
-        return {"kind": "probability", "weights": [_enc(w) for w in measure.weights]}
+        return {"kind": "probability", "weights": [format_rational(w) for w in measure.weights]}
     if isinstance(measure, CredalSetMeasure):
         if measure.is_full_simplex:
             return {"kind": "credal-set"}
         return {"kind": "credal-set", "generators": [
-            [_enc(w) for w in gen] for gen in measure.generators]}
+            [format_rational(w) for w in gen] for gen in measure.generators]}
     if isinstance(measure, BeliefFunctionMeasure):
         return {"kind": "belief-function", "masses": [
-            {"event": sorted(event), "mass": _enc(m)} for event, m in measure.masses]}
+            {"event": sorted(event), "mass": format_rational(m)} for event, m in measure.masses]}
     if isinstance(measure, PossibilityMeasure):
-        return {"kind": "possibility", "grades": [_enc(g) for g in measure.grades]}
+        return {"kind": "possibility", "grades": [format_rational(g) for g in measure.grades]}
     raise ValidationError(f"cannot encode measure {measure!r}")
 
 
 def _rational_text(value: Fraction, encoded: dict) -> str:
-    """`_enc(value)`, made once per id in `encoded`."""
+    """`format_rational(value)`, made once per id in `encoded`."""
     text = encoded.get(id(value))
     if text is None:
-        text = encoded[id(value)] = _enc(value)
+        text = encoded[id(value)] = format_rational(value)
     return text
-
-
-def encode_probe(probe: Probe, encoded: dict) -> dict:
-    """A probe's record, each of its values encoded once per id in `encoded`."""
-    record: dict[str, Any] = {
-        "outcomes": [_rational_text(u, encoded) for u in probe.outcomes],
-        "framework": probe.framework.value,
-    }
-    if probe.weights is not None:
-        record["weights"] = [_rational_text(w, encoded) for w in probe.weights]
-    return record
 
 
 class Records(list):
     """A list of items of one fixed shape, with the writer that knows it.
 
-    To every reader but `_write` it is a plain list; `_write` hands a
-    nonempty one to `write(records, indent, out, texts)`, which writes
-    the items by their fixed keys or places instead of walking each one.
+    The items are what the writer reads: engine `Witness`es, verdict
+    dicts or table rows. So a payload is JSON-native except inside a
+    `Records`. To every reader but `_write` it is a plain list; `_write`
+    hands a nonempty one to `write(records, indent, out, texts)`, which
+    writes the items by their fixed fields or places instead of walking
+    each one.
     """
 
     __slots__ = ("write",)
@@ -490,27 +486,10 @@ class Records(list):
         self.write = write
 
 
-def encode_law_report(report: LawReport, encoded: dict) -> dict:
-    """A law report's record, its witnesses written by `_write_witnesses`.
-
-    `encoded` maps ids to encodings for one report, as for
-    `encode_verdict`: witnesses that share a probe or a value (as the
-    laws of one check share their grid probes) hold one dict or string.
-    """
-    witnesses = Records(_write_witnesses)
-    for witness in report.witnesses:
-        probe_left, probe_right = witness.probe_left, witness.probe_right
-        for probe in (probe_left, probe_right):
-            if id(probe) not in encoded:
-                encoded[id(probe)] = encode_probe(probe, encoded)
-        witnesses.append({
-            "inputs": list(witness.inputs),
-            "left": _rational_text(witness.left, encoded),
-            "right": _rational_text(witness.right, encoded),
-            "probe-left": encoded[id(probe_left)],
-            "probe-right": encoded[id(probe_right)],
-        })
-    return {"law": report.law.value, "passed": report.passed, "witnesses": witnesses}
+def encode_law_report(report: LawReport) -> dict:
+    """A law report's record, its `Witness`es written by `_write_witnesses`."""
+    return {"law": report.law.value, "passed": report.passed,
+            "witnesses": Records(_write_witnesses, report.witnesses)}
 
 
 def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
@@ -600,12 +579,12 @@ def cmd_evaluate(problem: Mapping[str, Any]) -> ReportFile:
     payload = {"command": "evaluate", "engine-version": __version__, "problem": echo}
     if partition is None:
         value = ce(operator, measure, act)
-        payload["ce"] = _enc(value)
+        payload["ce"] = format_rational(value)
         payload["summary"] = {"violations": 0}
         return ReportFile(payload, 0)
     verdict = check_sequential(operator, measure, act, partition)
-    payload["ce"] = _enc(verdict.direct_value)
-    payload["folded"] = _enc(verdict.folded_value)
+    payload["ce"] = format_rational(verdict.direct_value)
+    payload["folded"] = format_rational(verdict.folded_value)
     payload["holds"] = verdict.holds
     payload["summary"] = {"violations": 0 if verdict.holds else 1}
     return ReportFile(payload, 0 if verdict.holds else 1)
@@ -623,7 +602,6 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
     # each checker refuses a problem past `consistency.MAX_WORK` steps of
     # work with CapExceeded before it builds anything
     op = problem["operator"]
-    encoded: dict = {}
     # no check reads `framework`, yet the block echoes it (ROADMAP.md,
     # "Reports that replay")
     echo = {"framework": "credal-set", "operator": encode_operator(op), "suite": suite,
@@ -639,6 +617,7 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
         # same act, partition and values: the first is encoded, and each
         # later one is a copy of the record before it with its own framework
         entries = Records(_write_verdicts)
+        encoded: dict = {}
         name = {fw: fw.value for fw in Framework}  # `.value` is a slower property read
         cell = record = None
         for v in failures:
@@ -661,7 +640,7 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
         else:
             reports = _check_default_set_order(op.vacuous_rule, denominator, max_size)
             echo["family-max-size"] = max_size
-        key, entries = "reports", [encode_law_report(r, encoded) for r in reports]
+        key, entries = "reports", [encode_law_report(r) for r in reports]
         violations = sum(len(r.witnesses) for r in reports)
     payload = {
         "command": "check",
@@ -676,9 +655,9 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
 def _encode_consensus(report: ConsensusReport) -> dict:
     return {
         "values": {
-            Framework.CREDAL_SET.value: _enc(report.credal_value),
-            Framework.BELIEF_FUNCTION.value: _enc(report.belief_value),
-            Framework.POSSIBILITY.value: _enc(report.possibility_value),
+            Framework.CREDAL_SET.value: format_rational(report.credal_value),
+            Framework.BELIEF_FUNCTION.value: format_rational(report.belief_value),
+            Framework.POSSIBILITY.value: format_rational(report.possibility_value),
         },
         "agree": report.agree,
     }
@@ -687,11 +666,11 @@ def _encode_consensus(report: ConsensusReport) -> dict:
 def _encode_convergence(report: ConvergenceReport) -> dict:
     return {
         "rows": [
-            {"epsilon": _enc(row.epsilon), "lower": _enc(row.lower),
-             "upper": _enc(row.upper), "value": _enc(row.value),
+            {"epsilon": format_rational(row.epsilon), "lower": format_rational(row.lower),
+             "upper": format_rational(row.upper), "value": format_rational(row.value),
              "within-bound": row.within_bound}
             for row in report.rows],
-        "limit-value": _enc(report.limit_value),
+        "limit-value": format_rational(report.limit_value),
         "bound-satisfied": report.bound_satisfied,
     }
 
@@ -731,7 +710,7 @@ def cmd_consensus(problem: Mapping[str, Any]) -> ReportFile:
         if base is None:
             base = tuple(Fraction(1, act.space.n) for _ in act.space.states)
         family = ContaminationFamily(base, epsilons)
-        payload["base"] = [_enc(w) for w in family.base]
+        payload["base"] = [format_rational(w) for w in family.base]
         convergence = limit_check(rule, act, family)
         payload.update(_encode_convergence(convergence))
         ok = convergence.bound_satisfied
@@ -798,7 +777,7 @@ def _write(value: Any, indent: str, out: list, texts: dict) -> None:
         raise TypeError(f"cannot write {type(value).__name__} into a report")
 
 
-def _strings(items: list, indent: str) -> str:
+def _strings(items: Sequence[str], indent: str) -> str:
     """The text of a list of strings nested at `indent`, as `_write` writes it."""
     if not items:
         return "[]"
@@ -850,21 +829,26 @@ def _write_verdicts(records: Records, indent: str, out: list, texts: dict) -> No
     out.append("\n" + indent + "]")
 
 
-def _probe_text(probe: dict, indent: str) -> str:
-    """The text of an `encode_probe` record nested at `indent`, by its keys."""
+def _probe_text(probe: Probe, indent: str, known: dict) -> str:
+    """The text of a probe nested at `indent`, as `json.dumps` writes the
+    record of its outcomes, framework and weights (when it has them); each
+    value's text is made once per id in `known`."""
     inner = indent + "  "
-    text = ("{\n" + inner + '"outcomes": ' + _strings(probe["outcomes"], inner)
-            + ",\n" + inner + '"framework": ' + _quote(probe["framework"]))
-    if "weights" in probe:
-        text += ",\n" + inner + '"weights": ' + _strings(probe["weights"], inner)
+    text = ("{\n" + inner + '"outcomes": '
+            + _strings([_rational_text(u, known) for u in probe.outcomes], inner)
+            + ",\n" + inner + '"framework": ' + _quote(probe.framework.value))
+    if probe.weights is not None:
+        text += (",\n" + inner + '"weights": '
+                 + _strings([_rational_text(w, known) for w in probe.weights], inner))
     return text + "\n" + indent + "}"
 
 
 def _write_witnesses(records: Records, indent: str, out: list, texts: dict) -> None:
-    """`_write` for a nonempty list of `encode_law_report`'s witness records.
+    """`_write` for a nonempty list of `Witness`es, as `encode_law_report` holds them.
 
-    Each record is one piece, written by its five keys. Each probe
-    record's text is made once per report and indent, and kept by id.
+    Each witness is one piece, written from its inputs, its two values and
+    its two probes. Each probe's text is made once per report and indent,
+    and each value's once per report, indent and id.
     """
     inner = indent + "  "
     fields = inner + "  "
@@ -872,14 +856,14 @@ def _write_witnesses(records: Records, indent: str, out: list, texts: dict) -> N
     close = "\n" + inner + "}"
     known = texts.setdefault(indent, {})
     separator = "[\n" + inner
-    for record in records:
-        left, right = record["probe-left"], record["probe-right"]
+    for witness in records:
+        left, right = witness.probe_left, witness.probe_right
         for probe in (left, right):
             if id(probe) not in known:
-                known[id(probe)] = _probe_text(probe, fields)
-        out.append(separator + "{\n" + fields + '"inputs": ' + _strings(record["inputs"], fields)
-                   + comma + '"left": ' + _quote(record["left"])
-                   + comma + '"right": ' + _quote(record["right"])
+                known[id(probe)] = _probe_text(probe, fields, known)
+        out.append(separator + "{\n" + fields + '"inputs": ' + _strings(witness.inputs, fields)
+                   + comma + '"left": ' + _quote(_rational_text(witness.left, known))
+                   + comma + '"right": ' + _quote(_rational_text(witness.right, known))
                    + comma + '"probe-left": ' + known[id(left)]
                    + comma + '"probe-right": ' + known[id(right)] + close)
         separator = ",\n" + inner
@@ -912,7 +896,7 @@ def _render_lines(value: Any, label: str, lines: list) -> None:
 
 
 def render_table(payload: Mapping) -> str:
-    """Flat key-path rendering for human eyes; machine format is JSON."""
+    """Flat key-path rendering for human eyes of a parsed machine report."""
     lines: list = []
     for key, value in payload.items():
         if key in ("reports", "failures", "rows"):
@@ -997,7 +981,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     def run() -> int:
         with open(args.problem, encoding="utf-8") as handle:
-            raw = loads_exact(handle.read())
+            try:
+                source = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"the problem file is not UTF-8: {exc}") from None
+        raw = loads_exact(source)
         if not isinstance(raw, dict):
             raise ParseError("problem: expected a JSON object")
         problem = parse_problem(_merge_flags(raw, args))
@@ -1007,8 +995,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_check(problem)
         else:
             report = cmd_consensus(problem)
-        print(render_table(report.payload) if args.format == "table"
-              else emit_report(report))
+        text = emit_report(report)
+        print(render_table(json.loads(text)) if args.format == "table" else text)
         return report.exit_code
 
     return run_entry_point(run)

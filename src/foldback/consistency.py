@@ -371,10 +371,6 @@ def _grid_probes(grid: tuple[Fraction, ...]) -> _Memo:
     return _Memo(lambda pair: Probe((grid[pair[0]], grid[pair[1]])))
 
 
-def _fmt(value: Fraction) -> str:
-    return format_rational(value)
-
-
 def _pair_witness(probe, label, a, b, left: Fraction, right: Fraction) -> Witness:
     """Witness that the grid pairs at index pairs a and b compare badly;
     `probe` is the call's `_grid_probes`."""
@@ -423,7 +419,7 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     _refuse_work(3 * _grid_pairs(denominator),
                  f"check gamma-laws on grid {_grid_name(denominator)}")
     grid = unit_grid(denominator)
-    label = [_fmt(x) for x in grid]
+    label = [format_rational(x) for x in grid]
     pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
     # one-step moves generate the whole argwise order on the grid,
     # so neighbor checks decide monotonicity and the modulus exactly
@@ -519,7 +515,7 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
     _refuse_work(_ev_work(denominator),
                  f"check ev-properties on grid {_grid_name(denominator)}")
     grid = unit_grid(denominator)
-    label = [_fmt(x) for x in grid]
+    label = [format_rational(x) for x in grid]
     # outcome sets as bitmasks over grid indices
     value = _Memo(_grid_valuation(rule, grid))
     probe = _grid_probes(grid)
@@ -631,7 +627,7 @@ def check_set_order_conditions(rule: VacuousRule,
     rank = {v: r for r, v in enumerate(sorted(set(level.values())))}
     base_rank = [rank[level[base]] for base in sets]
     row_rank = [[rank[level[s]] for s in row] for row in grown]
-    label = _Memo(lambda k: _fmt(pool[k]))
+    label = _Memo(lambda k: format_rational(pool[k]))
     set_text = _Memo(lambda mask: "{" + ", ".join(label[k] for k in _members(mask)) + "}")
     # each set's probe built on first use, keyed as its value is
     probe = _Memo(lambda mask: Probe(tuple(pool[k] for k in _members(mask))))

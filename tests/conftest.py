@@ -5,6 +5,7 @@ weights normalized by their sum, so they add to 1 with no rounding.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -48,6 +49,46 @@ from foldback import (
     StateSpace,
     enumerate_partitions,
 )
+from foldback.consistency import Probe, Witness
+from foldback.rationals import format_rational
+
+
+# -- the reference text of a report ----------------------------------------
+# A check report's payload holds the engine's own `Witness`es, which the
+# report writer writes from their fields. These encoders are the record
+# shapes it must write, keys in report order, and `reference_text` is
+# the text `json.dumps` makes of a payload with them.
+
+
+def probe_record(probe: Probe) -> dict:
+    record = {"outcomes": [format_rational(u) for u in probe.outcomes],
+              "framework": probe.framework.value}
+    if probe.weights is not None:
+        record["weights"] = [format_rational(w) for w in probe.weights]
+    return record
+
+
+def witness_record(witness: Witness) -> dict:
+    return {"inputs": list(witness.inputs),
+            "left": format_rational(witness.left),
+            "right": format_rational(witness.right),
+            "probe-left": probe_record(witness.probe_left),
+            "probe-right": probe_record(witness.probe_right)}
+
+
+def reference_text(payload) -> str:
+    """`json.dumps(payload, indent=2)`, each witness as its record."""
+    return json.dumps(payload, indent=2, default=witness_record)
+
+
+def reference_payload(value):
+    """A copy of a payload in plain dicts and lists, each witness as its
+    record: what `json.loads` makes of the report's text."""
+    if isinstance(value, dict):
+        return {key: reference_payload(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [reference_payload(item) for item in value]
+    return witness_record(value) if isinstance(value, Witness) else value
 
 
 def all_events(n: int, *, empty: bool = False, full: bool = True) -> list:

@@ -7,6 +7,7 @@ recorded witness through the command layer bit-exactly.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -48,6 +49,7 @@ from foldback import (
     vacuous,
 )
 from foldback.cli import (
+    ReportFile,
     cmd_check,
     cmd_evaluate,
     emit_report,
@@ -64,8 +66,9 @@ F = Fraction
 VACUOUS_FRAMEWORKS = (
     Framework.CREDAL_SET, Framework.BELIEF_FUNCTION, Framework.POSSIBILITY)
 
-# (operator record, law-report records, verdict records) stashed by the
-# earlier criteria and replayed by the last one.
+# (operator record, law-report records, verdict records), each read back
+# from emitted report text, stashed by the earlier criteria and replayed
+# by the last one.
 RECORDED_REPORTS: list = []
 
 
@@ -76,9 +79,8 @@ def announce(number: int, ok: bool, detail: str) -> None:
 
 
 def record_law_reports(op: CeOperator, reports) -> None:
-    encoded: dict = {}
-    RECORDED_REPORTS.append(
-        (encode_operator(op), [encode_law_report(r, encoded) for r in reports], []))
+    text = emit_report(ReportFile({"reports": [encode_law_report(r) for r in reports]}, 0))
+    RECORDED_REPORTS.append((encode_operator(op), json.loads(text)["reports"], []))
 
 
 def test_criterion_01_clamp_family_folds_exactly_everywhere():
@@ -114,8 +116,8 @@ def test_criterion_02_interpolating_rule_breaks_under_folding():
         "suite": "sequential", "stop-at-first": True})
     report = cmd_check(problem)
     sweep_ok = report.exit_code == 1 and len(report.payload["failures"]) == 1
-    RECORDED_REPORTS.append((report.payload["problem"]["operator"], [],
-                             report.payload["failures"]))
+    parsed = json.loads(emit_report(report))
+    RECORDED_REPORTS.append((parsed["problem"]["operator"], [], parsed["failures"]))
 
     ok = instance_ok and sweep_ok
     announce(2, ok, "interpolating rule breaks under folding, 1/2 vs 1/4")
@@ -264,15 +266,13 @@ def test_criterion_10_every_witness_replays_bit_exactly():
         problem = parse_problem({
             "operator": {"kind": "hurwicz", "alpha": "1/2"},
             "suite": "gamma-laws", "grid-denominator": 8})
-        report = cmd_check(problem)
-        RECORDED_REPORTS.append((report.payload["problem"]["operator"],
-                                 report.payload["reports"], []))
+        report = json.loads(emit_report(cmd_check(problem)))
+        RECORDED_REPORTS.append((report["problem"]["operator"], report["reports"], []))
         problem = parse_problem({
             "operator": {"kind": "hurwicz", "alpha": "1/2"},
             "suite": "sequential", "stop-at-first": True})
-        report = cmd_check(problem)
-        RECORDED_REPORTS.append((report.payload["problem"]["operator"], [],
-                                 report.payload["failures"]))
+        report = json.loads(emit_report(cmd_check(problem)))
+        RECORDED_REPORTS.append((report["problem"]["operator"], [], report["failures"]))
 
     ok = True
     replayed = 0

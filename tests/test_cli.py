@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_text
+from conftest import assert_same_text, probe_record, reference_payload, reference_text
 from foldback import (
     Anchored,
     CapExceeded,
     ContaminationFamily,
     EngineError,
+    Framework,
     ParseError,
     StateSpace,
     UnknownSuite,
@@ -28,6 +29,7 @@ from foldback import (
     limit_check,
     tabulate,
 )
+from foldback import cli
 from foldback.cli import (
     MODES,
     RUNS,
@@ -49,7 +51,7 @@ from foldback.cli import (
     render_table,
     verdict_problem,
 )
-from foldback.consistency import MAX_WORK
+from foldback.consistency import MAX_WORK, Probe, Witness
 from foldback.rationals import format_rational
 
 F = Fraction
@@ -123,29 +125,21 @@ CELL = {"act": ["0", "1/2"], "partition": [[0], [1]], "direct": "1/2", "folded":
         "holds": False}
 
 
-# probe records, their keys in the order `encode_probe` gives them
-PROBES = st.builds(
-    lambda outcomes, framework, weights: dict(
-        {"outcomes": outcomes, "framework": framework},
-        **({} if weights is None else {"weights": weights})),
-    st.lists(TEXTS, max_size=3), TEXTS, st.none() | st.lists(TEXTS, max_size=3))
-
-
 @st.composite
 def witness_records(draw):
-    """Law-report-shaped witness records: probes drawn from a few shared
-    probe dicts and values from a few shared strings, so that records
-    share them."""
-    probes = draw(st.lists(PROBES, min_size=1, max_size=3))
-    values = draw(st.lists(TEXTS, min_size=1, max_size=3))
-    records = Records(_write_witnesses)
-    for _ in range(draw(st.integers(0, 6))):
-        records.append({"inputs": draw(st.lists(TEXTS, max_size=4)),
-                        "left": draw(st.sampled_from(values)),
-                        "right": draw(st.sampled_from(values)),
-                        "probe-left": draw(st.sampled_from(probes)),
-                        "probe-right": draw(st.sampled_from(probes))})
-    return records
+    """Law-report-shaped `Witness`es: values drawn from a few shared
+    fractions, equal ones among them, and probes from a few shared
+    probes built of them, so that witnesses share both."""
+    values = draw(st.lists(st.fractions(max_denominator=12), min_size=1, max_size=3))
+    value = st.sampled_from(values)
+    probes = draw(st.lists(st.builds(
+        Probe, st.lists(value, max_size=3).map(tuple), st.sampled_from(Framework),
+        st.none() | st.lists(value, max_size=3).map(tuple)), min_size=1, max_size=3))
+    probe = st.sampled_from(probes)
+    return Records(_write_witnesses, [
+        Witness(tuple(draw(st.lists(TEXTS, max_size=4))), draw(value), draw(value),
+                draw(probe), draw(probe))
+        for _ in range(draw(st.integers(0, 6)))])
 
 
 @st.composite
@@ -462,7 +456,7 @@ class TestReportRoundTrip:
                  "mode": "limit"})),
         ]
         for report in reports:
-            assert loads_exact(emit_report(report)) == report.payload
+            assert loads_exact(emit_report(report)) == reference_payload(report.payload)
             walk_no_floats(report.payload)
 
     def test_emission_is_deterministic(self):
@@ -497,14 +491,15 @@ class TestReportRoundTrip:
     @given(witness_records(), JSON_TREES)
     @example(Records(_write_witnesses), [])
     def test_witness_records_are_written_as_json_dumps_writes_them(self, records, tree):
-        # two law reports holding the same records, and the records at
-        # four more indents, once as a plain list, inside any tree
+        # two law reports holding the same witnesses, and the witnesses at
+        # four more indents, once in a second list, inside any tree
         payload = {"reports": [{"law": "L", "witnesses": records}, {"witnesses": records}],
-                   "tree": [tree, {"deeper": records}], "loose": list(records),
+                   "tree": [tree, {"deeper": records}],
+                   "copy": Records(_write_witnesses, records),
                    "nested": [records, {"again": [records]}], "last": records}
-        assert_same_text(emit_report(ReportFile(payload, 0)), json.dumps(payload, indent=2))
-        assert_same_text(emit_report(ReportFile(records, 0)), json.dumps(records, indent=2))
-        assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
+        assert_same_text(emit_report(ReportFile(payload, 0)), reference_text(payload))
+        assert_same_text(emit_report(ReportFile(records, 0)), reference_text(records))
+        assert loads_exact(emit_report(ReportFile(payload, 0))) == reference_payload(payload)
 
     @settings(max_examples=150)
     @given(table_rows(), JSON_TREES)
@@ -569,20 +564,22 @@ class TestReportRoundTrip:
             assert (one[0]["act"], one[0]["partition"]) != (two[0]["act"], two[0]["partition"])
         assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
 
-    def test_law_witnesses_share_their_probe_and_value_records(self):
+    def test_law_witnesses_share_their_probes_and_values(self, monkeypatch):
         report = cmd_check(parse_problem(
             {"operator": {"kind": "median"}, "suite": "set-order", "grid-denominator": 4}))
         witnesses = [w for r in report.payload["reports"] for w in r["witnesses"]]
         assert len(witnesses) == report.payload["summary"]["violations"] == 277
-        probes = [w[side] for w in witnesses for side in ("probe-left", "probe-right")]
-        values = [w[side] for w in witnesses for side in ("left", "right")]
-        # one record per distinct probe and one string per distinct value,
-        # across the three laws of the report
-        assert len({id(p) for p in probes}) == len({json.dumps(p) for p in probes}) == 29
+        probes = [p for w in witnesses for p in (w.probe_left, w.probe_right)]
+        values = [v for w in witnesses for v in (w.left, w.right)]
+        # one object per distinct probe and per distinct value, across the
+        # three laws of the report
+        assert len({id(p) for p in probes}) == len({json.dumps(probe_record(p))
+                                                    for p in probes}) == 29
         assert len({id(v) for v in values}) == len(set(values))
-        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
+        assert_same_text(count_probe_texts(monkeypatch, report, 29), reference_text(
+            report.payload))
 
-    def test_gamma_law_witnesses_share_their_grid_pair_probes(self):
+    def test_gamma_law_witnesses_share_their_grid_pair_probes(self, monkeypatch):
         report = cmd_check(parse_problem(
             {"operator": {"kind": "hurwicz", "alpha": "2/3"}, "suite": "gamma-laws",
              "grid-denominator": 16}))
@@ -590,13 +587,16 @@ class TestReportRoundTrip:
         by_pair: dict = {}
         for law in report.payload["reports"]:
             for witness in law["witnesses"]:
-                by_pair.setdefault(tuple(witness["inputs"][:2]), []).append(witness)
+                by_pair.setdefault(witness.inputs[:2], []).append(witness)
         shared = [ws for ws in by_pair.values() if len(ws) == 2]
         assert shared
         for via_lower, via_upper in shared:
-            # both iteration witnesses of a grid pair probe it with one record
-            assert via_lower["probe-right"] is via_upper["probe-right"]
-        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
+            # both iteration witnesses of a grid pair probe it with one object
+            assert via_lower.probe_right is via_upper.probe_right
+        probes = {id(p) for law in report.payload["reports"] for w in law["witnesses"]
+                  for p in (w.probe_left, w.probe_right)}
+        assert_same_text(count_probe_texts(monkeypatch, report, len(probes)),
+                         reference_text(report.payload))
 
     def test_gamma_law_witnesses_share_their_level_pair_probes(self):
         report = cmd_check(parse_problem(
@@ -604,12 +604,13 @@ class TestReportRoundTrip:
              "grid-denominator": 16}))
         [iteration] = [law for law in report.payload["reports"]
                        if law["law"] == "GammaIteration-(iii)"]
-        probes = [witness["probe-left"] for witness in iteration["witnesses"]]
+        probes = [witness.probe_left for witness in iteration["witnesses"]]
         # the iteration law's off-grid probes, one per pair of levels: the
-        # witnesses that probe one pair hold one record
+        # witnesses that probe one pair hold one object
         assert len(probes) == 272
-        assert len({id(p) for p in probes}) == len({json.dumps(p) for p in probes}) == 259
-        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
+        assert len({id(p) for p in probes}) == len({json.dumps(probe_record(p))
+                                                    for p in probes}) == 259
+        assert_same_text(emit_report(report), reference_text(report.payload))
 
     @pytest.mark.parametrize("value", [F(1, 2), 0.5, (1, 2), {1: "one"}],
                              ids=["fraction", "float", "tuple", "int-key"])
@@ -622,6 +623,22 @@ class TestReportRoundTrip:
         text = render_table(report.payload)
         assert "ce: 1/2" in text
         assert "problem.operator.kind: anchored" in text
+
+
+def count_probe_texts(monkeypatch, report: ReportFile, calls: int) -> str:
+    """The report's text, failing unless its witnesses' probes are written
+    in exactly `calls` calls of `cli._probe_text`."""
+    made = []
+    write = cli._probe_text
+
+    def probe_text(probe, indent, known):
+        made.append(probe)
+        return write(probe, indent, known)
+
+    monkeypatch.setattr(cli, "_probe_text", probe_text)
+    text = emit_report(report)
+    assert len(made) == len({id(p) for p in made}) == calls
+    return text
 
 
 def _floored_midpoint_table(denominator: int) -> dict:
@@ -653,17 +670,17 @@ def test_every_check_report_is_written_as_json_dumps_writes_it(suite, kind, deno
     if suite == "sequential":
         problem["sizes"] = [2, 3]
     report = cmd_check(parse_problem(problem))
-    assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
+    assert_same_text(emit_report(report), reference_text(report.payload))
 
 
 class TestWitnessReplay:
     def test_law_witnesses_replay_through_evaluate(self):
         raw = {"operator": dict(HURWICZ_HALF), "suite": "gamma-laws",
                "grid-denominator": 4}
-        report = cmd_check(parse_problem(raw))
-        operator = report.payload["problem"]["operator"]
+        report = loads_exact(emit_report(cmd_check(parse_problem(raw))))
+        operator = report["problem"]["operator"]
         replayed = 0
-        for law_report in report.payload["reports"]:
+        for law_report in report["reports"]:
             for witness in law_report["witnesses"]:
                 for side, value in (("probe-left", witness["left"]),
                                     ("probe-right", witness["right"])):
@@ -928,6 +945,27 @@ def _run_main(tmp_path, capsys, run, problem, flags=()):
     path.write_text(json.dumps(problem))
     code = main([run.split()[0], "--problem", str(path), *flags])
     return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("run", list(RUN_PROBLEMS))
+def test_the_table_format_renders_the_report_of_every_run(tmp_path, capsys, run):
+    # the interpolating rule, so that check reports hold witnesses and failures
+    problem = dict(RUN_PROBLEMS[run], operator=dict(HURWICZ_HALF))
+    report = getattr(cli, f"cmd_{run.split()[0]}")(parse_problem(problem))
+    code, captured = _run_main(tmp_path, capsys, run, problem, ("--format", "table"))
+    assert code == report.exit_code
+    assert_same_text(captured.out, render_table(reference_payload(report.payload)) + "\n")
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "check", "consensus"])
+def test_a_problem_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, verb):
+    path = tmp_path / "problem.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([verb, "--problem", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the problem file is not UTF-8")
+    assert captured.err.count("\n") == 1
 
 
 def test_every_problem_key_is_read_by_some_run():
@@ -1365,4 +1403,4 @@ class TestArbitraryProblems:
             except EngineError:
                 continue
             assert isinstance(report, ReportFile)
-            assert loads_exact(emit_report(report)) == report.payload
+            assert loads_exact(emit_report(report)) == reference_payload(report.payload)

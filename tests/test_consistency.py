@@ -549,14 +549,30 @@ class TestGridScaleCharacterization:
         assert self.grid_restriction(MaxRule()) == self.grid_restriction(Anchored(F(1)))
 
 
+def _grid_pairs(denominator):
+    return [(i, j) for i in range(denominator + 1) for j in range(i, denominator + 1)]
+
+
+def _in_range_table(denominator, picks):
+    """The table whose value at the grid pair (x_i, x_j) is x_k, for the
+    pairs in `_grid_pairs` order and each k from `picks`."""
+    grid = unit_grid(denominator)
+    return Tabulated(tuple((ZPair(grid[i], grid[j]), grid[k])
+                           for (i, j), k in zip(_grid_pairs(denominator), picks)))
+
+
 def in_range_tables(denominator):
     """Every table on the grid whose value at each pair (x, y) is a grid
     point of [x, y]."""
-    grid = unit_grid(denominator)
-    pairs = [(i, j) for i in range(len(grid)) for j in range(i, len(grid))]
-    for picks in itertools.product(*(range(i, j + 1) for i, j in pairs)):
-        yield Tabulated(tuple((ZPair(grid[i], grid[j]), grid[k])
-                              for (i, j), k in zip(pairs, picks)))
+    for picks in itertools.product(*(range(i, j + 1) for i, j in _grid_pairs(denominator))):
+        yield _in_range_table(denominator, picks)
+
+
+def in_range_table_samples(denominator):
+    """A random table on the grid whose value at each pair (x, y) is a grid
+    point of [x, y]."""
+    return st.tuples(*(st.integers(i, j) for i, j in _grid_pairs(denominator))).map(
+        lambda picks: _in_range_table(denominator, picks))
 
 
 class TestTheoremOnEveryTable:
@@ -590,6 +606,20 @@ class TestTheoremOnEveryTable:
             strict = check_gamma_laws(table, denominator)
             assert (folds and strict[3].passed) == (table in clamps), table
         assert (seen, clean) == (tables, len(lawful))
+
+    # the 42 lawful tables of k/4: a sample draws one of them about as
+    # often as a random in-range table, nearly all of which are unlawful
+    LAWFUL_K4 = enumerate_lawful_gamma_tables(4, lipschitz=LOOSE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LAWFUL_K4) | in_range_table_samples(4))
+    def test_a_sample_of_k4_tables_agrees(self, table):
+        # sizes (3,) alone separate every in-range table of k/4
+        cfg = SearchConfig(sizes=(3,), denominator=4, stop_at_first=True)
+        folds = not check_sequential_exhaustive(CeOperator(table), cfg)
+        reports = check_gamma_laws(table, 4, lipschitz=self.LOOSE)
+        assert folds == all(report.passed for report in reports[:3]) == (
+            table in self.LAWFUL_K4)
 
 
 class TestReportShapes:
