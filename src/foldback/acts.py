@@ -2,8 +2,8 @@
 
 States are the integers 0..n-1. An act assigns an exact utility in [0, 1]
 to each state. Partitions are kept in canonical order (blocks sorted by
-their least element), which is also the order their restricted-growth
-encodings produce, so enumeration order and block indexing agree.
+their least element), which is also the order enumeration opens them
+in, so enumeration order and block indexing agree.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterator
 
 from .errors import CapExceeded, EmptyEvent, SpaceMismatch, ValidationError
 from .rationals import _integer_image, ensure_unit
@@ -129,40 +128,24 @@ class Partition(Frozen):
         return StateSpace(len(self.blocks))
 
 
-def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth strings of length n in lexicographic order.
-
-    a[0] = 0 and a[i] <= 1 + max(a[:i]); each string encodes one partition.
-    """
-    def extend(prefix: list[int], peak: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for digit in range(peak + 2):
-            prefix.append(digit)
-            yield from extend(prefix, max(peak, digit))
-            prefix.pop()
-
-    yield from extend([0], 0)
-
-
-def partition_from_rgs(space: StateSpace, rgs: tuple[int, ...]) -> Partition:
-    blocks: dict[int, set[int]] = {}
-    for state, digit in enumerate(rgs):
-        blocks.setdefault(digit, set()).add(state)
-    ordered = tuple(frozenset(blocks[d]) for d in sorted(blocks))
-    return Partition(space, ordered)
-
-
 def enumerate_partitions(space: StateSpace) -> list[Partition]:
-    """All partitions of the space, in restricted-growth string order.
+    """All partitions of the space, grown one state at a time.
 
+    Each state joins every block made so far, in block order, and then
+    opens a new last block, so blocks stay in order of least element.
     The count is the Bell number of n, so refuse spaces above the cap.
     """
     if space.n > PARTITION_CAP:
         raise CapExceeded(
             f"partition enumeration capped at n <= {PARTITION_CAP}, got {space.n}")
-    return [partition_from_rgs(space, rgs) for rgs in restricted_growth_strings(space.n)]
+    partials: list[tuple[Event, ...]] = [()]
+    for state in space.states:
+        alone = frozenset((state,))
+        partials = [grown for blocks in partials
+                    for grown in (*(blocks[:i] + (block | alone,) + blocks[i + 1:]
+                                    for i, block in enumerate(blocks)),
+                                  blocks + (alone,))]
+    return [Partition(space, blocks) for blocks in partials]
 
 
 class Act(Frozen):

@@ -414,6 +414,8 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
     (iii) stability under replacing either argument by its own
     equivalent, and the Lipschitz modulus standing in for continuity.
     """
+    if isinstance(rule, MedianRule):
+        raise ValidationError("the median rule is not a pair rule")
     _check_modulus(lipschitz)
     # every pair is valued, and the iteration law values at most two more
     _refuse_work(3 * _grid_pairs(denominator),
@@ -712,7 +714,7 @@ def default_set_family(denominator: int = 8, max_size: int = 3) -> list[frozense
         return []  # so no grid is built either
     grid = unit_grid(denominator)
     family = []
-    for size in range(1, max_size + 1):
+    for size in range(1, min(max_size, len(grid)) + 1):
         for combo in itertools.combinations(grid, size):
             family.append(frozenset(combo))
     return family

@@ -18,7 +18,7 @@ from foldback import (
     enumerate_partitions,
     outcome_set,
 )
-from foldback.acts import event_key, restricted_growth_strings
+from foldback.acts import PARTITION_CAP, event_key
 
 F = Fraction
 
@@ -33,6 +33,22 @@ for _ in range(6):
     _BELL.append(_row[0])
 
 
+def _growth_string_partitions(space):
+    """The partitions of the space, one per restricted-growth string in
+    lexicographic order: state s goes to block a[s], where a[0] = 0 and
+    a[s] <= 1 + max(a[:s])."""
+    strings = [(0,)]
+    for _ in range(space.n - 1):
+        strings = [a + (digit,) for a in strings for digit in range(max(a) + 2)]
+    partitions = []
+    for a in strings:
+        blocks = [set() for _ in range(max(a) + 1)]
+        for state, digit in enumerate(a):
+            blocks[digit].add(state)
+        partitions.append(Partition(space, tuple(frozenset(b) for b in blocks)))
+    return partitions
+
+
 class TestPartitionEnumeration:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_count_matches_bell_numbers(self, n):
@@ -42,9 +58,13 @@ class TestPartitionEnumeration:
     def test_known_bell_prefix(self):
         assert _BELL[:7] == [1, 1, 2, 5, 15, 52, 203]
 
-    def test_growth_string_order_on_three_states(self):
-        assert list(restricted_growth_strings(3)) == [
-            (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+    @pytest.mark.parametrize("n", range(1, PARTITION_CAP + 1))
+    def test_order_matches_the_growth_string_reference(self, n):
+        space = StateSpace(n)
+        partitions = enumerate_partitions(space)
+        reference = _growth_string_partitions(space)
+        assert partitions == reference
+        assert [p.blocks for p in partitions] == [p.blocks for p in reference]
 
     def test_partition_order_on_three_states(self):
         space = StateSpace(3)

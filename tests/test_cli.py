@@ -1191,6 +1191,22 @@ def test_set_order_past_the_work_limit_is_refused_before_it_starts(tmp_path, cap
     assert captured.err == f"error: {message}; the limit is {MAX_WORK:,}\n"
 
 
+# a family asked for sets larger than the grid holds only the grid's own
+# subsets, and is built no slower than the whole grid's family
+def test_a_family_larger_than_its_grid_costs_no_more_than_the_grid(tmp_path, capsys):
+    problem = {"operator": {"kind": "min"}, "suite": "set-order", "grid-denominator": 2}
+    _, whole_grid = _run_main(tmp_path, capsys, "check", dict(problem, **{"family-max-size": 3}))
+    started = time.perf_counter()
+    code, captured = _run_main(tmp_path, capsys, "check",
+                               dict(problem, **{"family-max-size": 200_000}))
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == whole_grid.out.replace('"family-max-size": 3\n',
+                                                  '"family-max-size": 200000\n')
+    assert json.loads(captured.out)["summary"] == {"violations": 6}
+
+
 def test_a_gamma_law_check_at_the_work_limit_runs():
     # 3 * (407 * 408 / 2) = 249,084 steps, the last grid under the limit
     report = cmd_check(parse_problem({"operator": {"kind": "min"}, "suite": "gamma-laws",

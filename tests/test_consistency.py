@@ -525,6 +525,11 @@ class TestWorkLimit:
         monkeypatch.setattr(consistency, "unit_grid", None)
         assert default_set_family(10 ** 9, 0) == []
 
+    def test_the_median_is_refused_before_a_gamma_law_grid_is_built(self, monkeypatch):
+        monkeypatch.setattr(consistency, "unit_grid", None)
+        with pytest.raises(ValidationError, match="^the median rule is not a pair rule$"):
+            check_gamma_laws(MedianRule(), 2)
+
 
 class TestGridScaleCharacterization:
     RULES = [Anchored(a) for a in unit_grid(4)] + [

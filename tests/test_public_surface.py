@@ -38,7 +38,8 @@ MODULES = ("acts", "ce_ops", "cli", "consensus", "consistency", "errors",
 REMOVED = ("sequentially_consistent_on_grid", "acts_equivalent", "enumerate_events",
            "compose_partition_act", "DomainMismatch", "VacuityVerdict",
            "ConditionalAct", "framework_of", "parse_report", "IS_VACUOUS_CAP",
-           "iter_events", "_refuse_stop_at_first", "ProblemFile", "_problem_echo")
+           "iter_events", "_refuse_stop_at_first", "ProblemFile", "_problem_echo",
+           "restricted_growth_strings", "partition_from_rgs")
 
 REMOVED_METHODS = [("acts", "Partition", "block_of"), ("acts", "Partition", "is_trivial"),
                    ("acts", "Act", "at"), ("acts", "Act", "rules"),
