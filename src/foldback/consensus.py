@@ -22,7 +22,7 @@ from .plausibility import (
     ZPair,
     vacuous,
 )
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, _fraction
 
 
 class ConsensusReport(Frozen):
@@ -57,10 +57,10 @@ class ContaminationFamily(Frozen):
     weights: tuple[Fraction, ...]
 
     def __init__(self, base: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
-        base = tuple(Fraction(w) for w in base)
+        base = tuple(map(_fraction, base))
         if not base or any(w < 0 for w in base) or sum(base) != 1:
             raise ValidationError("base must be a probability vector")
-        weights = tuple(Fraction(e) for e in weights)
+        weights = tuple(map(_fraction, weights))
         if not weights:
             raise ValidationError("at least one contamination weight required")
         if any(not ZERO < e <= ONE for e in weights):

@@ -410,9 +410,10 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
                      lipschitz: Fraction = DEFAULT_LIPSCHITZ) -> list[LawReport]:
     """Check the pair-rule laws on the grid {k/denominator}.
 
-    (i) diagonal identity, (ii) monotonicity in both arguments,
-    (iii) stability under replacing either argument by its own
-    equivalent, and the Lipschitz modulus standing in for continuity.
+    (i) diagonal identity, (ii) monotonicity in both arguments, (iii)
+    iteration: each inner pair of (x, y), "via-lower" (g(x, x), g(x, y))
+    and "via-upper" (g(x, y), g(y, y)), is ordered and valued g(x, y),
+    and the Lipschitz modulus standing in for continuity.
     """
     if isinstance(rule, MedianRule):
         raise ValidationError("the median rule is not a pair rule")
@@ -457,30 +458,17 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
 
     iteration: list[Witness] = []
     for i, j in pairs:
-        g, gxx, gyy = value[i, j], value[i, i], value[j, j]
-        if level[i, i] <= level[i, j]:
-            lower = level[i, i], level[i, j]
-            via_lower = applied[lower]
-            if via_lower != g:
-                iteration.append(Witness(
-                    (label[i], label[j], "via-lower"), via_lower, g,
-                    level_probe[lower], probe[i, j]))
-        else:
-            # the inner pair is out of order, so the law cannot even be formed
-            iteration.append(Witness(
-                (label[i], label[j], "via-lower", "inner-pair-out-of-order"),
-                gxx, g, probe[i, i], probe[i, j]))
-        if level[i, j] <= level[j, j]:
-            upper = level[i, j], level[j, j]
-            via_upper = applied[upper]
-            if via_upper != g:
-                iteration.append(Witness(
-                    (label[i], label[j], "via-upper"), via_upper, g,
-                    level_probe[upper], probe[i, j]))
-        else:
-            iteration.append(Witness(
-                (label[i], label[j], "via-upper", "inner-pair-out-of-order"),
-                g, gyy, probe[i, j], probe[j, j]))
+        g = value[i, j]
+        for side, a, b in (("via-lower", (i, i), (i, j)), ("via-upper", (i, j), (j, j))):
+            if level[a] > level[b]:
+                # the inner pair is out of order, so the law cannot even be formed
+                iteration.append(Witness((label[i], label[j], side, "inner-pair-out-of-order"),
+                                         value[a], value[b], probe[a], probe[b]))
+                continue
+            via = applied[level[a], level[b]]
+            if via != g:
+                iteration.append(Witness((label[i], label[j], side), via, g,
+                                         level_probe[level[a], level[b]], probe[i, j]))
 
     # the modulus times one grid step, in levels, floored: an integer
     # gap exceeds a rational exactly when it exceeds its floor
@@ -530,18 +518,15 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
                 (label[k],), got, c, Probe((c,)), _constant_probe(c)))
 
     # a pair rule has no witness, so only the median's sets are scanned,
-    # each grown from a smaller one, in lexicographic order; for a pair
-    # rule the pairs below then meet the off-diagonal pairs first, in the
-    # scan's order, so a table missing a pair raises on the same one
+    # in `default_set_family`'s order; for a pair rule the pairs below
+    # then meet the off-diagonal pairs first, in the scan's order, so a
+    # table missing a pair raises on the same one
     range_law: list[Witness] = []
-    sets = [(1 << k, (k,)) for k in range(len(grid))] if isinstance(rule, MedianRule) else []
-    for size in range(1, 5):
-        if size > 1:
-            sets = [(mask | 1 << k, combo + (k,))
-                    for mask, combo in sets for k in range(combo[-1] + 1, len(grid))]
-        for mask, combo in sets:
+    bit = [1 << k for k in range(len(grid))]
+    for size in range(1, 5) if isinstance(rule, MedianRule) else ():
+        for combo in itertools.combinations(range(len(grid)), size):
             lo, hi = combo[0], combo[-1]
-            full, extremes = value[mask], value[1 << lo | 1 << hi]
+            full, extremes = value[sum(map(bit.__getitem__, combo))], value[bit[lo] | bit[hi]]
             if full != extremes:
                 range_law.append(Witness(
                     ("{" + ", ".join(label[k] for k in combo) + "}",), full, extremes,
@@ -724,10 +709,9 @@ def tabulate(rule: GammaFunction, denominator: int) -> Tabulated:
     """Freeze a pair rule's values on the grid into an explicit table."""
     _refuse_work(_grid_pairs(denominator), f"tabulate on grid {_grid_name(denominator)}")
     grid = unit_grid(denominator)
-    entries = tuple(
-        (ZPair(x, y), gamma_apply(rule, ZPair(x, y)))
-        for x in grid for y in grid if x <= y)
-    return Tabulated(entries)
+    # grid pairs are ordered and in [0, 1] by construction
+    pairs = [ZPair._trusted(x, y) for i, x in enumerate(grid) for y in grid[i:]]
+    return Tabulated(tuple((z, gamma_apply(rule, z)) for z in pairs))
 
 
 def _lawful_trees(points: int, reach: int, empty, join, total):

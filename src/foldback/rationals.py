@@ -21,8 +21,13 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def _fraction(value) -> Fraction:
-    """value as a Fraction; a Fraction is returned as it is, not copied."""
-    return value if type(value) is Fraction else Fraction(value)
+    """value as a Fraction; a Fraction is returned as it is, not copied,
+    and a float, which holds its binary expansion, is refused."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise ValidationError(f"a float is not exact, got {value!r}; use a Fraction or 'p/q'")
+    return Fraction(value)
 
 
 def ensure_unit(value, label: str = "value") -> Fraction:

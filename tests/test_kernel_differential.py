@@ -733,6 +733,25 @@ def test_ev_properties_match_reference_on_random_tables(table):
             reference_ev_properties(rule, denominator, lipschitz=lipschitz)
 
 
+TWELFTHS = unit_grid(12)
+
+
+@given(grid_tables())
+@settings(max_examples=300, deadline=None)
+def test_gamma_laws_match_reference_on_random_tables(table):
+    # no rule in RULES has an inner pair out of order. A drawn table
+    # raises at the first inner pair off its grid; filled out to every
+    # pair of twelfths (valued by the lower bound) it raises on none, so
+    # all its witnesses, those out of order included, are compared
+    denominator, drawn = table
+    filled = Tabulated({**{ZPair(x, y): x for x in TWELFTHS for y in TWELFTHS if x <= y},
+                        **dict(drawn.entries)})
+    for rule in (drawn, filled):
+        for lipschitz in (F(0), F(1, 2), 1, 2):
+            expected = _run(reference_gamma_laws, rule, denominator, lipschitz=lipschitz)
+            assert _run(check_gamma_laws, rule, denominator, lipschitz=lipschitz) == expected
+
+
 @given(grid_tables(), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_set_order_matches_reference_on_random_tables(table, max_size):
@@ -897,6 +916,33 @@ def test_ev_properties_match_reference_on_tables_missing_pairs(rule, cells):
     # met in the same order, must be the first to raise
     rule = _missing(rule, *cells)
     assert _run(check_ev_properties, rule, 3) == _run(reference_ev_properties, rule, 3)
+
+
+def reference_tabulate(rule, denominator):
+    grid = unit_grid(denominator)
+    return Tabulated(tuple((ZPair(x, y), gamma_apply(rule, ZPair(x, y)))
+                           for x in grid for y in grid if x <= y))
+
+
+# Anchored(1/2) on k/3 without (1/3, 1/3) and (0, 2/3): in row order
+# (0, 2/3) is the first pair missed, in column order (1/3, 1/3)
+GAPPY_DIAGONAL = _missing(tabulate(Anchored(F(1, 2)), 3), (F(1, 3), F(1, 3)), (F(0), F(2, 3)))
+
+
+@rules({**RULES, "table-missing-pairs": GAPPY_DIAGONAL})
+@pytest.mark.parametrize("denominator", GRIDS[:8])
+def test_tabulate_matches_a_table_of_public_pairs(rule, denominator):
+    def outcome(build):
+        try:
+            table = build(rule, denominator)
+        except Exception as exc:  # the median's refusal must come out of both
+            return ("raised", type(exc), str(exc))
+        return table, table.entries
+
+    expected = outcome(reference_tabulate)
+    assert outcome(tabulate) == expected
+    if isinstance(rule, MedianRule):
+        assert expected[1] is UnsupportedCombination
 
 
 @pytest.mark.parametrize("denominator,lipschitz", [

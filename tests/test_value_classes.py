@@ -44,6 +44,7 @@ from foldback import (
     SearchConfig,
     StateSpace,
     Tabulated,
+    ValidationError,
     Witness,
     ZPair,
     check_sequential,
@@ -194,3 +195,28 @@ def test_importing_the_cli_leaves_dataclasses_and_argparse_unloaded():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[False, False]"
+
+
+# each value class that takes rationals, built with one float among them
+FLOAT_BUILDS = {
+    "Act": lambda: Act(("0", 0.5)),
+    "ZPair": lambda: ZPair(0, 0.5),
+    "ProbabilityMeasure": lambda: ProbabilityMeasure((0.5, "1/2")),
+    "CredalSetMeasure": lambda: CredalSetMeasure(StateSpace(2), ((1, 0), (0.5, "1/2"))),
+    "BeliefFunctionMeasure": lambda: BeliefFunctionMeasure(
+        StateSpace(2), {frozenset({0}): "1/2", frozenset({0, 1}): 0.5}),
+    "PossibilityMeasure": lambda: PossibilityMeasure((1, 0.5)),
+    "Anchored": lambda: Anchored(0.1),
+    "Hurwicz": lambda: Hurwicz(0.5),
+    "Tabulated": lambda: Tabulated({ZPair(0, 0): 0, ZPair(0, 1): 0.5}),
+    "ContaminationFamily-base": lambda: ContaminationFamily(("1/2", 0.5), (1,)),
+    "ContaminationFamily-weights": lambda: ContaminationFamily(("1/2", "1/2"), (1, 0.5)),
+}
+
+
+@pytest.mark.parametrize("build", FLOAT_BUILDS.values(), ids=FLOAT_BUILDS)
+def test_a_float_is_refused(build):
+    # a float holds its binary expansion: 0.1 would be stored as
+    # 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValidationError, match="a float is not exact"):
+        build()
