@@ -412,8 +412,8 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
 
     (i) diagonal identity, (ii) monotonicity in both arguments, (iii)
     iteration: each inner pair of (x, y), "via-lower" (g(x, x), g(x, y))
-    and "via-upper" (g(x, y), g(y, y)), is ordered and valued g(x, y),
-    and the Lipschitz modulus standing in for continuity.
+    and "via-upper" (g(x, y), g(y, y)), is ordered and g of it is
+    g(x, y), and the Lipschitz modulus standing in for continuity.
     """
     if isinstance(rule, MedianRule):
         raise ValidationError("the median rule is not a pair rule")
