@@ -12,6 +12,7 @@ Example:
 """
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -19,18 +20,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from foldback import Anchored, CapExceeded, CeOperator, Hurwicz, MaxRule, MedianRule, MinRule
-from foldback.cli import cmd_check, encode_operator, parse_problem, run_entry_point
+from foldback.cli import (
+    cmd_check, emit_report, encode_operator, encode_rule, parse_problem, run_entry_point)
 from foldback.consistency import MAX_WORK, _ev_work, _sweep_work
 from foldback.plausibility import VACUOUS_FRAMEWORKS
-from foldback.rationals import _steps, format_rational, parse_rational, unit_grid
+from foldback.rationals import _steps, parse_rational, unit_grid
 
 
 def describe(rule) -> str:
-    if isinstance(rule, Anchored):
-        return f"anchored({format_rational(rule.anchor)})"
-    if isinstance(rule, Hurwicz):
-        return f"hurwicz({format_rational(rule.alpha)})"
-    return type(rule).__name__.replace("Rule", "").lower()
+    kind, *fields = encode_rule(rule).values()
+    return f"{kind}({fields[0]})" if fields else kind
 
 
 def problems(rule, args: argparse.Namespace) -> tuple[dict, dict]:
@@ -46,14 +45,15 @@ def problems(rule, args: argparse.Namespace) -> tuple[dict, dict]:
 
 def sweep(rule, sequential: dict, properties: dict) -> str:
     started = time.perf_counter()
-    failures = cmd_check(sequential).payload["failures"]
+    folding = json.loads(emit_report(cmd_check(sequential)))
     reports = cmd_check(properties).payload["reports"]
     elapsed = time.perf_counter() - started
     broken = [report["law"] for report in reports if not report["passed"]]
     parts = [f"{describe(rule):<16}"]
-    if failures:
-        count = "1+" if sequential["stop-at-first"] else str(len(failures))
-        first = failures[0]
+    violations = folding["summary"]["violations"]
+    if violations:
+        count = "1+" if sequential["stop-at-first"] else str(violations)
+        first = folding["failures"][0]
         parts.append(
             f"folding failures: {count:>6}  first: f=({', '.join(first['act'])})"
             f" H={first['partition']} {first['direct']} vs {first['folded']}")

@@ -104,6 +104,13 @@ RUNS: dict[str, tuple[frozenset[str], Optional[int]]] = {
         ("consensus limit", _CONSENSUS + " epsilons base", None))}
 _PROBLEM_KEYS = frozenset().union(*(keys for keys, _ in RUNS.values()))
 
+# each rule kind but `tabulated`: its class and the one rational field it
+# reads, named as the class's attribute; `_RULE_KINDS` maps back by exact class
+_RULES: dict[str, tuple[type, Optional[str]]] = {
+    "anchored": (Anchored, "anchor"), "hurwicz": (Hurwicz, "alpha"),
+    "min": (MinRule, None), "max": (MaxRule, None), "median": (MedianRule, None)}
+_RULE_KINDS = {cls: (kind, field) for kind, (cls, field) in _RULES.items()}
+
 # the fields each measure kind reads besides `kind`
 _MEASURE_FIELDS = {"vacuous": (), "probability": ("weights",), "credal-set": ("generators",),
                   "belief-function": ("masses",), "possibility": ("grades",)}
@@ -238,18 +245,12 @@ def _parse_operator(record: Any) -> CeOperator:
     extension = _boolean(params.pop("credal-extension", False),
                          "operator.credal-extension")
     rule: VacuousRule
-    if kind == "anchored":
-        rule = Anchored(_rational(params.pop("anchor", None), "operator.anchor"))
-    elif kind == "hurwicz":
-        rule = Hurwicz(_rational(params.pop("alpha", None), "operator.alpha"))
-    elif kind == "min":
-        rule = MinRule()
-    elif kind == "max":
-        rule = MaxRule()
-    elif kind == "median":
-        rule = MedianRule()
-    elif kind == "tabulated":
+    if kind == "tabulated":
         rule = _parse_table(params.pop("entries", None))
+    elif isinstance(kind, str) and kind in _RULES:
+        cls, field = _RULES[kind]
+        rule = cls() if field is None else cls(
+            _rational(params.pop(field, None), f"operator.{field}"))
     else:
         raise ParseError(f"operator.kind: unknown kind {kind!r}")
     _refuse_unread_fields(params, (), "operator")
@@ -257,10 +258,8 @@ def _parse_operator(record: Any) -> CeOperator:
                       credal_extension=extension)
 
 
-def _parse_measure(record: Optional[Mapping], space: StateSpace,
+def _parse_measure(record: Mapping, space: StateSpace,
                    framework: Framework) -> PlausibilityMeasure:
-    if record is None:
-        record = {"kind": "vacuous"}
     kind = record.get("kind")
     if not isinstance(kind, str) or kind not in _MEASURE_FIELDS:
         raise ParseError(f"measure.kind: unknown kind {kind!r}")
@@ -271,9 +270,9 @@ def _parse_measure(record: Optional[Mapping], space: StateSpace,
         return ProbabilityMeasure(_rational_list(record.get("weights"),
                                                  "measure.weights"))
     if kind == "credal-set":
-        generators = record.get("generators")
-        if generators is None:
+        if "generators" not in record:
             return CredalSetMeasure.full_simplex(space)
+        generators = record["generators"]
         if not isinstance(generators, list):
             raise ParseError("measure.generators: expected a list of vectors")
         return CredalSetMeasure(space, tuple(
@@ -337,17 +336,15 @@ def parse_problem(raw: Mapping) -> dict[str, Any]:
         except ValueError:
             raise ParseError(f"framework: unknown framework {raw['framework']!r}") from None
 
-    measure_spec = raw.get("measure")
-    if not isinstance(measure_spec, (Mapping, type(None))):
-        raise ParseError("measure: expected an object")
-    # a concrete measure's kind names its framework, which a given one must match
-    if (isinstance(measure_spec, Mapping) and "framework" in raw
-            and measure_spec.get("kind") in [f.value for f in Framework]
-            and measure_spec["kind"] != framework.value):
-        raise ValidationError(f"framework {framework.value!r} contradicts measure kind"
-                              f" {measure_spec['kind']!r}")
-
     if "measure" in raw:
+        measure_spec = raw["measure"]
+        if not isinstance(measure_spec, Mapping):
+            raise ParseError("measure: expected an object")
+        # a concrete measure's kind names its framework, which a given one must match
+        if ("framework" in raw and measure_spec.get("kind") in [f.value for f in Framework]
+                and measure_spec["kind"] != framework.value):
+            raise ValidationError(f"framework {framework.value!r} contradicts measure kind"
+                                  f" {measure_spec['kind']!r}")
         # without an act no run reads it: evaluate needs an act, and every
         # other run refuses the key
         problem["measure"] = (None if space is None
@@ -414,16 +411,12 @@ def encode_partition(partition: Partition) -> list:
 
 
 def encode_rule(rule: VacuousRule) -> dict:
-    if isinstance(rule, Anchored):
-        return {"kind": "anchored", "anchor": format_rational(rule.anchor)}
-    if isinstance(rule, Hurwicz):
-        return {"kind": "hurwicz", "alpha": format_rational(rule.alpha)}
-    if isinstance(rule, MinRule):
-        return {"kind": "min"}
-    if isinstance(rule, MaxRule):
-        return {"kind": "max"}
-    if isinstance(rule, MedianRule):
-        return {"kind": "median"}
+    named = _RULE_KINDS.get(type(rule))
+    if named is not None:
+        kind, field = named
+        if field is None:
+            return {"kind": kind}
+        return {"kind": kind, field: format_rational(getattr(rule, field))}
     if isinstance(rule, Tabulated):
         # a grid table holds few distinct values, each mostly one shared
         # object; key by identity, since hashing a Fraction costs more

@@ -811,8 +811,6 @@ def enumerate_lawful_gamma_tables(denominator: int = 4, *,
             f" the limit is {MAX_WORK:,}")
 
     def join(root: int, lo: int, hi: int, left: list, right: list) -> list[dict]:
-        if not (left and right):
-            return []
         # the pairs with an end at the root or one on each side meet there
         split = {(i, j): root for i in range(lo, root + 1) for j in range(root, hi + 1)}
         return [split | left_map | right_map for left_map in left for right_map in right]

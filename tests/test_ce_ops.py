@@ -16,6 +16,7 @@ from foldback import (
     CredalSetMeasure,
     EmptyOutcomeSet,
     Framework,
+    FrameworkMismatch,
     Hurwicz,
     MaxRule,
     MedianRule,
@@ -23,6 +24,7 @@ from foldback import (
     NotTabulated,
     Preference,
     ProbabilityMeasure,
+    SpaceMismatch,
     StateSpace,
     Tabulated,
     UnsupportedCombination,
@@ -316,3 +318,20 @@ class TestRuleValidation:
         z = ZPair(F(0), F(1))
         with pytest.raises(ValueError):
             Tabulated(((z, F(0)), (z, F(1))))
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: CeOperator(None), UnsupportedCombination, "an operator needs a vacuous rule"),
+        (lambda: median_ce(()), EmptyOutcomeSet, "median of an empty outcome set"),
+        (lambda: expected_utility(vacuous(StateSpace(2), Framework.CREDAL_SET),
+                                  Act((F(0), F(1)))),
+         FrameworkMismatch, "expected utility needs a single probability"),
+        (lambda: ce(CeOperator(MinRule()), ProbabilityMeasure((F(1, 2), F(1, 2))),
+                    Act((F(0), F(1), F(1)))),
+         SpaceMismatch, "measure and act live on different spaces"),
+        (lambda: lambda_prefer(F(1, 2), (), (F(0),)), EmptyOutcomeSet,
+         "preference over an empty outcome set"),
+    ], ids=["operator-without-rule", "median-of-nothing", "expected-utility-of-a-set",
+            "ce-across-spaces", "lambda-prefer-empty"])
+    def test_calls_outside_a_rule_s_domain_are_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()

@@ -1,5 +1,6 @@
 """Problem files, command payloads, exit codes, and witness replay."""
 
+import itertools
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from foldback.cli import (
     SUITES,
     Records,
     ReportFile,
+    _RULES,
     _write_rows,
     _write_verdicts,
     _write_witnesses,
@@ -673,13 +675,24 @@ def test_every_check_report_is_written_as_json_dumps_writes_it(suite, kind, deno
     assert_same_text(emit_report(report), reference_text(report.payload))
 
 
+# values every pair of k/2 at 1/2, so that it breaks idempotence and
+# unanimity, whose right probes are point-mass probabilities
+HALF_EVERYWHERE = {"kind": "tabulated", "entries": [
+    [x, y, "1/2"] for x, y in itertools.combinations_with_replacement(["0", "1/2", "1"], 2)]}
+
+
 class TestWitnessReplay:
-    def test_law_witnesses_replay_through_evaluate(self):
-        raw = {"operator": dict(HURWICZ_HALF), "suite": "gamma-laws",
-               "grid-denominator": 4}
+    @pytest.mark.parametrize("operator,suite,denominator,weighted", [
+        (HURWICZ_HALF, "gamma-laws", 4, 0),
+        (HALF_EVERYWHERE, "gamma-laws", 2, 2),
+        (HALF_EVERYWHERE, "ev-properties", 2, 2),
+    ], ids=["hurwicz", "table-gamma-laws", "table-ev-properties"])
+    def test_law_witnesses_replay_through_evaluate(self, operator, suite, denominator,
+                                                   weighted):
+        raw = {"operator": dict(operator), "suite": suite, "grid-denominator": denominator}
         report = loads_exact(emit_report(cmd_check(parse_problem(raw))))
         operator = report["problem"]["operator"]
-        replayed = 0
+        probes = []
         for law_report in report["reports"]:
             for witness in law_report["witnesses"]:
                 for side, value in (("probe-left", witness["left"]),
@@ -687,8 +700,9 @@ class TestWitnessReplay:
                     problem = probe_problem(witness[side], operator)
                     echoed = cmd_evaluate(parse_problem(problem))
                     assert echoed.payload["ce"] == value
-                    replayed += 1
-        assert replayed > 0
+                    probes.append(witness[side])
+        assert probes
+        assert sum("weights" in probe for probe in probes) == weighted
 
     def test_sequential_failures_replay_through_evaluate(self):
         raw = {"operator": dict(HURWICZ_HALF), "suite": "sequential",
@@ -1089,14 +1103,65 @@ LIMIT = {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF), "mode": "limit
     ("consensus limit", dict(LIMIT, base=[]), (), "base"),
     ("consensus", {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF)},
      ("--epsilon-list", ""), "epsilons[0]"),
+    ("evaluate", evaluate_problem(measure=None), (), "measure: expected an object"),
+    ("evaluate", {"act": ["0", "0", "1"], "measure": {"kind": "credal-set", "generators": None},
+                  "operator": dict(ANCHORED_HALF)}, (),
+     "measure.generators: expected a list of vectors"),
 ], ids=["sizes", "family-max-size-0", "family-max-size-negative", "epsilons", "base",
-        "epsilon-list"])
+        "epsilon-list", "measure-null", "generators-null"])
 def test_empty_or_zero_values_are_refused_not_defaulted(tmp_path, capsys, run, problem,
                                                         flags, message):
     code, captured = _run_main(tmp_path, capsys, run, problem, flags)
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+MIN = {"kind": "min"}
+ACT = ["0", "1/2", "1"]
+
+
+def _masses(masses):
+    return {"act": ACT, "measure": {"kind": "belief-function", "masses": masses},
+            "operator": MIN}
+
+
+@pytest.mark.parametrize("run,problem,message", [
+    ("consensus limit", {"act": ACT, "operator": MIN, "mode": "limit", "epsilons": "1/2"},
+     "epsilons: expected a list"),
+    ("evaluate", {"act": ACT, "measure": {"kind": "gaussian"}, "operator": MIN},
+     "measure.kind: unknown kind 'gaussian'"),
+    ("evaluate", {"act": ACT, "measure": {"kind": "credal-set", "generators": "1/2"},
+                  "operator": MIN}, "measure.generators: expected a list of vectors"),
+    ("evaluate", _masses("1"), "measure.masses: expected a list"),
+    ("evaluate", _masses([{"event": [0], "mass": "1"}, [1]]),
+     "measure.masses[1]: expected an object"),
+    ("evaluate", {"act": ACT, "partition": {"0": [0]}, "operator": MIN},
+     "partition: expected a list of blocks"),
+    ("evaluate", {"act": ACT, "measure": "vacuous", "operator": MIN},
+     "measure: expected an object"),
+    ("check gamma-laws", {"operator": MIN, "suite": "gamma-laws", "grid-denominator": 0},
+     "grid-denominator must be >= 1"),
+    ("check sequential", {"operator": MIN, "suite": "sequential", "sizes": 3},
+     "sizes: expected a list of integers"),
+    ("consensus", {"act": ACT, "operator": MIN, "mode": "majority"},
+     "mode: expected one of ('consensus', 'certainty', 'limit'), got 'majority'"),
+    ("consensus", {"operator": MIN}, "consensus needs an act"),
+    ("evaluate", ["not", "an", "object"], "problem: expected a JSON object"),
+    ("evaluate", {"act": ACT, "measure": {"kind": "probability", "weights": []},
+                  "operator": MIN}, "probability must cover at least one state"),
+    ("evaluate", _masses([{"event": [], "mass": "1"}]),
+     "belief functions put no mass on the empty event"),
+    ("evaluate", _masses([{"event": [5], "mass": "1"}]), "focal element [5] leaves the space"),
+], ids=["epsilons", "measure-kind", "generators", "masses", "mass-entry", "partition",
+        "measure", "grid-denominator", "sizes", "mode", "consensus-act", "problem",
+        "empty-probability", "empty-focal-element", "focal-element-off-space"])
+def test_a_malformed_problem_exits_two_with_one_error_line(tmp_path, capsys, run, problem,
+                                                         message):
+    code, captured = _run_main(tmp_path, capsys, run, problem)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("measure,message", [
@@ -1319,6 +1384,14 @@ def test_readme_table_of_keys_matches_the_runs():
             table[run.strip("`")] = (frozenset(re.findall(r"`([^`]+)`", keys)),
                                      int(grid.strip("`")[2:]) if grid else None)
     assert table == RUNS
+
+
+def test_readme_lists_every_operator_kind_with_its_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("\n- `operator`: `kind` is ", 1)[1].split(". ", 1)[0]
+    listed = re.findall(r"`([a-z]+)`(?: \(`([a-z]+)`)?", bullet)
+    assert listed == [*((kind, field or "") for kind, (_, field) in _RULES.items()),
+                      ("tabulated", "entries")]
 
 
 # -- arbitrary problems ----------------------------------------------------

@@ -170,6 +170,14 @@ class TestExhaustiveSweep:
         with pytest.raises(ValueError):
             SearchConfig(frameworks=(Framework.PROBABILITY,))
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"denominator": 0}, "grid denominator must be >= 1"),
+        ({"frameworks": ()}, "at least one framework required"),
+    ], ids=["denominator", "frameworks"])
+    def test_config_refuses_an_empty_grid_or_framework_list(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SearchConfig(**fields)
+
     def test_sizes_beyond_the_partition_cap_are_refused(self):
         op = CeOperator(Anchored(F(0)))
         with pytest.raises(CapExceeded):

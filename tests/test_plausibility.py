@@ -20,6 +20,7 @@ from foldback import (
     Partition,
     PossibilityMeasure,
     ProbabilityMeasure,
+    SpaceMismatch,
     StateSpace,
     Tabulated,
     ValidationError,
@@ -428,6 +429,18 @@ class TestMeasureValidation:
     def test_possibility_needs_a_fully_possible_state(self):
         with pytest.raises(ValueError):
             PossibilityMeasure((F(1, 2), F(1, 2)))
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: restrict(ProbabilityMeasure((F(1, 2), F(1, 2))),
+                          Partition(StateSpace(3), (frozenset({0, 1, 2}),))),
+         "partition and measure live on different spaces"),
+        (lambda: expectation_bounds(ProbabilityMeasure((F(1, 2), F(1, 2))),
+                                    Act((F(0), F(1), F(1)))),
+         "act and measure live on different spaces"),
+    ], ids=["restrict", "expectation-bounds"])
+    def test_a_measure_refuses_what_lives_on_another_space(self, call, message):
+        with pytest.raises(SpaceMismatch, match=f"^{message}$"):
+            call()
 
     def test_credal_set_needs_a_generator_or_the_simplex_flag(self):
         space = StateSpace(2)

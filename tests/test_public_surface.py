@@ -2,10 +2,15 @@
 
 A name added to or dropped from `foldback.__all__` shows up here as a
 diff; the helpers removed from the API stay removed, from the package
-and from every module of it.
+and from every module of it. The README's library quick start runs and
+prints what its comments say.
 """
 
+import contextlib
 import importlib
+import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +71,13 @@ def test_removed_name_is_gone_from_the_package(name):
 @pytest.mark.parametrize("module,cls,name", REMOVED_METHODS)
 def test_removed_method_is_gone(module, cls, name):
     assert not hasattr(getattr(importlib.import_module(f"foldback.{module}"), cls), name)
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(code, {})
+    assert printed.getvalue().splitlines() == re.findall(r"# (.+)$", code, re.M)
