@@ -12,9 +12,10 @@ the keys its run does not read (`RUNS`), fills in its own defaults and
 writes its report's `problem` block, defaults filled in.
 
 A report's payload is JSON-native except inside a `Records` list, which
-holds what its writer reads: the engine's own `Witness`es, verdict dicts
-or table rows. `emit_report` is the one text stage, and `--format table`
-renders the machine text parsed back.
+holds what its writer reads: the engine's own `Witness`es, failing sweep
+cells or table rows. A `sequential` payload holds one record per failing
+cell, and its text one per cell and framework. `emit_report` is the one
+text stage, and `--format table` renders the machine text parsed back.
 
 The `problem` block of an `evaluate` report is a valid problem that
 replays to the same report, and every witness probe with its report's
@@ -30,8 +31,10 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -135,8 +138,17 @@ def _reject_float(text: str) -> None:
     raise ParseError(f"decimal literals are not accepted: {text!r}")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object from its key-value pairs, refused if a key repeats."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ParseError(f"an object repeats the key {repeated!r}")
+    return record
+
+
 def loads_exact(text: str) -> Any:
-    """json.loads that refuses floating-point literals.
+    """json.loads that refuses floating-point literals and repeated keys.
 
     It also refuses an integer literal longer than the interpreter
     converts to an int (4,300 digits by default), and arrays or objects
@@ -144,7 +156,7 @@ def loads_exact(text: str) -> Any:
     """
     try:
         return json.loads(text, parse_float=_reject_float,
-                          parse_constant=_reject_float)
+                          parse_constant=_reject_float, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
     except ValueError:
@@ -463,12 +475,12 @@ def _rational_text(value: Fraction, encoded: dict) -> str:
 class Records(list):
     """A list of items of one fixed shape, with the writer that knows it.
 
-    The items are what the writer reads: engine `Witness`es, verdict
-    dicts or table rows. So a payload is JSON-native except inside a
-    `Records`. To every reader but `_write` it is a plain list; `_write`
-    hands a nonempty one to `write(records, indent, out, texts)`, which
-    writes the items by their fixed fields or places instead of walking
-    each one.
+    The items are what the writer reads: engine `Witness`es, failing
+    sweep cells (one record each, written once per framework) or table
+    rows. So a payload is JSON-native except inside a `Records`. To every
+    reader but `_write` it is a plain list; `_write` hands a nonempty one
+    to `write(records, indent, out, texts)`, which writes the items by
+    their fixed fields or places instead of walking each one.
     """
 
     __slots__ = ("write",)
@@ -490,8 +502,8 @@ def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
 
     `encoded`, kept by the caller for one report, maps the id of each act,
     partition and value encoded so far to its encoding, so one that many
-    verdicts share (as a sweep's failures share their act across
-    partitions and frameworks, and their interned values across cells) is
+    verdicts share (as a sweep's failing cells share their act across
+    partitions, their partition across acts and their interned values) is
     encoded once, as one list or string that their records hold. The
     verdicts must stay alive while the map is in use.
     """
@@ -606,22 +618,14 @@ def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
         failures = check_sequential_exhaustive(op, cfg)
         echo["sizes"] = list(cfg.sizes)
         echo["stop-at-first"] = cfg.stop_at_first
-        # a cell's verdicts come in a row, one per framework, holding the
-        # same act, partition and values: the first is encoded, and each
-        # later one is a copy of the record before it with its own framework
-        entries = Records(_write_verdicts)
+        # one record per failing cell, written once per framework: a cell's
+        # verdicts come in a row, one per framework reported (the first
+        # cell's name them; stop-at-first reports one), so its first is encoded
+        step = len(cfg.frameworks)
+        names = [v.framework.value for v in failures[:step]]
         encoded: dict = {}
-        name = {fw: fw.value for fw in Framework}  # `.value` is a slower property read
-        cell = record = None
-        for v in failures:
-            if (cell is None or v.act is not cell.act or v.partition is not cell.partition
-                    or v.direct_value is not cell.direct_value
-                    or v.folded_value is not cell.folded_value):
-                cell, record = v, encode_verdict(v, encoded)
-            else:
-                record = record.copy()
-                record["framework"] = name[v.framework]
-            entries.append(record)
+        entries = Records(partial(_write_cells, frameworks=names),
+                          [encode_verdict(v, encoded) for v in failures[::step]])
         key, violations = "failures", len(failures)
     else:
         if suite == "gamma-laws":
@@ -776,47 +780,36 @@ def _strings(items: Sequence[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(_quote, items)) + "\n" + indent + "]"
 
 
-def _write_verdicts(records: Records, indent: str, out: list, texts: dict) -> None:
-    """`_write` for a nonempty list of `encode_verdict`'s records.
-
-    A run of records of one cell, holding the same act, partition, direct
-    and folded objects and the same `holds` (as `cmd_check` makes them),
-    writes those five keys once, each act's and partition's text made
-    once and kept by id. Records that are only equal start a new run,
-    which writes the same text. Each record then adds its `framework`
-    line and closing brace, whose text is made once per framework.
+def _write_cells(records: Records, indent: str, out: list, texts: dict,
+                 frameworks: Sequence[str]) -> None:
+    """`_write` for a nonempty list of failing sweep cells, each held as
+    `encode_verdict`'s record of its first verdict, and written once for
+    each name in `frameworks`: the text of the five keys its verdicts
+    share is made once per cell, each act's and partition's once per
+    report and indent by id, and each framework's closing line once.
     """
     inner = indent + "  "
     fields = inner + "  "
     comma = ",\n" + fields
     close = "\n" + inner + "}"
     known = texts.setdefault(indent, {})
-    tails: dict = {}
+    tails = [comma + '"framework": ' + _quote(name) + close for name in frameworks]
     separator = "[\n" + inner
-    act = partition = direct = folded = holds = object()  # held by no record
     for record in records:
-        if (record["act"] is not act or record["partition"] is not partition
-                or record["direct"] is not direct or record["folded"] is not folded
-                or record["holds"] is not holds):
-            act, partition, direct, folded, holds = (
-                record["act"], record["partition"], record["direct"], record["folded"],
-                record["holds"])
-            for value in (act, partition):
-                if id(value) not in known:
-                    pieces: list = []
-                    _write(value, fields, pieces, texts)
-                    known[id(value)] = "".join(pieces)
-            head = ("{\n" + fields + '"act": ' + known[id(act)]
-                    + comma + '"partition": ' + known[id(partition)]
-                    + comma + '"direct": ' + _quote(direct) + comma + '"folded": '
-                    + _quote(folded) + comma + '"holds": ' + ("true" if holds else "false"))
-        framework = record.get("framework")
-        tail = tails.get(framework)
-        if tail is None:
-            tail = tails[framework] = (close if framework is None else
-                                       comma + '"framework": ' + _quote(framework) + close)
-        out.append(separator + head + tail)
-        separator = ",\n" + inner
+        act, partition = record["act"], record["partition"]
+        for value in (act, partition):
+            if id(value) not in known:
+                pieces: list = []
+                _write(value, fields, pieces, texts)
+                known[id(value)] = "".join(pieces)
+        head = ("{\n" + fields + '"act": ' + known[id(act)]
+                + comma + '"partition": ' + known[id(partition)]
+                + comma + '"direct": ' + _quote(record["direct"]) + comma + '"folded": '
+                + _quote(record["folded"]) + comma + '"holds": '
+                + ("true" if record["holds"] else "false"))
+        for tail in tails:
+            out.append(separator + head + tail)
+            separator = ",\n" + inner
     out.append("\n" + indent + "]")
 
 

@@ -49,15 +49,17 @@ from foldback import (
     StateSpace,
     enumerate_partitions,
 )
+from foldback.cli import Records, _write_cells
 from foldback.consistency import Probe, Witness
 from foldback.rationals import format_rational
 
 
 # -- the reference text of a report ----------------------------------------
-# A check report's payload holds the engine's own `Witness`es, which the
-# report writer writes from their fields. These encoders are the record
-# shapes it must write, keys in report order, and `reference_text` is
-# the text `json.dumps` makes of a payload with them.
+# A check report's payload holds the engine's own `Witness`es, and one
+# record per failing sweep cell, which the report writer writes from
+# their fields. These encoders are the record shapes it must write, keys
+# in report order, and `reference_text` is the text `json.dumps` makes of
+# a payload with them.
 
 
 def probe_record(probe: Probe) -> dict:
@@ -77,16 +79,22 @@ def witness_record(witness: Witness) -> dict:
 
 
 def reference_text(payload) -> str:
-    """`json.dumps(payload, indent=2)`, each witness as its record."""
-    return json.dumps(payload, indent=2, default=witness_record)
+    """`json.dumps(payload, indent=2)`, each witness as its record and
+    each sweep cell as one record per framework."""
+    return json.dumps(reference_payload(payload), indent=2)
 
 
 def reference_payload(value):
     """A copy of a payload in plain dicts and lists, each witness as its
-    record: what `json.loads` makes of the report's text."""
+    record and each sweep cell as one record per framework: what
+    `json.loads` makes of the report's text."""
     if isinstance(value, dict):
         return {key: reference_payload(item) for key, item in value.items()}
     if isinstance(value, list):
+        # a list of sweep cells holds a `partial` of `_write_cells`
+        if type(value) is Records and getattr(value.write, "func", None) is _write_cells:
+            return [{**reference_payload(cell), "framework": name}
+                    for cell in value for name in value.write.keywords["frameworks"]]
         return [reference_payload(item) for item in value]
     return witness_record(value) if isinstance(value, Witness) else value
 

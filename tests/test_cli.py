@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from foldback.cli import (
     ReportFile,
     _RULES,
     _write_rows,
-    _write_verdicts,
+    _write_cells,
     _write_witnesses,
     cmd_check,
     cmd_consensus,
@@ -96,35 +97,35 @@ def equal_copy(value):
     return value
 
 
+def cells(frameworks, items=()):
+    """A list of sweep cells, written once for each of `frameworks`."""
+    return Records(partial(_write_cells, frameworks=frameworks), items)
+
+
 @st.composite
-def verdict_records(draw):
-    """Sweep-shaped records: cells drawn from a few shared acts, partitions
-    and values, each a run of zero to three records with a framework or
-    one record without. A run's records hold the cell's objects, or equal
-    copies of them, as records that were encoded apart would."""
+def cell_records(draw):
+    """Sweep-cell-shaped records, written for one to three framework
+    names: cells drawn from a few shared acts, partitions and values, each
+    holding them or equal copies of them, as cells that were encoded apart
+    would, and the first framework's name as `encode_verdict` writes it."""
     acts = draw(st.lists(st.lists(TEXTS, max_size=3), min_size=1, max_size=3))
     partitions = draw(st.lists(st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3),
                                min_size=1, max_size=3))
     values = draw(st.lists(TEXTS, min_size=1, max_size=3))
-    records = Records(_write_verdicts)
+    frameworks = draw(st.lists(TEXTS, min_size=1, max_size=3))
+    records = cells(frameworks)
     for _ in range(draw(st.integers(0, 5))):
-        head = {"act": draw(st.sampled_from(acts)),
-                "partition": draw(st.sampled_from(partitions)),
-                "direct": draw(st.sampled_from(values)),
-                "folded": draw(st.sampled_from(values)),
-                "holds": draw(st.booleans())}
         copy = equal_copy if draw(st.booleans()) else dict
-        frameworks = draw(st.lists(TEXTS, max_size=3) | st.just([None]))
-        for framework in frameworks:
-            record = copy(head)
-            if framework is not None:
-                record["framework"] = framework
-            records.append(record)
+        records.append(copy({"act": draw(st.sampled_from(acts)),
+                             "partition": draw(st.sampled_from(partitions)),
+                             "direct": draw(st.sampled_from(values)),
+                             "folded": draw(st.sampled_from(values)),
+                             "holds": draw(st.booleans()), "framework": frameworks[0]}))
     return records
 
 
 CELL = {"act": ["0", "1/2"], "partition": [[0], [1]], "direct": "1/2", "folded": "1/4",
-        "holds": False}
+        "holds": False, "framework": "credal-set"}
 
 
 @st.composite
@@ -474,20 +475,21 @@ class TestReportRoundTrip:
         assert_same_text(emit_report(ReportFile(tree, 0)), json.dumps(tree, indent=2))
 
     @settings(max_examples=150)
-    @given(verdict_records(), JSON_TREES)
-    @example(Records(_write_verdicts), [])
-    # equal records that share no list or string of two or more characters
-    @example(Records(_write_verdicts, [equal_copy(dict(CELL, framework=framework))
-                                       for framework in ("credal-set", "possibility", "x")]),
+    @given(cell_records(), JSON_TREES)
+    @example(cells(["credal-set"]), [])
+    # equal cells that share no list or string of two or more characters
+    @example(cells(["credal-set", "possibility", "x"], [equal_copy(CELL) for _ in range(2)]),
              [])
-    def test_verdict_records_are_written_as_json_dumps_writes_them(self, records, tree):
-        # one list of records at four indents, once as a plain list, inside any tree
+    def test_cell_records_are_written_as_json_dumps_writes_them_per_framework(self, records,
+                                                                             tree):
+        # one list of cells at four indents, once as a plain list, inside any
+        # tree; the reference writes each cell as one record per framework
         payload = {"failures": records, "tree": [tree, {"deeper": records}],
                    "loose": list(records), "nested": [records, {"again": [records]}],
                    "last": records}
-        assert_same_text(emit_report(ReportFile(payload, 0)), json.dumps(payload, indent=2))
-        assert_same_text(emit_report(ReportFile(records, 0)), json.dumps(records, indent=2))
-        assert loads_exact(emit_report(ReportFile(payload, 0))) == payload
+        assert_same_text(emit_report(ReportFile(payload, 0)), reference_text(payload))
+        assert_same_text(emit_report(ReportFile(records, 0)), reference_text(records))
+        assert loads_exact(emit_report(ReportFile(payload, 0))) == reference_payload(payload)
 
     @settings(max_examples=150)
     @given(witness_records(), JSON_TREES)
@@ -529,42 +531,51 @@ class TestReportRoundTrip:
             {"operator": dict(HURWICZ_HALF), "suite": "sequential", "sizes": [2, 3],
              "grid-denominator": 2, "stop-at-first": stop_at_first}))
         failures = report.payload["failures"]
-        assert len(failures) == (1 if stop_at_first else report.payload["summary"]["violations"])
+        violations = report.payload["summary"]["violations"]
+        # one record per failing cell, written once per framework
+        assert len(failures) == (1 if stop_at_first else violations // 3)
         for record in failures:
             assert list(record) == ["act", "partition", "direct", "folded", "holds",
                                     "framework"]
-        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
+        text = emit_report(report)
+        assert_same_text(text, reference_text(report.payload))
+        assert len(json.loads(text)["failures"]) == violations
 
-    def test_sweep_failures_share_their_act_and_partition(self):
+    def test_sweep_cells_of_one_act_share_its_act_list(self):
         report = cmd_check(parse_problem(
             {"operator": dict(HURWICZ_HALF), "suite": "sequential", "sizes": [3],
              "grid-denominator": 2}))
         failures = report.payload["failures"]
         assert failures[0]["act"] == ["0", "0", "1/2"]
         first = [f for f in failures if f["act"] == failures[0]["act"]]
-        # one record per framework of the same cell, holding the same lists
+        # the act's cells, one per partition, hold one act list
+        assert len(first) == len({json.dumps(f["partition"]) for f in first}) > 1
         assert len({id(f["act"]) for f in first}) == 1
-        assert len({id(f["partition"]) for f in first[:3]}) == 1
-        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
+        # and the cells of one partition hold one partition list
+        assert len({id(f["partition"]) for f in failures}) == \
+            len({json.dumps(f["partition"]) for f in failures})
+        assert_same_text(emit_report(report), reference_text(report.payload))
 
-    def test_a_sweep_cell_is_one_record_per_framework_holding_its_objects(self):
+    def test_a_sweep_cell_is_one_payload_record_written_once_per_framework(self):
         report = cmd_check(parse_problem(
             {"operator": dict(HURWICZ_HALF), "suite": "sequential", "sizes": [3],
              "grid-denominator": 2}))
         failures = report.payload["failures"]
-        assert len(failures) % 3 == 0
-        cells = [failures[k:k + 3] for k in range(0, len(failures), 3)]
-        for cell in cells:
-            assert [record["framework"] for record in cell] == \
-                ["credal-set", "belief-function", "possibility"]
-            # distinct dicts, holding the cell's act, partition and values
-            assert len({id(record) for record in cell}) == 3
-            for key in ("act", "partition", "direct", "folded"):
-                assert len({id(record[key]) for record in cell}) == 1
+        assert 3 * len(failures) == report.payload["summary"]["violations"]
         # consecutive cells differ in their partition or their act
-        for one, two in zip(cells, cells[1:]):
-            assert (one[0]["act"], one[0]["partition"]) != (two[0]["act"], two[0]["partition"])
-        assert_same_text(emit_report(report), json.dumps(report.payload, indent=2))
+        for one, two in zip(failures, failures[1:]):
+            assert (one["act"], one["partition"]) != (two["act"], two["partition"])
+        written = json.loads(emit_report(report))["failures"]
+        assert len(written) == 3 * len(failures)
+        for k, cell in enumerate(failures):
+            # the cell's record is its first framework's; each framework's
+            # record differs from it in `framework` alone
+            assert cell["framework"] == "credal-set"
+            records = written[3 * k:3 * k + 3]
+            assert [record["framework"] for record in records] == \
+                ["credal-set", "belief-function", "possibility"]
+            for record in records:
+                assert dict(record, framework="credal-set") == cell
 
     def test_law_witnesses_share_their_probes_and_values(self, monkeypatch):
         report = cmd_check(parse_problem(
@@ -955,8 +966,9 @@ KEY_VALUES = {
 
 
 def _run_main(tmp_path, capsys, run, problem, flags=()):
+    """Run `main` on a problem, given as a value or as its JSON text."""
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem))
+    path.write_text(problem if isinstance(problem, str) else json.dumps(problem))
     code = main([run.split()[0], "--problem", str(path), *flags])
     return code, capsys.readouterr()
 
@@ -1153,9 +1165,30 @@ def _masses(masses):
     ("evaluate", _masses([{"event": [], "mass": "1"}]),
      "belief functions put no mass on the empty event"),
     ("evaluate", _masses([{"event": [5], "mass": "1"}]), "focal element [5] leaves the space"),
+    # a repeated key is refused at any depth, not read as its last value
+    ("evaluate", '{"act": ["0", "1"], "act": ["1"], "operator": {"kind": "min"}}',
+     "an object repeats the key 'act'"),
+    ("evaluate", '{"act": ["0", "1"], "operator": {"kind": "hurwicz", "alpha": "1/3",'
+                 ' "alpha": "1/2"}}', "an object repeats the key 'alpha'"),
+    ("evaluate", '{"act": ["0", "1"], "measure": {"kind": "belief-function", "masses":'
+                 ' [{"event": [0, 1], "mass": "1", "event": [0]}]}, "operator": {"kind": "min"}}',
+     "an object repeats the key 'event'"),
+    ("check sequential", '{"operator": {"kind": "min"}, "suite": "sequential",'
+                         ' "grid-denominator": 2, "grid-denominator": 1}',
+     "an object repeats the key 'grid-denominator'"),
+    ("check sequential", '{"operator": {"kind": "hurwicz", "kind": "min", "alpha": "1/2"},'
+                         ' "suite": "sequential"}', "an object repeats the key 'kind'"),
+    ("consensus limit", '{"act": ["0", "1"], "operator": {"kind": "min"}, "mode": "limit",'
+                        ' "epsilons": ["1"], "mode": "consensus"}',
+     "an object repeats the key 'mode'"),
+    ("consensus", '{"act": ["0", "1"], "operator": {"kind": "anchored", "anchor": "1/2",'
+                  ' "anchor": "1/2"}}', "an object repeats the key 'anchor'"),
 ], ids=["epsilons", "measure-kind", "generators", "masses", "mass-entry", "partition",
         "measure", "grid-denominator", "sizes", "mode", "consensus-act", "problem",
-        "empty-probability", "empty-focal-element", "focal-element-off-space"])
+        "empty-probability", "empty-focal-element", "focal-element-off-space",
+        "evaluate-repeated-key", "evaluate-repeated-operator-key",
+        "evaluate-repeated-mass-key", "check-repeated-key", "check-repeated-operator-key",
+        "consensus-repeated-key", "consensus-repeated-equal-operator-key"])
 def test_a_malformed_problem_exits_two_with_one_error_line(tmp_path, capsys, run, problem,
                                                          message):
     code, captured = _run_main(tmp_path, capsys, run, problem)

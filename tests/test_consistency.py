@@ -506,6 +506,13 @@ class TestWorkLimit:
         with pytest.raises(Admitted):
             call()
 
+    def test_a_family_of_exactly_the_limit_is_admitted_and_one_more_size_refused(self):
+        # k/249,999 has 250,000 points: its one-point sets reach the limit
+        # exactly, and its two-point sets pass it
+        assert consistency._family_sets(249_999, 1) == consistency.MAX_WORK
+        with pytest.raises(CapExceeded, match="needs at least 31,250,125,000 steps"):
+            consistency._family_sets(249_999, 3)
+
     def test_a_huge_family_is_refused_while_it_is_counted(self):
         started = time.perf_counter()
         with pytest.raises(CapExceeded, match="needs at least 1,000,001 steps"):
