@@ -30,10 +30,8 @@ from .ce_ops import (
     VacuousRule,
     ce,
     ce_vacuous,
-    expected_utility,
     gamma_apply,
     lambda_prefer,
-    median_ce,
     np_prefer,
 )
 from .consensus import (
@@ -84,9 +82,6 @@ from .plausibility import (
     PossibilityMeasure,
     ProbabilityMeasure,
     ZPair,
-    Z_BOTTOM,
-    Z_TOP,
-    Z_VACUOUS,
     condition,
     evaluate,
     expectation_bounds,

@@ -24,7 +24,6 @@ from typing import AbstractSet, Iterable, Union
 from .acts import Act, Frozen, outcome_set
 from .errors import (
     EmptyOutcomeSet,
-    FrameworkMismatch,
     NotTabulated,
     SpaceMismatch,
     UnsupportedCombination,
@@ -33,7 +32,6 @@ from .errors import (
 from .plausibility import (
     Framework,
     PlausibilityMeasure,
-    ProbabilityMeasure,
     ZPair,
     expectation_bounds,
     is_vacuous,
@@ -180,31 +178,19 @@ def gamma_apply(rule: GammaFunction, z: ZPair) -> Fraction:
     raise UnsupportedCombination(f"not a pair rule: {rule!r}")
 
 
-def median_ce(outcomes: AbstractSet) -> Fraction:
-    """Lower median of the distinct outcomes (ties broken downward)."""
-    if not outcomes:
-        raise EmptyOutcomeSet("median of an empty outcome set")
-    ordered = sorted(outcomes)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def ce_vacuous(rule: VacuousRule, outcomes: AbstractSet) -> Fraction:
     """Certainty equivalent of an outcome set under total ignorance.
 
     Pair rules see only (min, max) of the set; the median rule is the
-    one implemented rule that uses more of it.
+    one implemented rule that uses more of it, the lower median of the
+    distinct outcomes (ties broken downward).
     """
     if not outcomes:
         raise EmptyOutcomeSet("no outcomes to evaluate")
     if isinstance(rule, MedianRule):
-        return median_ce(outcomes)
+        ordered = sorted(outcomes)
+        return ordered[(len(ordered) - 1) // 2]
     return gamma_apply(rule, ZPair(min(outcomes), max(outcomes)))
-
-
-def expected_utility(measure: ProbabilityMeasure, act: Act) -> Fraction:
-    if measure.framework is not Framework.PROBABILITY:
-        raise FrameworkMismatch("expected utility needs a single probability")
-    return expectation_bounds(measure, act).lower
 
 
 def ce(op: CeOperator, measure: PlausibilityMeasure, act: Act) -> Fraction:
@@ -220,7 +206,8 @@ def ce(op: CeOperator, measure: PlausibilityMeasure, act: Act) -> Fraction:
         raise SpaceMismatch("measure and act live on different spaces")
     probability = measure.framework is Framework.PROBABILITY
     if probability and op.probabilistic_rule:
-        return expected_utility(measure, act)
+        # a single probability's bounds meet at its expected utility
+        return expectation_bounds(measure, act).lower
     if is_vacuous(measure):
         return ce_vacuous(op.vacuous_rule, outcome_set(act))
     if (op.credal_extension and not probability

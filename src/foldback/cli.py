@@ -24,6 +24,11 @@ not: they echo `framework`, and `consensus` also `measure`, which those
 runs refuse, and a `consensus` block lacks `mode`, `state`, `epsilons`
 and `base`. Mending them changes report bytes, so it waits for a
 re-recorded `perfbench/reference.json` (ROADMAP.md, "Reports that replay").
+Nor do the consensus runs read the operator's `probabilistic-rule` and
+`credal-extension`: each mode values with fixed routing (`certainty`
+always with the credal extension), yet the block echoes the flags as
+given. Refusing them would refuse requests `perfbench/workloads.py`
+sends, so that waits for the same change.
 """
 
 from __future__ import annotations
@@ -498,7 +503,7 @@ def encode_law_report(report: LawReport) -> dict:
 
 
 def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
-    """A verdict's report record, with `framework` only when it has one.
+    """A verdict's report record.
 
     `encoded`, kept by the caller for one report, maps the id of each act,
     partition and value encoded so far to its encoding, so one that many
@@ -512,16 +517,14 @@ def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
         encoded[id(act)] = encode_act(act)
     if id(partition) not in encoded:
         encoded[id(partition)] = encode_partition(partition)
-    record = {
+    return {
         "act": encoded[id(act)],
         "partition": encoded[id(partition)],
         "direct": _rational_text(verdict.direct_value, encoded),
         "folded": _rational_text(verdict.folded_value, encoded),
         "holds": verdict.holds,
+        "framework": verdict.framework.value,
     }
-    if verdict.framework is not None:
-        record["framework"] = verdict.framework.value
-    return record
 
 
 def probe_problem(probe_record: Mapping, operator_record: Mapping) -> dict:

@@ -165,11 +165,10 @@ class ConsistencyVerdict(Frozen):
     folded_value: Fraction
     partition: Partition
     act: Act
-    framework: Optional[Framework] = None
+    framework: Framework
 
     def __init__(self, holds: bool, direct_value: Fraction, folded_value: Fraction,
-                 partition: Partition, act: Act,
-                 framework: Optional[Framework] = None) -> None:
+                 partition: Partition, act: Act, framework: Framework) -> None:
         if holds != (direct_value == folded_value):
             raise ValidationError("verdict flag contradicts its values")
         object.__setattr__(self, "holds", holds)
@@ -187,7 +186,7 @@ class ConsistencyVerdict(Frozen):
         values the engine knows differ: unchecked, each filled from one
         field dict."""
         fields = {"holds": False, "direct_value": direct_value, "folded_value": folded_value,
-                  "partition": partition, "act": act, "framework": None}
+                  "partition": partition, "act": act}
         verdicts = []
         for framework in frameworks:
             fields["framework"] = framework
@@ -212,6 +211,9 @@ class SearchConfig(Frozen):
             raise ValidationError("grid denominator must be >= 1")
         if not sizes or any(n < 1 for n in sizes):
             raise ValidationError("sizes must be positive")
+        if len(set(sizes)) < len(sizes):
+            # a repeated size would sweep, and report, its cells twice
+            raise ValidationError(f"sizes must be distinct, got {list(sizes)}")
         if not frameworks:
             raise ValidationError("at least one framework required")
         if Framework.PROBABILITY in frameworks:
@@ -295,9 +297,11 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     A vacuous measure stays vacuous under restriction and conditioning,
     so every certainty equivalent of a cell is the vacuous rule on an
     outcome set, whatever the framework: each cell's verdict is computed
-    once and reported for every configured framework. Outcome sets are
-    bitmasks over grid indices, values are interned as bits of another
-    mask, and evaluation order (direct, then blocks in order, then
+    once and reported for every configured framework. Values are
+    interned as bits, grid point k as bit k, so an outcome set of grid
+    points (an act's or a block's) and a set of block values are both
+    bitmasks of interned values, and every distinct set is valued once,
+    by `ce_vacuous`. Evaluation order (direct, then blocks in order, then
     folded) is that of `check_sequential`, so a rule that raises does so
     on the same input. A failing cell's act is made of grid points and
     its two values are distinct interned values, so its act and verdicts
@@ -311,15 +315,14 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
             f"sweep capped at n <= {PARTITION_CAP}, asked for {max(cfg.sizes)}")
     rule = op.vacuous_rule
     grid = unit_grid(cfg.denominator)
-    interned: list[Fraction] = []
+    interned = list(grid)
 
     def intern(value: Fraction) -> int:
         interned.append(value)
         return 1 << (len(interned) - 1)
 
     bit_of = _Memo(intern)
-    on_grid_value = _grid_valuation(rule, grid)
-    on_grid = _Memo(lambda mask: bit_of[on_grid_value(mask)])
+    bit_of.update((x, 1 << k) for k, x in enumerate(grid))
     on_values = _Memo(lambda mask: bit_of[
         ce_vacuous(rule, frozenset(interned[k] for k in _members(mask)))])
 
@@ -341,12 +344,12 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
             for states in subsets:
                 low = states & -states
                 sets.append(sets[states ^ low] | 1 << act_index[low.bit_length() - 1])
-            direct = on_grid[sets[-1]]
+            direct = on_values[sets[-1]]
             act = None
             for H, blocks in shapes:
                 block_values = 0
                 for block in blocks:
-                    block_values |= on_grid[sets[block]]
+                    block_values |= on_values[sets[block]]
                 folded = on_values[block_values]
                 if folded == direct:
                     continue
@@ -579,10 +582,10 @@ def check_set_order_conditions(rule: VacuousRule,
     values matters, so the loops compare their dense ranks.
 
     Sets are bitmasks over the family's sorted pool, valued by
-    `_grid_valuation` as the sweep values grid sets, with a validating
-    pair, so a point outside [0, 1] is refused on the same set as by
-    `ce_vacuous`. Adjoining a point is an or, a subset test is a mask
-    test, and each set's text and probe are made once, keyed by mask.
+    `_grid_valuation` with a validating pair, so a point outside [0, 1]
+    is refused on the same set as by `ce_vacuous`. Adjoining a point is
+    an or, a subset test is a mask test, and each set's text and probe
+    are made once, keyed by mask.
 
     Strong independence scans the right sets of a left set only when its
     row of ranks falls below its ceiling at some pool point. The ceiling

@@ -74,11 +74,6 @@ class ZPair(Frozen):
         return pair
 
 
-Z_BOTTOM = ZPair(ZERO, ZERO)
-Z_TOP = ZPair(ONE, ONE)
-Z_VACUOUS = ZPair(ZERO, ONE)
-
-
 class Framework(enum.Enum):
     PROBABILITY = "probability"
     CREDAL_SET = "credal-set"

@@ -1156,6 +1156,8 @@ def _masses(masses):
      "grid-denominator must be >= 1"),
     ("check sequential", {"operator": MIN, "suite": "sequential", "sizes": 3},
      "sizes: expected a list of integers"),
+    ("check sequential", {"operator": MIN, "suite": "sequential", "grid-denominator": 2,
+                          "sizes": [3, 3]}, "sizes must be distinct, got [3, 3]"),
     ("consensus", {"act": ACT, "operator": MIN, "mode": "majority"},
      "mode: expected one of ('consensus', 'certainty', 'limit'), got 'majority'"),
     ("consensus", {"operator": MIN}, "consensus needs an act"),
@@ -1184,8 +1186,8 @@ def _masses(masses):
     ("consensus", '{"act": ["0", "1"], "operator": {"kind": "anchored", "anchor": "1/2",'
                   ' "anchor": "1/2"}}', "an object repeats the key 'anchor'"),
 ], ids=["epsilons", "measure-kind", "generators", "masses", "mass-entry", "partition",
-        "measure", "grid-denominator", "sizes", "mode", "consensus-act", "problem",
-        "empty-probability", "empty-focal-element", "focal-element-off-space",
+        "measure", "grid-denominator", "sizes", "repeated-size", "mode", "consensus-act",
+        "problem", "empty-probability", "empty-focal-element", "focal-element-off-space",
         "evaluate-repeated-key", "evaluate-repeated-operator-key",
         "evaluate-repeated-mass-key", "check-repeated-key", "check-repeated-operator-key",
         "consensus-repeated-key", "consensus-repeated-equal-operator-key"])

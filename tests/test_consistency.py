@@ -178,6 +178,13 @@ class TestExhaustiveSweep:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             SearchConfig(**fields)
 
+    @pytest.mark.parametrize("sizes,shown", [((3, 3), "[3, 3]"), ((2, 3, 2), "[2, 3, 2]")])
+    def test_config_refuses_a_repeated_size(self, sizes, shown):
+        # a repeated size would sweep, and report, its cells twice
+        with pytest.raises(ValidationError) as refused:
+            SearchConfig(sizes=sizes, denominator=2)
+        assert str(refused.value) == f"sizes must be distinct, got {shown}"
+
     def test_sizes_beyond_the_partition_cap_are_refused(self):
         op = CeOperator(Anchored(F(0)))
         with pytest.raises(CapExceeded):
@@ -669,4 +676,4 @@ class TestReportShapes:
         partition = Partition(space, (space.full_event(),))
         act = Act((F(0), F(1)))
         with pytest.raises(ValueError):
-            ConsistencyVerdict(True, F(0), F(1), partition, act)
+            ConsistencyVerdict(True, F(0), F(1), partition, act, Framework.CREDAL_SET)

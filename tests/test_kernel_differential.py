@@ -76,7 +76,7 @@ from foldback import (
     tabulate,
     vacuous,
 )
-from foldback import cli
+from foldback import cli, consistency
 from foldback.cli import cmd_check, emit_report, encode_verdict
 from foldback.consistency import (
     DEFAULT_LIPSCHITZ,
@@ -586,6 +586,48 @@ def test_uncovered_table_raises_at_the_same_first_miss():
     with pytest.raises(NotTabulated) as got:
         check_sequential_exhaustive(op, cfg)
     assert str(got.value) == str(expected.value)
+
+
+def _value_once(monkeypatch) -> set:
+    """Make the sweep value outcome sets through `ce_vacuous` alone, and
+    each distinct one once; return the set of the sets it values."""
+    valued = set()
+
+    def value_once(rule, outcomes):
+        outcomes = frozenset(outcomes)
+        assert outcomes not in valued, f"{sorted(outcomes)} valued twice"
+        valued.add(outcomes)
+        return ce_vacuous(rule, outcomes)
+
+    def refuse(*args):
+        raise AssertionError("the sweep values outcome sets through ce_vacuous only")
+
+    monkeypatch.setattr(consistency, "_grid_valuation", refuse)
+    monkeypatch.setattr(consistency, "ce_vacuous", value_once)
+    return valued
+
+
+@pytest.mark.parametrize("stop_at_first", [False, True])
+@rules({"hurwicz-1/3": Hurwicz(F(1, 3)), "median": MedianRule(),
+        "table-hurwicz-1/2": tabulate(Hurwicz(F(1, 2)), 48)})
+def test_sweep_values_each_outcome_set_once(rule, stop_at_first, monkeypatch):
+    # an act's, a block's or a set of block values: each distinct set once
+    valued = _value_once(monkeypatch)
+    op = CeOperator(rule)
+    cfg = SearchConfig(sizes=(1, 2, 3, 4), denominator=2, stop_at_first=stop_at_first)
+    assert check_sequential_exhaustive(op, cfg) == reference_sequential_exhaustive(op, cfg)
+    assert valued
+
+
+@pytest.mark.parametrize("rule,denominator,sets", [
+    (MedianRule(), 2, 7), (Hurwicz(F(1, 3)), 4, 163),
+], ids=["median-on-k2", "hurwicz-1-3-on-k4"])
+def test_sweep_values_its_distinct_outcome_sets(rule, denominator, sets, monkeypatch):
+    # on sizes 2 to 4: the sets of up to four grid points, then the sets of
+    # block values that are no such set
+    valued = _value_once(monkeypatch)
+    check_sequential_exhaustive(CeOperator(rule), SearchConfig(denominator=denominator))
+    assert len(valued) == sets
 
 
 # every rule kind; Hurwicz(1/2)'s values on k/1 to k/3 and on pairs of
