@@ -26,12 +26,14 @@ class Frozen:
 
     A subclass declares its fields as annotations, in order, and its own
     `__init__` checks its arguments and then stores each field once with
-    `object.__setattr__`. Two instances of one class are equal when their
-    fields are, and an instance hashes as the tuple of its fields and
-    prints as `Name(field=value, ...)`, as a frozen dataclass would.
-    Unlike a dataclass, nothing is compiled for each class, which keeps
-    importing the engine cheap. Instances keep their `__dict__`, which
-    `cached_property` writes to.
+    `object.__setattr__`. A field need not be a parameter: a report's
+    verdict flag, such as `ConsistencyVerdict.holds`, is derived by
+    `__init__` from the values it stores. Two instances of one class are
+    equal when their fields are, and an instance hashes as the tuple of
+    its fields and prints as `Name(field=value, ...)`, as a frozen
+    dataclass would. Unlike a dataclass, nothing is compiled for each
+    class, which keeps importing the engine cheap. Instances keep their
+    `__dict__`, which `cached_property` writes to.
 
     Only `Act` and `plausibility.ZPair` check in a separate
     `__post_init__`, which their `__init__` calls: `perfbench/tracing.py`

@@ -550,7 +550,7 @@ def verdict_problem(verdict_record: Mapping, operator_record: Mapping) -> dict:
         "states": len(verdict_record["act"]),
         "act": list(verdict_record["act"]),
         "partition": [list(b) for b in verdict_record["partition"]],
-        "framework": verdict_record.get("framework", Framework.CREDAL_SET.value),
+        "framework": verdict_record["framework"],
         "measure": {"kind": "vacuous"},
         "operator": dict(operator_record),
     }
@@ -574,7 +574,7 @@ def cmd_evaluate(problem: Mapping[str, Any]) -> ReportFile:
     _refuse_unread(problem, "evaluate")
     act = problem.get("act")
     if act is None:
-        raise ValidationError("evaluate needs an act and a measure")
+        raise ValidationError("evaluate needs an act")
     measure = problem.get("measure")
     if measure is None:
         measure = vacuous(act.space, problem.get("framework", Framework.CREDAL_SET))

@@ -20,13 +20,14 @@ from .plausibility import (
     CredalSetMeasure,
     PossibilityMeasure,
     ZPair,
+    _validate_weights,
     vacuous,
 )
 from .rationals import ONE, ZERO, _fraction
 
 
 class ConsensusReport(Frozen):
-    """Per-framework certainty equivalents of one act, and their agreement."""
+    """Per-framework certainty equivalents of one act; they agree when all are equal."""
 
     act: Act
     credal_value: Fraction
@@ -35,14 +36,12 @@ class ConsensusReport(Frozen):
     agree: bool
 
     def __init__(self, act: Act, credal_value: Fraction, belief_value: Fraction,
-                 possibility_value: Fraction, agree: bool) -> None:
-        if agree != (credal_value == belief_value == possibility_value):
-            raise ValidationError("agreement flag contradicts the values")
+                 possibility_value: Fraction) -> None:
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "credal_value", credal_value)
         object.__setattr__(self, "belief_value", belief_value)
         object.__setattr__(self, "possibility_value", possibility_value)
-        object.__setattr__(self, "agree", agree)
+        object.__setattr__(self, "agree", credal_value == belief_value == possibility_value)
 
 
 class ContaminationFamily(Frozen):
@@ -57,9 +56,7 @@ class ContaminationFamily(Frozen):
     weights: tuple[Fraction, ...]
 
     def __init__(self, base: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
-        base = tuple(map(_fraction, base))
-        if not base or any(w < 0 for w in base) or sum(base) != 1:
-            raise ValidationError("base must be a probability vector")
+        base, _ = _validate_weights(base, "base")
         weights = tuple(map(_fraction, weights))
         if not weights:
             raise ValidationError("at least one contamination weight required")
@@ -92,6 +89,8 @@ class ConvergenceRow(Frozen):
 
 
 class ConvergenceReport(Frozen):
+    """A contamination family's rows; the bound is satisfied when every row is within it."""
+
     act: Act
     rule: GammaFunction
     rows: tuple[ConvergenceRow, ...]
@@ -99,14 +98,12 @@ class ConvergenceReport(Frozen):
     bound_satisfied: bool
 
     def __init__(self, act: Act, rule: GammaFunction, rows: tuple[ConvergenceRow, ...],
-                 limit_value: Fraction, bound_satisfied: bool) -> None:
-        if bound_satisfied != all(row.within_bound for row in rows):
-            raise ValidationError("bound flag contradicts the rows")
+                 limit_value: Fraction) -> None:
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "limit_value", limit_value)
-        object.__setattr__(self, "bound_satisfied", bound_satisfied)
+        object.__setattr__(self, "bound_satisfied", all(row.within_bound for row in rows))
 
 
 def consensus_check(rule: GammaFunction, act: Act) -> ConsensusReport:
@@ -116,8 +113,7 @@ def consensus_check(rule: GammaFunction, act: Act) -> ConsensusReport:
     op = CeOperator(rule)
     values = [ce(op, vacuous(act.space, fw), act) for fw in VACUOUS_FRAMEWORKS]
     credal, belief, possibility = values
-    return ConsensusReport(act, credal, belief, possibility,
-                           credal == belief == possibility)
+    return ConsensusReport(act, credal, belief, possibility)
 
 
 def certainty_check(rule: GammaFunction, act: Act, state: int) -> ConsensusReport:
@@ -133,8 +129,7 @@ def certainty_check(rule: GammaFunction, act: Act, state: int) -> ConsensusRepor
     )
     op = CeOperator(rule, credal_extension=True)
     credal, belief, possibility = (ce(op, m, act) for m in measures)
-    return ConsensusReport(act, credal, belief, possibility,
-                           credal == belief == possibility)
+    return ConsensusReport(act, credal, belief, possibility)
 
 
 def limit_check(rule: GammaFunction, act: Act,
@@ -161,5 +156,4 @@ def limit_check(rule: GammaFunction, act: Act,
         value = gamma_apply(rule, bounds)
         within = abs(value - limit_value) <= (ONE - epsilon) * (high - low)
         rows.append(ConvergenceRow(epsilon, bounds.lower, bounds.upper, value, within))
-    return ConvergenceReport(act, rule, tuple(rows), limit_value,
-                             all(row.within_bound for row in rows))
+    return ConvergenceReport(act, rule, tuple(rows), limit_value)

@@ -145,20 +145,20 @@ class Witness(Frozen):
 
 
 class LawReport(Frozen):
+    """One law's counterexamples; the law passes when there are none."""
+
     law: LawId
     passed: bool
     witnesses: tuple[Witness, ...] = ()
 
-    def __init__(self, law: LawId, passed: bool, witnesses: tuple[Witness, ...] = ()) -> None:
-        if passed != (len(witnesses) == 0):
-            raise ValidationError("a law passes exactly when it has no witnesses")
+    def __init__(self, law: LawId, witnesses: tuple[Witness, ...] = ()) -> None:
         object.__setattr__(self, "law", law)
-        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "passed", not witnesses)
         object.__setattr__(self, "witnesses", witnesses)
 
 
 class ConsistencyVerdict(Frozen):
-    """One folding-back comparison: direct vs through-a-partition value."""
+    """One folding-back comparison; it holds when its direct and folded values are equal."""
 
     holds: bool
     direct_value: Fraction
@@ -167,11 +167,9 @@ class ConsistencyVerdict(Frozen):
     act: Act
     framework: Framework
 
-    def __init__(self, holds: bool, direct_value: Fraction, folded_value: Fraction,
+    def __init__(self, direct_value: Fraction, folded_value: Fraction,
                  partition: Partition, act: Act, framework: Framework) -> None:
-        if holds != (direct_value == folded_value):
-            raise ValidationError("verdict flag contradicts its values")
-        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "holds", direct_value == folded_value)
         object.__setattr__(self, "direct_value", direct_value)
         object.__setattr__(self, "folded_value", folded_value)
         object.__setattr__(self, "partition", partition)
@@ -207,8 +205,7 @@ class SearchConfig(Frozen):
     def __init__(self, sizes: tuple[int, ...] = (2, 3, 4), denominator: int = 4,
                  frameworks: tuple[Framework, ...] = VACUOUS_FRAMEWORKS,
                  stop_at_first: bool = False) -> None:
-        if denominator < 1:
-            raise ValidationError("grid denominator must be >= 1")
+        _check_denominator(denominator)
         if not sizes or any(n < 1 for n in sizes):
             raise ValidationError("sizes must be positive")
         if len(set(sizes)) < len(sizes):
@@ -238,8 +235,7 @@ def check_sequential(op: CeOperator, measure: PlausibilityMeasure, act: Act,
         ce(op, condition(measure, block), condition_act(act, block))
         for block in partition.blocks)
     folded = ce(op, restricted, Act(block_values))
-    return ConsistencyVerdict(direct == folded, direct, folded, partition, act,
-                              measure.framework)
+    return ConsistencyVerdict(direct, folded, partition, act, measure.framework)
 
 
 class _Memo(dict):
@@ -382,11 +378,6 @@ def _pair_witness(probe, label, a, b, left: Fraction, right: Fraction) -> Witnes
                    probe[a], probe[b])
 
 
-def _report(law: LawId, witnesses) -> LawReport:
-    found = tuple(witnesses)
-    return LawReport(law, not found, found)
-
-
 def _levels(values: dict, denominator: int = 1) -> tuple[int, dict]:
     """Exact integer images of rational values: numerators over one scale.
 
@@ -482,10 +473,10 @@ def check_gamma_laws(rule: GammaFunction, denominator: int, *,
             lipped.append(_pair_witness(probe, label, a, b, value[a], value[b]))
 
     return [
-        _report(LawId.GAMMA_IDEMPOTENCE, idempotence),
-        _report(LawId.GAMMA_MONOTONE, monotone),
-        _report(LawId.GAMMA_ITERATION, iteration),
-        _report(LawId.LIPSCHITZ_CONTINUITY, lipped),
+        LawReport(LawId.GAMMA_IDEMPOTENCE, tuple(idempotence)),
+        LawReport(LawId.GAMMA_MONOTONE, tuple(monotone)),
+        LawReport(LawId.GAMMA_ITERATION, tuple(iteration)),
+        LawReport(LawId.LIPSCHITZ_CONTINUITY, tuple(lipped)),
     ]
 
 
@@ -561,10 +552,10 @@ def check_ev_properties(rule: VacuousRule, denominator: int, *,
                                             pair_value[i, j], pair_value[i2, j2]))
 
     return [
-        _report(LawId.UNANIMITY, unanimity),
-        _report(LawId.RANGE, range_law),
-        _report(LawId.MONOTONICITY, mono),
-        _report(LawId.LIPSCHITZ_CONTINUITY, lipped),
+        LawReport(LawId.UNANIMITY, tuple(unanimity)),
+        LawReport(LawId.RANGE, tuple(range_law)),
+        LawReport(LawId.MONOTONICITY, tuple(mono)),
+        LawReport(LawId.LIPSCHITZ_CONTINUITY, tuple(lipped)),
     ]
 
 
@@ -661,9 +652,9 @@ def check_set_order_conditions(rule: VacuousRule,
                 cond_m.append(witness((set_text[small], set_text[big]), big, small))
 
     return [
-        _report(LawId.CONDITION_I, cond_i),
-        _report(LawId.CONDITION_SI, cond_si),
-        _report(LawId.CONDITION_M, cond_m),
+        LawReport(LawId.CONDITION_I, tuple(cond_i)),
+        LawReport(LawId.CONDITION_SI, tuple(cond_si)),
+        LawReport(LawId.CONDITION_M, tuple(cond_m)),
     ]
 
 

@@ -727,6 +727,14 @@ class TestWitnessReplay:
             assert echoed.payload["folded"] == failure["folded"]
             assert echoed.exit_code == 1
 
+    def test_a_verdict_record_without_a_framework_is_not_replayed(self):
+        # every written cell names its framework; one that does not is not
+        # replayed under a framework it never named
+        record = {"act": ["0", "1"], "partition": [[0], [1]], "direct": "0",
+                  "folded": "0", "holds": True}
+        with pytest.raises(KeyError, match="framework"):
+            verdict_problem(record, dict(HURWICZ_HALF))
+
 
 class TestMain:
     def write_problem(self, tmp_path, payload):
@@ -852,7 +860,7 @@ class TestMain:
 
     # the state space is the act's, so a count of states alone builds nothing
     @pytest.mark.parametrize("act,message", [
-        (None, "evaluate needs an act and a measure"),
+        (None, "evaluate needs an act"),
         (["0", "1/2", "1"], "states=1000000000 but the act has 3 outcomes"),
     ], ids=["no-act", "three-outcomes"])
     def test_states_only_check_the_act(self, tmp_path, capsys, act, message):

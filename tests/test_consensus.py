@@ -1,5 +1,6 @@
 """Agreement across frameworks and convergence toward ignorance."""
 
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -11,13 +12,17 @@ import conftest as cst
 from foldback import (
     Act,
     Anchored,
+    ConsensusReport,
     ContaminationFamily,
+    ConvergenceReport,
+    ConvergenceRow,
     Framework,
     Hurwicz,
     MaxRule,
     MinRule,
     SpaceMismatch,
     StateSpace,
+    ValidationError,
     ZPair,
     certainty_check,
     consensus_check,
@@ -117,6 +122,16 @@ class TestContaminationFamily:
         with pytest.raises(ValueError):
             ContaminationFamily((F(1, 2), F(1, 4)), (F(1, 2),))
 
+    # the base is checked as every probability vector is, with its label
+    @pytest.mark.parametrize("base,message", [
+        ((), "base must cover at least one state"),
+        ((F(3, 2), F(-1, 2)), "base has a negative entry: -1/2"),
+        ((F(1, 2), F(1, 4)), "base must sum to 1, got 3/4"),
+    ], ids=["empty", "negative", "sum"])
+    def test_base_is_refused_by_the_probability_vector_rule(self, base, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ContaminationFamily(base, (F(1, 2),))
+
     def test_weights_must_descend_strictly(self):
         with pytest.raises(ValueError):
             ContaminationFamily((F(1), F(0)), (F(1, 2), F(1, 2)))
@@ -185,3 +200,28 @@ class TestLimit:
         mean = sum(w * act.outcomes[s] for s, w in enumerate(base))
         assert row.lower == (1 - eps) * mean + eps * min(act.outcomes)
         assert row.upper == (1 - eps) * mean + eps * max(act.outcomes)
+
+
+class TestReportFlags:
+    """Each report's flag is computed from its values, never given."""
+
+    ACT = Act((F(0), F(1)))
+
+    @pytest.mark.parametrize("values,agree", [
+        ((F(1, 2), F(1, 2), F(1, 2)), True),
+        ((F(1, 2), F(1, 2), F(1, 4)), False),
+        ((F(0), F(1, 2), F(1, 2)), False),
+    ])
+    def test_a_consensus_report_agrees_exactly_when_its_values_are_equal(self, values, agree):
+        assert "agree" not in inspect.signature(ConsensusReport).parameters
+        assert ConsensusReport(self.ACT, *values).agree is agree
+
+    @pytest.mark.parametrize("within,satisfied", [
+        ((), True), ((True,), True), ((True, True), True), ((True, False), False),
+        ((False,), False),
+    ])
+    def test_a_convergence_bound_is_satisfied_exactly_when_every_row_is_within(
+            self, within, satisfied):
+        rows = tuple(ConvergenceRow(F(1, 2), F(0), F(1), F(1, 2), flag) for flag in within)
+        assert "bound_satisfied" not in inspect.signature(ConvergenceReport).parameters
+        assert ConvergenceReport(self.ACT, MinRule(), rows, F(0)).bound_satisfied is satisfied

@@ -1,5 +1,6 @@
 """Folding-back consistency, the pair-rule laws, and rule synthesis."""
 
+import inspect
 import itertools
 import time
 from fractions import Fraction
@@ -171,7 +172,7 @@ class TestExhaustiveSweep:
             SearchConfig(frameworks=(Framework.PROBABILITY,))
 
     @pytest.mark.parametrize("fields,message", [
-        ({"denominator": 0}, "grid denominator must be >= 1"),
+        ({"denominator": 0}, "grid denominator must be >= 1, got 0"),
         ({"frameworks": ()}, "at least one framework required"),
     ], ids=["denominator", "frameworks"])
     def test_config_refuses_an_empty_grid_or_framework_list(self, fields, message):
@@ -650,12 +651,12 @@ class TestTheoremOnEveryTable:
 
 
 class TestReportShapes:
-    def test_law_report_flags_must_match_witnesses(self):
+    def test_a_law_passes_exactly_when_it_has_no_witnesses(self):
         witness = Witness(("0",), F(0), F(1), Probe((F(0),)), Probe((F(1),)))
-        with pytest.raises(ValueError):
-            LawReport(LawId.RANGE, True, (witness,))
-        with pytest.raises(ValueError):
-            LawReport(LawId.RANGE, False, ())
+        assert "passed" not in inspect.signature(LawReport).parameters
+        assert LawReport(LawId.RANGE).passed is True
+        assert LawReport(LawId.RANGE, ()).passed is True
+        assert LawReport(LawId.RANGE, (witness,)).passed is False
 
     @pytest.mark.parametrize("check", [
         lambda: check_gamma_laws(Hurwicz(F(1, 3)), 8, lipschitz=0),
@@ -671,9 +672,12 @@ class TestReportShapes:
         assert len(probes) > len(set(probes))
         assert len({id(probe) for probe in probes}) == len(set(probes))
 
-    def test_verdict_flag_must_match_values(self):
+    @pytest.mark.parametrize("direct,folded", [(F(0), F(1)), (F(1, 2), F(1, 2)),
+                                               (F(1, 2), F(1, 4))])
+    def test_a_verdict_holds_exactly_when_its_values_are_equal(self, direct, folded):
         space = StateSpace(2)
         partition = Partition(space, (space.full_event(),))
         act = Act((F(0), F(1)))
-        with pytest.raises(ValueError):
-            ConsistencyVerdict(True, F(0), F(1), partition, act, Framework.CREDAL_SET)
+        assert "holds" not in inspect.signature(ConsistencyVerdict).parameters
+        verdict = ConsistencyVerdict(direct, folded, partition, act, Framework.CREDAL_SET)
+        assert verdict.holds is (direct == folded)

@@ -122,7 +122,7 @@ def reference_sequential_exhaustive(op, cfg):
                     folded = ce(op, restricted, Act(block_values))
                     if direct[fw] != folded:
                         failures.append(ConsistencyVerdict(
-                            False, direct[fw], folded, H, act, fw))
+                            direct[fw], folded, H, act, fw))
                         if cfg.stop_at_first:
                             return failures
     return failures
@@ -214,10 +214,10 @@ def reference_gamma_laws(rule, denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
                     _pair_probe(x, y), _pair_probe(x2, y2)))
 
     return [
-        LawReport(LawId.GAMMA_IDEMPOTENCE, not idem, tuple(idem)),
-        LawReport(LawId.GAMMA_MONOTONE, not mono, tuple(mono)),
-        LawReport(LawId.GAMMA_ITERATION, not iteration, tuple(iteration)),
-        LawReport(LawId.LIPSCHITZ_CONTINUITY, not lipped, tuple(lipped)),
+        LawReport(LawId.GAMMA_IDEMPOTENCE, tuple(idem)),
+        LawReport(LawId.GAMMA_MONOTONE, tuple(mono)),
+        LawReport(LawId.GAMMA_ITERATION, tuple(iteration)),
+        LawReport(LawId.LIPSCHITZ_CONTINUITY, tuple(lipped)),
     ]
 
 
@@ -263,10 +263,10 @@ def reference_ev_properties(rule, denominator, *, lipschitz=DEFAULT_LIPSCHITZ):
                     _pair_probe(x, y), _pair_probe(x2, y2)))
 
     return [
-        LawReport(LawId.UNANIMITY, not unanimity, tuple(unanimity)),
-        LawReport(LawId.RANGE, not range_law, tuple(range_law)),
-        LawReport(LawId.MONOTONICITY, not mono, tuple(mono)),
-        LawReport(LawId.LIPSCHITZ_CONTINUITY, not lipped, tuple(lipped)),
+        LawReport(LawId.UNANIMITY, tuple(unanimity)),
+        LawReport(LawId.RANGE, tuple(range_law)),
+        LawReport(LawId.MONOTONICITY, tuple(mono)),
+        LawReport(LawId.LIPSCHITZ_CONTINUITY, tuple(lipped)),
     ]
 
 
@@ -316,9 +316,9 @@ def reference_set_order_conditions(rule, family):
                     Probe(tuple(sorted(small)))))
 
     return [
-        LawReport(LawId.CONDITION_I, not cond_i, tuple(cond_i)),
-        LawReport(LawId.CONDITION_SI, not cond_si, tuple(cond_si)),
-        LawReport(LawId.CONDITION_M, not cond_m, tuple(cond_m)),
+        LawReport(LawId.CONDITION_I, tuple(cond_i)),
+        LawReport(LawId.CONDITION_SI, tuple(cond_si)),
+        LawReport(LawId.CONDITION_M, tuple(cond_m)),
     ]
 
 
@@ -1170,7 +1170,7 @@ def test_limit_refuses_the_median_at_full_contamination(outcomes, base):
     *zip(ConsistencyVerdict._trusted_failures(
         F(1, 2), F(1, 4), Partition(StateSpace(2), (frozenset({0}), frozenset({1}))),
         Act((F(0), ONE)), (Framework.POSSIBILITY, Framework.CREDAL_SET)),
-         [ConsistencyVerdict(False, F(1, 2), F(1, 4),
+         [ConsistencyVerdict(F(1, 2), F(1, 4),
                              Partition(StateSpace(2), (frozenset({0}), frozenset({1}))),
                              Act((F(0), ONE)), fw)
           for fw in (Framework.POSSIBILITY, Framework.CREDAL_SET)]),

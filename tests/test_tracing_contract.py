@@ -44,3 +44,29 @@ def test_every_counted_class_has_its_own_post_init(module, name):
     cls = getattr(importlib.import_module(f"foldback.{module}"), name, None)
     assert inspect.isclass(cls), f"foldback.{module}.{name}"
     assert "__post_init__" in cls.__dict__
+
+
+def test_the_sweep_runs_through_the_names_the_tracer_counts_it_by(monkeypatch):
+    # the tracer counts a sweep's cells and failures by wrapping these two
+    # names where `cli` looks them up; a `check` that reached the sweep or
+    # its records another way would leave those counts at zero
+    from foldback import cli
+
+    calls = {"check_sequential_exhaustive": 0, "encode_verdict": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    report = cli.cmd_check(cli.parse_problem(
+        {"operator": {"kind": "hurwicz", "alpha": "1/2"}, "suite": "sequential",
+         "grid-denominator": 2, "sizes": [3]}))
+    assert report.payload["summary"]["violations"] == 144
+    # one record per failing cell, written once for each of its three frameworks
+    assert calls == {"check_sequential_exhaustive": 1, "encode_verdict": 48}

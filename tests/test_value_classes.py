@@ -95,19 +95,19 @@ SAMPLES = {
                 Tabulated(((ZPair(0, 0), F(0)), (ZPair._trusted(F(0), F(1)), F(1, 2))))],
     CeOperator: [CeOperator(MinRule()), CeOperator(Hurwicz("1/2"), False, True)],
     ConsensusReport: [consensus_check(MinRule(), ACT),
-                      ConsensusReport(ACT, F(0), F(0), F(0), True)],
+                      ConsensusReport(ACT, F(0), F(0), F(1, 2))],
     ContaminationFamily: [FAMILY, ContaminationFamily((1,), (1,))],
     ConvergenceRow: [ROW, ConvergenceRow(F(1), F(0), F(1), F(0), False)],
     ConvergenceReport: [limit_check(Anchored("1/2"), ACT, FAMILY),
-                        ConvergenceReport(ACT, MinRule(), (ROW,), F(0), True)],
+                        ConvergenceReport(ACT, MinRule(), (ROW,), F(0))],
     Probe: [PROBE, WITNESS.probe_right,
             Probe((F(0), F(1)), Framework.PROBABILITY, (F(1, 2), F(1, 2)))],
     Witness: [WITNESS, Witness((), F(0), F(0), PROBE, PROBE)],
-    LawReport: [LawReport(LawId.RANGE, True), LawReport(LawId.RANGE, False, (WITNESS,))],
+    LawReport: [LawReport(LawId.RANGE), LawReport(LawId.RANGE, (WITNESS,))],
     ConsistencyVerdict: [
         check_sequential(CeOperator(MinRule()), vacuous(SPACE, Framework.POSSIBILITY),
                          ACT, PARTITION),
-        ConsistencyVerdict(False, F(0), F(1), PARTITION, ACT, Framework.CREDAL_SET),
+        ConsistencyVerdict(F(0), F(1), PARTITION, ACT, Framework.CREDAL_SET),
         # both verdicts of one cell, filled from one field dict
         *ConsistencyVerdict._trusted_failures(F(0), F(1), PARTITION, ACT,
                                               (Framework.CREDAL_SET, Framework.POSSIBILITY))],
@@ -124,10 +124,14 @@ def _subclasses(cls):
 
 
 def _twin_class(cls):
-    """A frozen dataclass with cls's name and field declarations."""
+    """A frozen dataclass with cls's name and field declarations; a field
+    that is not a parameter of cls is derived, so not one of the twin's."""
+    parameters = inspect.signature(cls).parameters
     fields = []
     for name, annotation in cls.__annotations__.items():
-        if name in vars(cls):
+        if name not in parameters:
+            fields.append((name, annotation, dataclasses.field(init=False)))
+        elif name in vars(cls):
             fields.append((name, annotation, dataclasses.field(default=vars(cls)[name])))
         else:
             fields.append((name, annotation))
@@ -138,8 +142,14 @@ TWINS = {cls: _twin_class(cls) for cls in SAMPLES}
 
 
 def _twin(value):
+    """value's twin; a derived field is copied in after construction."""
     cls = type(value)
-    return TWINS[cls](**{name: getattr(value, name) for name in cls.__annotations__})
+    twin_cls = TWINS[cls]
+    given = {field.name for field in dataclasses.fields(twin_cls) if field.init}
+    twin = twin_cls(**{name: getattr(value, name) for name in given})
+    for name in cls.__annotations__.keys() - given:
+        object.__setattr__(twin, name, getattr(value, name))
+    return twin
 
 
 def _hash(value):
