@@ -390,8 +390,8 @@ def parse_problem(raw: Mapping) -> dict[str, Any]:
         if top < 2:
             raise ValidationError("max-states must be >= 2")
         if top > PARTITION_CAP:
-            # the sizes 2..top are built from this one number, and the sweep
-            # refuses every size above the cap
+            # refused here, before the sizes 2..top are built from this one
+            # number; `SearchConfig` refuses a given size in the same words
             raise CapExceeded(f"sweep capped at n <= {PARTITION_CAP}, asked for {top}")
         if "sizes" in raw:
             raise ValidationError("give either sizes or max-states, not both")
@@ -907,36 +907,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("--problem", required=True, help="path to a problem JSON file")
         p.add_argument("--format", choices=("machine", "table"), default="machine")
-        p.add_argument("--grid-denominator", type=int)
-        p.add_argument("--max-states", type=int)
-        p.add_argument("--stop-at-first", action="store_true")
-        if verb == "check":
-            p.add_argument("--suite", choices=SUITES)
-        if verb == "consensus":
-            p.add_argument("--epsilon-list",
-                           help="comma-separated rationals, e.g. 1,1/2,1/4")
     return parser
-
-
-def _merge_flags(raw: dict, args: argparse.Namespace) -> dict:
-    merged = dict(raw)
-    if getattr(args, "suite", None):
-        merged["suite"] = args.suite
-    if args.grid_denominator is not None:
-        merged["grid-denominator"] = args.grid_denominator
-    if args.max_states is not None:
-        merged.pop("sizes", None)
-        merged["max-states"] = args.max_states
-    if args.stop_at_first:
-        merged["stop-at-first"] = True
-    if getattr(args, "epsilon_list", None) is not None:
-        mode = merged.get("mode", "limit")
-        if mode in ("consensus", "certainty"):
-            raise ValidationError(
-                f"--epsilon-list needs mode 'limit', but the problem sets mode {mode!r}")
-        merged["epsilons"] = args.epsilon_list.split(",")
-        merged["mode"] = mode
-    return merged
 
 
 def run_entry_point(body: Callable[[], int]) -> int:
@@ -972,10 +943,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 source = handle.read()
             except UnicodeDecodeError as exc:
                 raise ParseError(f"the problem file is not UTF-8: {exc}") from None
-        raw = loads_exact(source)
-        if not isinstance(raw, dict):
-            raise ParseError("problem: expected a JSON object")
-        problem = parse_problem(_merge_flags(raw, args))
+        problem = parse_problem(loads_exact(source))
         if args.verb == "evaluate":
             report = cmd_evaluate(problem)
         elif args.verb == "check":

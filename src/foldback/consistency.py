@@ -91,8 +91,9 @@ def _ev_work(denominator: int) -> int:
 
 def _sweep_work(denominator: int, sizes: tuple[int, ...]) -> int:
     """Steps of `check_sequential_exhaustive`: every act on the grid with
-    every partition of its states, over the sizes it does not refuse."""
-    return sum((denominator + 1) ** n * _BELL[n] for n in sizes if n <= PARTITION_CAP)
+    every partition of its states, over sizes that `SearchConfig` caps at
+    `PARTITION_CAP`."""
+    return sum((denominator + 1) ** n * _BELL[n] for n in sizes)
 
 
 class LawId(enum.Enum):
@@ -215,6 +216,8 @@ class SearchConfig(Frozen):
             raise ValidationError("at least one framework required")
         if Framework.PROBABILITY in frameworks:
             raise ValidationError("the sweep needs frameworks with a vacuous measure")
+        if max(sizes) > PARTITION_CAP:
+            raise CapExceeded(f"sweep capped at n <= {PARTITION_CAP}, asked for {max(sizes)}")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "frameworks", frameworks)
@@ -306,9 +309,6 @@ def check_sequential_exhaustive(op: CeOperator, cfg: SearchConfig) -> list[Consi
     """
     _refuse_work(_sweep_work(cfg.denominator, cfg.sizes),
                  f"check sequential on grid {_grid_name(cfg.denominator)}")
-    if max(cfg.sizes) > PARTITION_CAP:
-        raise CapExceeded(
-            f"sweep capped at n <= {PARTITION_CAP}, asked for {max(cfg.sizes)}")
     rule = op.vacuous_rule
     grid = unit_grid(cfg.denominator)
     interned = list(grid)

@@ -766,35 +766,6 @@ class TestMain:
         assert main(["evaluate", "--problem", str(path)]) == 2
         assert "decimal" in capsys.readouterr().err
 
-    def test_check_suite_flag_overrides(self, tmp_path, capsys):
-        path = self.write_problem(tmp_path, {"operator": dict(ANCHORED_HALF)})
-        code = main(["check", "--problem", path, "--suite", "gamma-laws",
-                     "--grid-denominator", "4"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["problem"]["suite"] == "gamma-laws"
-
-    def test_consensus_epsilon_list_flag(self, tmp_path, capsys):
-        path = self.write_problem(
-            tmp_path, {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF)})
-        code = main(["consensus", "--problem", path,
-                     "--epsilon-list", "1,1/2,1/4"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["mode"] == "limit"
-        assert [row["epsilon"] for row in payload["rows"]] == ["1", "1/2", "1/4"]
-
-    @pytest.mark.parametrize("mode", ["consensus", "certainty"])
-    def test_epsilon_list_refused_outside_limit_mode(self, tmp_path, capsys, mode):
-        path = self.write_problem(
-            tmp_path, {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF),
-                       "mode": mode, "state": 0})
-        code = main(["consensus", "--problem", path, "--epsilon-list", "1,1/2"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--epsilon-list" in captured.err
-
     def test_certainty_mode_above_twelve_states(self, tmp_path, capsys):
         act = ["0", "1/2", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1/4"]
         path = self.write_problem(
@@ -813,34 +784,13 @@ class TestMain:
         assert "ce: 1/2" in out
         assert not out.lstrip().startswith("{")
 
-    def test_stop_at_first_flag(self, tmp_path, capsys):
-        path = self.write_problem(
-            tmp_path, {"operator": dict(HURWICZ_HALF), "suite": "sequential",
-                       "sizes": [2, 3]})
-        assert main(["check", "--problem", path, "--stop-at-first"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["failures"]) == 1
-
     @pytest.mark.parametrize("suite", ["gamma-laws", "ev-properties", "set-order"])
-    def test_stop_at_first_refused_for_law_suites(self, tmp_path, capsys, suite):
-        path = self.write_problem(
-            tmp_path, {"operator": dict(HURWICZ_HALF), "suite": suite,
-                       "grid-denominator": 4})
-        assert main(["check", "--problem", path, "--stop-at-first"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "stop-at-first" in captured.err
-
-    @pytest.mark.parametrize("suite", ["gamma-laws", "ev-properties", "set-order"])
-    @pytest.mark.parametrize("sizes", [{"sizes": [2, 3]}, {"max-states": 3}, "--max-states"],
-                             ids=["sizes", "max-states", "flag"])
+    @pytest.mark.parametrize("sizes", [{"sizes": [2, 3]}, {"max-states": 3}],
+                             ids=["sizes", "max-states"])
     def test_sizes_refused_for_law_suites(self, tmp_path, capsys, suite, sizes):
-        raw = {"operator": dict(HURWICZ_HALF), "suite": suite, "grid-denominator": 4}
-        flags = ["--max-states", "3"] if sizes == "--max-states" else []
-        if not flags:
-            raw.update(sizes)
-        path = self.write_problem(tmp_path, raw)
-        assert main(["check", "--problem", path, *flags]) == 2
+        path = self.write_problem(tmp_path, {"operator": dict(HURWICZ_HALF), "suite": suite,
+                                             "grid-denominator": 4, **sizes})
+        assert main(["check", "--problem", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max-states" in captured.err
@@ -942,14 +892,6 @@ class TestMain:
         assert problem["states"].n == 10 ** 9
         assert problem["measure"] is None
 
-    @pytest.mark.parametrize("verb", ["evaluate", "consensus"])
-    def test_stop_at_first_refused_for_evaluate_and_consensus(self, tmp_path, capsys, verb):
-        path = self.write_problem(tmp_path, evaluate_problem())
-        assert main([verb, "--problem", path, "--stop-at-first"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "stop-at-first" in captured.err
-
 
 # -- keys each run reads ---------------------------------------------------
 
@@ -1025,19 +967,19 @@ def test_a_run_accepts_the_keys_it_reads_and_refuses_the_rest(tmp_path, capsys, 
         assert key in captured.err
 
 
+# every setting is a key of the problem file; no flag restates one, not
+# even on a run that reads the key (where the flag used to win over the file)
 @pytest.mark.parametrize("run", list(RUN_PROBLEMS))
-@pytest.mark.parametrize("flag,value", [("--grid-denominator", "2"), ("--max-states", "2"),
-                                        ("--stop-at-first", None)])
-def test_shared_flags_are_refused_by_runs_that_do_not_read_them(tmp_path, capsys, run,
-                                                                flag, value):
-    flags = [flag] if value is None else [flag, value]
-    code, captured = _run_main(tmp_path, capsys, run, RUN_PROBLEMS[run], flags)
-    if flag[2:] in RUNS[run][0]:
-        assert code in (0, 1), captured.err
-    else:
-        assert code == 2
-        assert captured.out == ""
-        assert flag[2:] in captured.err
+@pytest.mark.parametrize("flag", [["--suite", "gamma-laws"], ["--grid-denominator", "2"],
+                                  ["--max-states", "2"], ["--stop-at-first"],
+                                  ["--epsilon-list", "1,1/2"]], ids=lambda flag: flag[0][2:])
+def test_flags_that_restate_problem_keys_are_refused(tmp_path, capsys, run, flag):
+    with pytest.raises(SystemExit) as exited:
+        _run_main(tmp_path, capsys, run, RUN_PROBLEMS[run], flag)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
 def test_refusals_name_every_unread_key(tmp_path, capsys):
@@ -1114,24 +1056,22 @@ SET_ORDER = {"operator": dict(ANCHORED_HALF), "suite": "set-order", "grid-denomi
 LIMIT = {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF), "mode": "limit"}
 
 
-@pytest.mark.parametrize("run,problem,flags,message", [
+@pytest.mark.parametrize("run,problem,message", [
     ("check sequential", {"operator": dict(HURWICZ_HALF), "suite": "sequential",
-                          "sizes": []}, (), "sizes must be positive"),
-    ("check set-order", dict(SET_ORDER, **{"family-max-size": 0}), (), "family-max-size"),
-    ("check set-order", dict(SET_ORDER, **{"family-max-size": -3}), (), "family-max-size"),
-    ("consensus limit", dict(LIMIT, epsilons=[]), (), "contamination weight"),
-    ("consensus limit", dict(LIMIT, base=[]), (), "base"),
-    ("consensus", {"act": ["0", "0", "1"], "operator": dict(ANCHORED_HALF)},
-     ("--epsilon-list", ""), "epsilons[0]"),
-    ("evaluate", evaluate_problem(measure=None), (), "measure: expected an object"),
+                          "sizes": []}, "sizes must be positive"),
+    ("check set-order", dict(SET_ORDER, **{"family-max-size": 0}), "family-max-size"),
+    ("check set-order", dict(SET_ORDER, **{"family-max-size": -3}), "family-max-size"),
+    ("consensus limit", dict(LIMIT, epsilons=[]), "contamination weight"),
+    ("consensus limit", dict(LIMIT, base=[]), "base"),
+    ("evaluate", evaluate_problem(measure=None), "measure: expected an object"),
     ("evaluate", {"act": ["0", "0", "1"], "measure": {"kind": "credal-set", "generators": None},
-                  "operator": dict(ANCHORED_HALF)}, (),
+                  "operator": dict(ANCHORED_HALF)},
      "measure.generators: expected a list of vectors"),
 ], ids=["sizes", "family-max-size-0", "family-max-size-negative", "epsilons", "base",
-        "epsilon-list", "measure-null", "generators-null"])
+        "measure-null", "generators-null"])
 def test_empty_or_zero_values_are_refused_not_defaulted(tmp_path, capsys, run, problem,
-                                                        flags, message):
-    code, captured = _run_main(tmp_path, capsys, run, problem, flags)
+                                                        message):
+    code, captured = _run_main(tmp_path, capsys, run, problem)
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
@@ -1364,14 +1304,10 @@ def test_a_library_grid_past_the_digit_limit_is_refused_by_work(suite):
                         str(refused.value)), refused.value
 
 
-@pytest.mark.parametrize("given,flags", [
-    ({"max-states": 10 ** 9}, []), ({}, ["--max-states", str(10 ** 9)])], ids=["file", "flag"])
-def test_max_states_past_the_sweep_cap_is_refused_before_sizes_are_built(tmp_path, capsys,
-                                                                           given, flags):
+def test_max_states_past_the_sweep_cap_is_refused_before_sizes_are_built(tmp_path, capsys):
     # the sizes 2..N would be a tuple of a billion entries
-    code, captured = _run_main(tmp_path, capsys, "check",
-                               {"operator": {"kind": "min"}, "suite": "sequential", **given},
-                               flags)
+    code, captured = _run_main(tmp_path, capsys, "check", {
+        "operator": {"kind": "min"}, "suite": "sequential", "max-states": 10 ** 9})
     assert code == 2
     assert captured.err == "error: sweep capped at n <= 8, asked for 1000000000\n"
 

@@ -186,10 +186,13 @@ class TestExhaustiveSweep:
             SearchConfig(sizes=sizes, denominator=2)
         assert str(refused.value) == f"sizes must be distinct, got {shown}"
 
-    def test_sizes_beyond_the_partition_cap_are_refused(self):
-        op = CeOperator(Anchored(F(0)))
-        with pytest.raises(CapExceeded):
-            check_sequential_exhaustive(op, SearchConfig(sizes=(2, 9)))
+    # the config refuses the size, before a sweep counts its work: sizes 8
+    # and 9 on k/4 are past the work limit too
+    @pytest.mark.parametrize("sizes", [(2, 9), (8, 9)], ids=["2-9", "8-9"])
+    def test_sizes_beyond_the_partition_cap_are_refused(self, sizes):
+        with pytest.raises(CapExceeded) as refused:
+            SearchConfig(sizes=sizes)
+        assert str(refused.value) == "sweep capped at n <= 8, asked for 9"
 
 
 class TestGammaLaws:
