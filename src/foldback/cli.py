@@ -143,13 +143,41 @@ def _reject_float(text: str) -> None:
     raise ParseError(f"decimal literals are not accepted: {text!r}")
 
 
+class _RepeatedKey(ParseError):
+    """`_object`'s refusal: it names the key, but not where it is."""
+
+
+def _repeated(keys: Iterable[str]) -> str:
+    """The first key that `keys` holds more than once."""
+    return next(key for key, n in Counter(keys).items() if n > 1)
+
+
 def _object(pairs: list) -> dict:
     """A JSON object from its key-value pairs, refused if a key repeats."""
     record = dict(pairs)
     if len(record) < len(pairs):
-        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
-        raise ParseError(f"an object repeats the key {repeated!r}")
+        raise _RepeatedKey(f"an object repeats the key {_repeated(k for k, _ in pairs)!r}")
     return record
+
+
+def _repeated_key_path(value: Any, path: str = "") -> Optional[str]:
+    """The refusal of the first object that repeats a key, in the order the
+    decoder closes them, in a tree decoded with each object as the tuple of
+    its pairs; it names the object by the path the parse errors use."""
+    if isinstance(value, list):
+        children = [(f"{path or 'problem'}[{i}]", item) for i, item in enumerate(value)]
+    elif isinstance(value, tuple):
+        children = [(f"{path}.{key}" if path else key, item) for key, item in value]
+    else:
+        return None
+    for child, item in children:
+        found = _repeated_key_path(item, child)
+        if found is not None:
+            return found
+    keys = [key for key, _ in value] if isinstance(value, tuple) else []
+    if len(set(keys)) < len(keys):
+        return f"{path or 'problem'}: an object repeats the key {_repeated(keys)!r}"
+    return None
 
 
 def loads_exact(text: str) -> Any:
@@ -162,6 +190,17 @@ def loads_exact(text: str) -> Any:
     try:
         return json.loads(text, parse_float=_reject_float,
                           parse_constant=_reject_float, object_pairs_hook=_object)
+    except _RepeatedKey as exc:
+        # the decoder builds objects innermost first, so `_object` cannot
+        # see the path; only on this error is the text decoded again to find
+        # it, and text past the repeat that does not decode keeps no path
+        try:
+            message = _repeated_key_path(json.loads(
+                text, parse_int=str, parse_float=str, parse_constant=str,
+                object_pairs_hook=tuple))
+        except (ValueError, RecursionError):
+            message = None
+        raise ParseError(message or str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
     except ValueError:
@@ -372,7 +411,7 @@ def parse_problem(raw: Mapping) -> dict[str, Any]:
     problem["operator"] = _parse_operator(raw["operator"])
 
     if "suite" in raw:
-        if raw["suite"] is not None and not isinstance(raw["suite"], str):
+        if not isinstance(raw["suite"], str):
             raise ParseError("suite: expected a string")
         problem["suite"] = raw["suite"]
 
@@ -513,13 +552,15 @@ def encode_verdict(verdict: ConsistencyVerdict, encoded: dict) -> dict:
     verdicts must stay alive while the map is in use.
     """
     act, partition = verdict.act, verdict.partition
-    if id(act) not in encoded:
-        encoded[id(act)] = encode_act(act)
-    if id(partition) not in encoded:
-        encoded[id(partition)] = encode_partition(partition)
+    act_record = encoded.get(id(act))
+    if act_record is None:
+        act_record = encoded[id(act)] = encode_act(act)
+    partition_record = encoded.get(id(partition))
+    if partition_record is None:
+        partition_record = encoded[id(partition)] = encode_partition(partition)
     return {
-        "act": encoded[id(act)],
-        "partition": encoded[id(partition)],
+        "act": act_record,
+        "partition": partition_record,
         "direct": _rational_text(verdict.direct_value, encoded),
         "folded": _rational_text(verdict.folded_value, encoded),
         "holds": verdict.holds,
@@ -601,6 +642,8 @@ def cmd_evaluate(problem: Mapping[str, Any]) -> ReportFile:
 def cmd_check(problem: Mapping[str, Any]) -> ReportFile:
     """Run one law suite and report violations."""
     suite = problem.get("suite")
+    if suite is None:
+        raise ValidationError(f"check needs a suite; expected one of {SUITES}")
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of {SUITES}")
     default = _refuse_unread(problem, f"check {suite}")
@@ -783,36 +826,47 @@ def _strings(items: Sequence[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(_quote, items)) + "\n" + indent + "]"
 
 
+def _joined(value: Any, indent: str, texts: dict) -> str:
+    """The text `_write` makes of `value` nested at `indent`, as one string."""
+    pieces: list = []
+    _write(value, indent, pieces, texts)
+    return "".join(pieces)
+
+
 def _write_cells(records: Records, indent: str, out: list, texts: dict,
                  frameworks: Sequence[str]) -> None:
     """`_write` for a nonempty list of failing sweep cells, each held as
     `encode_verdict`'s record of its first verdict, and written once for
     each name in `frameworks`: the text of the five keys its verdicts
-    share is made once per cell, each act's and partition's once per
-    report and indent by id, and each framework's closing line once.
+    share is made once per cell and appended as its own piece, between
+    the separator and each framework's closing lines, so the pieces held
+    before the join hold it once. Each act's and partition's text is made
+    once per report and indent by id, and each value's quoted text once.
     """
     inner = indent + "  "
     fields = inner + "  "
     comma = ",\n" + fields
-    close = "\n" + inner + "}"
     known = texts.setdefault(indent, {})
-    tails = [comma + '"framework": ' + _quote(name) + close for name in frameworks]
-    separator = "[\n" + inner
+    quoted: dict = {}
+    tails = [f'{comma}"framework": {_quote(name)}\n{inner}}}' for name in frameworks]
+    # every cell's separator is a comma; the first is made the opening bracket
+    separator = ",\n" + inner
+    first = len(out)
     for record in records:
         act, partition = record["act"], record["partition"]
-        for value in (act, partition):
-            if id(value) not in known:
-                pieces: list = []
-                _write(value, fields, pieces, texts)
-                known[id(value)] = "".join(pieces)
-        head = ("{\n" + fields + '"act": ' + known[id(act)]
-                + comma + '"partition": ' + known[id(partition)]
-                + comma + '"direct": ' + _quote(record["direct"]) + comma + '"folded": '
-                + _quote(record["folded"]) + comma + '"holds": '
-                + ("true" if record["holds"] else "false"))
+        direct, folded = record["direct"], record["folded"]
+        # no text is empty, so `or` reaches `setdefault` only on a first use
+        act_text = known.get(id(act)) or known.setdefault(id(act), _joined(act, fields, texts))
+        partition_text = (known.get(id(partition))
+                          or known.setdefault(id(partition), _joined(partition, fields, texts)))
+        direct_text = quoted.get(direct) or quoted.setdefault(direct, _quote(direct))
+        folded_text = quoted.get(folded) or quoted.setdefault(folded, _quote(folded))
+        head = (f'{{\n{fields}"act": {act_text}{comma}"partition": {partition_text}'
+                f'{comma}"direct": {direct_text}{comma}"folded": {folded_text}'
+                f'{comma}"holds": {"true" if record["holds"] else "false"}')
         for tail in tails:
-            out.append(separator + head + tail)
-            separator = ",\n" + inner
+            out += separator, head, tail
+    out[first] = "[\n" + inner
     out.append("\n" + indent + "]")
 
 
@@ -934,6 +988,9 @@ def run_entry_point(body: Callable[[], int]) -> int:
     return status
 
 
+_SLICE = 8192
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -951,7 +1008,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             report = cmd_consensus(problem)
         text = emit_report(report)
-        print(render_table(json.loads(text)) if args.format == "table" else text)
+        if args.format == "table":
+            text = render_table(json.loads(text))
+        # in slices of stdout's chunk size, which it passes on as they are:
+        # `print` would encode the whole text into a second copy at once
+        for start in range(0, len(text), _SLICE):
+            sys.stdout.write(text[start:start + _SLICE])
+        sys.stdout.write("\n")
         return report.exit_code
 
     return run_entry_point(run)

@@ -185,6 +185,20 @@ class TestExactJson:
     def test_integers_and_strings_pass_through(self):
         assert loads_exact('{"n": 3, "q": "1/2"}') == {"n": 3, "q": "1/2"}
 
+    @pytest.mark.parametrize("text,message", [
+        # the decoder closes the inner object first, so its repeat is named
+        ('{"a": {"b": 1, "b": 2}, "a": 3}', "a: an object repeats the key 'b'"),
+        ('[{"x": 1, "x": 2}]', "problem[0]: an object repeats the key 'x'"),
+        ('{"a": [[{"k": 1, "k": 2}]]}', "a[0][0]: an object repeats the key 'k'"),
+        ('{"a": {"b": 1, "b": 2}, "c": 0.5}', "a: an object repeats the key 'b'"),
+        # text past the repeat that does not decode leaves the key without a path
+        ('{"a": {"b": 1, "b": 2}, "c": [', "an object repeats the key 'b'"),
+    ], ids=["inner-first", "top-level-list", "nested-lists", "decimal-after", "malformed-after"])
+    def test_a_repeated_key_is_named_by_its_path(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            loads_exact(text)
+        assert str(caught.value) == message
+
 
 class TestProblemParsing:
     def test_minimal_evaluate_problem(self):
@@ -933,6 +947,18 @@ def test_the_table_format_renders_the_report_of_every_run(tmp_path, capsys, run)
     assert_same_text(captured.out, render_table(reference_payload(report.payload)) + "\n")
 
 
+@pytest.mark.parametrize("run", list(RUN_PROBLEMS))
+def test_main_prints_the_emitted_report_of_every_run(tmp_path, capsys, run):
+    # `main` writes the text in slices; the sweep's report spans many
+    problem = dict(RUN_PROBLEMS[run], operator=dict(HURWICZ_HALF))
+    report = getattr(cli, f"cmd_{run.split()[0]}")(parse_problem(problem))
+    text = emit_report(report)
+    assert run != "check sequential" or len(text) > 10 * cli._SLICE
+    code, captured = _run_main(tmp_path, capsys, run, problem)
+    assert code == report.exit_code
+    assert_same_text(captured.out, text + "\n")
+
+
 @pytest.mark.parametrize("verb", ["evaluate", "check", "consensus"])
 def test_a_problem_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, verb):
     path = tmp_path / "problem.json"
@@ -1109,6 +1135,8 @@ def _masses(masses):
     ("consensus", {"act": ACT, "operator": MIN, "mode": "majority"},
      "mode: expected one of ('consensus', 'certainty', 'limit'), got 'majority'"),
     ("consensus", {"operator": MIN}, "consensus needs an act"),
+    ("check", {"operator": MIN, "suite": None}, "suite: expected a string"),
+    ("check", {"operator": MIN}, f"check needs a suite; expected one of {SUITES}"),
     ("evaluate", ["not", "an", "object"], "problem: expected a JSON object"),
     ("evaluate", {"act": ACT, "measure": {"kind": "probability", "weights": []},
                   "operator": MIN}, "probability must cover at least one state"),
@@ -1117,24 +1145,25 @@ def _masses(masses):
     ("evaluate", _masses([{"event": [5], "mass": "1"}]), "focal element [5] leaves the space"),
     # a repeated key is refused at any depth, not read as its last value
     ("evaluate", '{"act": ["0", "1"], "act": ["1"], "operator": {"kind": "min"}}',
-     "an object repeats the key 'act'"),
+     "problem: an object repeats the key 'act'"),
     ("evaluate", '{"act": ["0", "1"], "operator": {"kind": "hurwicz", "alpha": "1/3",'
-                 ' "alpha": "1/2"}}', "an object repeats the key 'alpha'"),
+                 ' "alpha": "1/2"}}', "operator: an object repeats the key 'alpha'"),
     ("evaluate", '{"act": ["0", "1"], "measure": {"kind": "belief-function", "masses":'
                  ' [{"event": [0, 1], "mass": "1", "event": [0]}]}, "operator": {"kind": "min"}}',
-     "an object repeats the key 'event'"),
+     "measure.masses[0]: an object repeats the key 'event'"),
     ("check sequential", '{"operator": {"kind": "min"}, "suite": "sequential",'
                          ' "grid-denominator": 2, "grid-denominator": 1}',
-     "an object repeats the key 'grid-denominator'"),
+     "problem: an object repeats the key 'grid-denominator'"),
     ("check sequential", '{"operator": {"kind": "hurwicz", "kind": "min", "alpha": "1/2"},'
-                         ' "suite": "sequential"}', "an object repeats the key 'kind'"),
+                         ' "suite": "sequential"}', "operator: an object repeats the key 'kind'"),
     ("consensus limit", '{"act": ["0", "1"], "operator": {"kind": "min"}, "mode": "limit",'
                         ' "epsilons": ["1"], "mode": "consensus"}',
-     "an object repeats the key 'mode'"),
+     "problem: an object repeats the key 'mode'"),
     ("consensus", '{"act": ["0", "1"], "operator": {"kind": "anchored", "anchor": "1/2",'
-                  ' "anchor": "1/2"}}', "an object repeats the key 'anchor'"),
+                  ' "anchor": "1/2"}}', "operator: an object repeats the key 'anchor'"),
 ], ids=["epsilons", "measure-kind", "generators", "masses", "mass-entry", "partition",
         "measure", "grid-denominator", "sizes", "repeated-size", "mode", "consensus-act",
+        "null-suite", "no-suite",
         "problem", "empty-probability", "empty-focal-element", "focal-element-off-space",
         "evaluate-repeated-key", "evaluate-repeated-operator-key",
         "evaluate-repeated-mass-key", "check-repeated-key", "check-repeated-operator-key",

@@ -672,6 +672,25 @@ def test_sweep_records_match_encode_verdict(rule, denominator, frameworks, stop_
                          json.dumps(dict(report.payload, failures=expected), indent=2))
 
 
+def test_a_shared_encoding_equals_a_lone_one_and_shares_its_lists():
+    # `_write_cells` makes each act's and partition's text once per list
+    # object, so every record of one act, or of one partition, must hold
+    # the same list, and that list must be the lone encoding's
+    failures = check_sequential_exhaustive(CeOperator(Hurwicz(F(1, 3))),
+                                           SearchConfig(sizes=(2, 3, 4), denominator=2))
+    assert len(failures) == 702 * len(VACUOUS_FRAMEWORKS)
+    shared: dict = {}
+    acts: dict = {}
+    partitions: dict = {}
+    for verdict in failures:
+        record = encode_verdict(verdict, shared)
+        assert record == encode_verdict(verdict, {})
+        assert acts.setdefault(verdict.act, record["act"]) is record["act"]
+        assert partitions.setdefault(verdict.partition, record["partition"]) \
+            is record["partition"]
+    assert len(acts) < 702 and len(partitions) < 702
+
+
 # -- grid valuation --------------------------------------------------------
 
 
