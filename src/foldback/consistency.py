@@ -60,8 +60,9 @@ DEFAULT_LIPSCHITZ = ONE
 # CapExceeded before it builds anything. A step is one value of the rule,
 # one comparison of two values, one sweep cell (an act and a partition),
 # one set of a family or one cell of a table. At the limit a step that
-# adds a witness costs the most: Hurwicz(1/3) on gamma-laws k/406 takes
-# about 15 s and 600 MB.
+# adds a witness costs the most: Hurwicz(1/3) on gamma-laws k/406 took
+# 4.3 s and 390 MB as one `foldback check` process on a 2-vCPU VM with
+# Python 3.11.7 (ROADMAP.md, "Stream check reports").
 MAX_WORK = 250_000
 
 # Bell(n), the partitions of an n-element set, for n <= PARTITION_CAP
