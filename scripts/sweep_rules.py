@@ -19,7 +19,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from foldback import Anchored, CapExceeded, CeOperator, Hurwicz, MaxRule, MedianRule, MinRule
+from foldback import (
+    Anchored, CapExceeded, CeOperator, Hurwicz, MaxRule, MedianRule, MinRule, ValidationError)
+from foldback.acts import PARTITION_CAP
 from foldback.cli import (
     cmd_check, emit_report, encode_operator, encode_rule, parse_problem, run_entry_point)
 from foldback.consistency import MAX_WORK, _ev_work, _sweep_work
@@ -37,7 +39,7 @@ def problems(rule, args: argparse.Namespace) -> tuple[dict, dict]:
     operator = encode_operator(CeOperator(rule))
     return (parse_problem({"operator": operator, "suite": "sequential",
                            "grid-denominator": args.denominator,
-                           "max-states": args.max_states,
+                           "sizes": list(range(2, args.max_states + 1)),
                            "stop-at-first": args.stop_at_first}),
             parse_problem({"operator": operator, "suite": "ev-properties",
                            "grid-denominator": args.denominator}))
@@ -81,7 +83,12 @@ def main() -> int:
 
     # the rules share every flag, so a flag the problem parser refuses for
     # one is refused here, and so is a run past the library's work limit
-    # in all, before any rule is built or the header printed
+    # in all, before any rule is built or the header printed; N is checked
+    # first, before the list 2..N is built from this one number
+    if args.max_states < 2:
+        raise ValidationError(f"--max-states must be >= 2, got {args.max_states}")
+    if args.max_states > PARTITION_CAP:
+        raise CapExceeded(f"sweep capped at n <= {PARTITION_CAP}, asked for {args.max_states}")
     sequential, _ = problems(MinRule(), args)
     count = args.anchor_denominator + 1 + 4  # the anchors, min, max, Hurwicz, median
     per_rule = _sweep_work(args.denominator, sequential["sizes"]) + _ev_work(args.denominator)

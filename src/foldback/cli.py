@@ -15,7 +15,7 @@ A report's payload is JSON-native except inside a `Records` list, which
 holds what its writer reads: the engine's own `Witness`es, failing sweep
 cells or table rows. A `sequential` payload holds one record per failing
 cell, and its text one per cell and framework. `emit_report` is the one
-text stage, and `--format table` renders the machine text parsed back.
+text stage.
 
 The `problem` block of an `evaluate` report is a valid problem that
 replays to the same report, and every witness probe with its report's
@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__
-from .acts import PARTITION_CAP, Act, Frozen, Partition, StateSpace
+from .acts import Act, Frozen, Partition, StateSpace
 from .ce_ops import (
     Anchored,
     CeOperator,
@@ -75,7 +75,7 @@ from .consistency import (
     check_sequential,
     check_sequential_exhaustive,
 )
-from .errors import CapExceeded, EngineError, ParseError, UnknownSuite, ValidationError
+from .errors import EngineError, ParseError, UnknownSuite, ValidationError
 from .plausibility import (
     BeliefFunctionMeasure,
     CredalSetMeasure,
@@ -106,7 +106,7 @@ RUNS: dict[str, tuple[frozenset[str], Optional[int]]] = {
         ("check gamma-laws", _SUITE, 16),
         ("check ev-properties", _SUITE, 4),
         ("check set-order", _SUITE + " family-max-size", 8),
-        ("check sequential", _SUITE + " sizes max-states stop-at-first", 4),
+        ("check sequential", _SUITE + " sizes stop-at-first", 4),
         ("consensus consensus", _CONSENSUS, None),
         ("consensus certainty", _CONSENSUS + " state", None),
         ("consensus limit", _CONSENSUS + " epsilons base", None))}
@@ -352,7 +352,7 @@ def _parse_measure(record: Mapping, space: StateSpace,
 
 def parse_problem(raw: Mapping) -> dict[str, Any]:
     """Validate a problem dictionary into typed engine objects, one for each
-    key it gives; `max-states` is stored as the `sizes` it stands for."""
+    key it gives."""
     if not isinstance(raw, Mapping):
         raise ParseError("problem: expected a JSON object")
     unknown = set(raw) - _PROBLEM_KEYS
@@ -424,17 +424,6 @@ def parse_problem(raw: Mapping) -> dict[str, Any]:
         if not isinstance(raw["sizes"], list):
             raise ParseError("sizes: expected a list of integers")
         problem["sizes"] = tuple(_integer(n, "sizes") for n in raw["sizes"])
-    if "max-states" in raw:
-        top = _integer(raw["max-states"], "max-states")
-        if top < 2:
-            raise ValidationError("max-states must be >= 2")
-        if top > PARTITION_CAP:
-            # refused here, before the sizes 2..top are built from this one
-            # number; `SearchConfig` refuses a given size in the same words
-            raise CapExceeded(f"sweep capped at n <= {PARTITION_CAP}, asked for {top}")
-        if "sizes" in raw:
-            raise ValidationError("give either sizes or max-states, not both")
-        problem["sizes"] = tuple(range(2, top + 1))
 
     if "mode" in raw:
         if raw["mode"] not in MODES:
@@ -603,8 +592,7 @@ def verdict_problem(verdict_record: Mapping, operator_record: Mapping) -> dict:
 def _refuse_unread(problem: Mapping[str, Any], run: str) -> Optional[int]:
     """Refuse every given key `run` does not read; return its default grid."""
     reads, grid = RUNS[run]
-    # `max-states` is parsed into `sizes`, so a refusal names both spellings
-    unread = {"sizes/max-states" if key == "sizes" else key for key in problem.keys() - reads}
+    unread = problem.keys() - reads
     if unread:
         raise ValidationError(f"{run} does not read {', '.join(sorted(unread))}")
     return grid
@@ -926,30 +914,6 @@ def emit_report(report: ReportFile) -> str:
     return "".join(out)
 
 
-def _render_lines(value: Any, label: str, lines: list) -> None:
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            _render_lines(sub, f"{label}.{key}" if label else key, lines)
-    elif isinstance(value, list):
-        lines.append(f"{label}: {json.dumps(value)}")
-    else:
-        lines.append(f"{label}: {value}")
-
-
-def render_table(payload: Mapping) -> str:
-    """Flat key-path rendering for human eyes of a parsed machine report."""
-    lines: list = []
-    for key, value in payload.items():
-        if key in ("reports", "failures", "rows"):
-            seq = value if isinstance(value, list) else [value]
-            lines.append(f"{key}: {len(seq)} entries")
-            for i, entry in enumerate(seq):
-                _render_lines(entry, f"{key}[{i}]", lines)
-        else:
-            _render_lines(value, key, lines)
-    return "\n".join(lines)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -960,7 +924,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb in ("evaluate", "check", "consensus"):
         p = sub.add_parser(verb)
         p.add_argument("--problem", required=True, help="path to a problem JSON file")
-        p.add_argument("--format", choices=("machine", "table"), default="machine")
     return parser
 
 
@@ -1008,8 +971,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             report = cmd_consensus(problem)
         text = emit_report(report)
-        if args.format == "table":
-            text = render_table(json.loads(text))
         # in slices of stdout's chunk size, which it passes on as they are:
         # `print` would encode the whole text into a second copy at once
         for start in range(0, len(text), _SLICE):

@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     ZeroPlausibilityEvent,
 )
-from .rationals import ONE, ZERO, _fraction, _integer_image, ensure_unit
+from .rationals import ONE, ZERO, _fraction, _integer_image, ensure_unit, format_rational
 
 
 class ZPair(Frozen):
@@ -72,6 +72,10 @@ class ZPair(Frozen):
         object.__setattr__(pair, "lower", lower)
         object.__setattr__(pair, "upper", upper)
         return pair
+
+    def __str__(self) -> str:
+        """The pair as exact rationals, such as "(0, 1/3)"."""
+        return f"({format_rational(self.lower)}, {format_rational(self.upper)})"
 
 
 class Framework(enum.Enum):

@@ -89,6 +89,7 @@ def test_script_exits_quietly_when_its_reader_stops(script, args):
 
 @pytest.mark.parametrize("script,args,message", [
     ("sweep_rules.py", ["--max-states", "9"], "error: sweep capped at n <= 8, asked for 9"),
+    ("sweep_rules.py", ["--max-states", "1"], "error: --max-states must be >= 2, got 1"),
     ("enumerate_tables.py", ["--denominator", "0"],
      "error: grid denominator must be >= 1, got 0"),
     ("enumerate_tables.py", ["--lipschitz", "abc"],
