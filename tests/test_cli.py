@@ -262,6 +262,16 @@ class TestProblemParsing:
         assert not problem["operator"].probabilistic_rule
         assert problem["operator"].credal_extension
 
+    # `sizes` is the one spelling of the sweep's state counts, so the
+    # key that restated it is unknown, with or without `sizes` beside it
+    @pytest.mark.parametrize("sizes", [{}, {"sizes": [2]}], ids=["alone", "with-sizes"])
+    def test_max_states_is_an_unknown_field(self, sizes):
+        raw = {"operator": dict(ANCHORED_HALF), "suite": "sequential",
+               "max-states": 4, **sizes}
+        with pytest.raises(ParseError) as caught:
+            parse_problem(raw)
+        assert str(caught.value) == "problem: unknown fields ['max-states']"
+
     def test_partition_needs_a_space(self):
         raw = {"operator": dict(ANCHORED_HALF), "partition": [[0], [1]]}
         with pytest.raises(ValidationError):
@@ -971,16 +981,28 @@ def test_flags_that_restate_problem_keys_are_refused(tmp_path, capsys, run, flag
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
-# a report has one format, the machine text, so no verb takes `--format`
-@pytest.mark.parametrize("verb", ["evaluate", "check", "consensus"])
-def test_the_format_option_is_refused(tmp_path, capsys, verb):
-    run = next(run for run in RUN_PROBLEMS if run.startswith(verb))
+# a report has one format, the machine text, so no run takes `--format`,
+# not even with the value that used to be its default
+@pytest.mark.parametrize("run", list(RUN_PROBLEMS))
+@pytest.mark.parametrize("fmt", ["machine", "table"])
+def test_the_format_option_is_refused(tmp_path, capsys, run, fmt):
     with pytest.raises(SystemExit) as exited:
-        _run_main(tmp_path, capsys, run, RUN_PROBLEMS[run], ("--format", "table"))
+        _run_main(tmp_path, capsys, run, RUN_PROBLEMS[run], ("--format", fmt))
     assert exited.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --format table" in captured.err
+    assert f"unrecognized arguments: --format {fmt}" in captured.err
+
+
+# the key that restated `sizes` is unknown to every run, the sweep that
+# read it included, so no run reports a problem that gave it
+@pytest.mark.parametrize("run", list(RUN_PROBLEMS))
+def test_max_states_is_refused_by_every_run(tmp_path, capsys, run):
+    problem = {"max-states": 3, **RUN_PROBLEMS[run]}
+    code, captured = _run_main(tmp_path, capsys, run, problem)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: problem: unknown fields ['max-states']\n"
 
 
 def test_refusals_name_every_unread_key(tmp_path, capsys):
@@ -1177,12 +1199,15 @@ def test_measure_records_refuse_the_fields_they_do_not_read(measure, message):
     assert str(raised.value) == message
 
 
-def test_a_closed_stdout_exits_two_without_a_traceback(tmp_path):
+# the sweep's report spans many slices, so the write fails in `main`'s
+# loop; the evaluation's fits in one, so it fails when stdout is flushed
+@pytest.mark.parametrize("run", ["check sequential", "evaluate"])
+def test_a_closed_stdout_exits_two_without_a_traceback(tmp_path, run):
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"operator": dict(HURWICZ_HALF), "suite": "sequential"}))
+    path.write_text(json.dumps(dict(RUN_PROBLEMS[run], operator=dict(HURWICZ_HALF))))
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.Popen(
-        [sys.executable, "-m", "foldback.cli", "check", "--problem", str(path)],
+        [sys.executable, "-m", "foldback.cli", run.split()[0], "--problem", str(path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=str(src)))
     run.stdout.close()  # the reader leaves before the report is written
@@ -1309,6 +1334,19 @@ def test_a_library_grid_past_the_digit_limit_is_refused_by_work(suite):
     assert re.fullmatch(rf"{task} on grid k/n with n >= 10\^4,999 needs at least"
                         rf" 10\^[\d,]+ steps of work; the limit is {MAX_WORK:,}",
                         str(refused.value)), refused.value
+
+
+# `SearchConfig` is the one place that refuses a size past the cap; it
+# does so before the sweep counts its work, so a billion states costs nothing
+@pytest.mark.parametrize("sizes", [[2, 9], [10 ** 9]], ids=["nine", "billion"])
+def test_sizes_past_the_sweep_cap_are_refused_before_the_sweep(tmp_path, capsys, sizes):
+    started = time.perf_counter()
+    code, captured = _run_main(tmp_path, capsys, "check", {
+        "operator": {"kind": "min"}, "suite": "sequential", "sizes": sizes})
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: sweep capped at n <= 8, asked for {max(sizes)}\n"
 
 
 def _limit_problem(states: int, epsilons: int) -> dict:
